@@ -66,17 +66,17 @@ from .deciders import (  # noqa: F401
     upgrade_algebraic_verdict,
 )
 from .witness import (  # noqa: F401
+    ResidualTrace,
     WitnessReport,
     build_c_orbit_witness,
     build_prime_field_counterexample,
+    c_orbit_membership_residual,
     canonical_jordan,
     validate_witness,
 )
 from .oracle import (  # noqa: F401
     OrbitSet,
     Orbref0Result,
-    ResidualTrace,
-    c_orbit_membership_residual,
     enumerate_orbref0,
     orbref0_contains,
     power_orbit,

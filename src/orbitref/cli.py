@@ -12,7 +12,7 @@ Commands
 Exit codes: 0 ok, 2 parse error, 3 characteristic polynomial does not split
 (escalate with --field qi or --field c64), 4 budget exceeded, 5 internal.
 Reports carry no timestamps: identical invocations (same seed/parameters)
-are byte-identical regardless of worker count.
+are byte-identical, for ffscan regardless of worker count.
 """
 
 from __future__ import annotations
@@ -106,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("witness", help="build and validate the witness operator")
@@ -114,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--powers", type=int, default=2000)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("oracle", help="exact OrbRef0 computations over GF(q)")
@@ -274,7 +272,17 @@ def cmd_jordan(args) -> int:
     return _emit(report, args)
 
 
+def _check_residual_args(args) -> None:
+    if args.powers < 20:
+        raise ParseError("--powers must be at least 20")
+    if args.samples < 0:
+        raise ParseError("--samples must be non-negative")
+    if args.seed < 0:
+        raise ParseError("--seed must be non-negative")
+
+
 def cmd_decide(args) -> int:
+    _check_residual_args(args)
     mf = _load_input(args)
     kind = mf.field.kind
     props = _parse_properties(args.properties, kind)
@@ -309,7 +317,7 @@ def cmd_decide(args) -> int:
                 S = build_c_orbit_witness(T, profile)
                 witness_report = validate_witness(
                     S, T, samples=args.samples, horizon=args.powers,
-                    seed=args.seed, workers=args.workers)
+                    seed=args.seed)
             verdicts.append(v)
         elif prop == PROP_ALGEBRAIC:
             v = decide_algebraic_f_orbit_reflexive(mf.matrix)
@@ -323,6 +331,7 @@ def cmd_decide(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    _check_residual_args(args)
     mf = _load_input(args)
     if mf.field.kind == KIND_FINITE:
         raise ParseError("witness needs a matrix over Q, Q(i) or c64")
@@ -341,7 +350,7 @@ def cmd_witness(args) -> int:
         T, layout = canonical_jordan(profile)
         S = build_c_orbit_witness(T, profile)
         wr = validate_witness(S, T, samples=args.samples, horizon=args.powers,
-                              seed=args.seed, workers=args.workers)
+                              seed=args.seed)
         report["witness"] = wr.as_dict()
         report["witness"]["coordinates"] = "canonical-jordan-model"
         report["witness"]["block_order"] = [[str(e), s] for e, s in layout]
@@ -392,6 +401,10 @@ def cmd_ffscan(args) -> int:
         p, k = args.p, args.k
     else:
         raise ParseError("ffscan needs --q or --p (with optional --k)")
+    if not 1 <= args.d <= 3:
+        raise ParseError("ffscan supports --d 1, 2 or 3")
+    if args.limit is not None and args.limit < 1:
+        raise ParseError("--limit must be at least 1")
     try:
         field = FiniteField(p, k)
     except (NotPrime, ValueError) as exc:
@@ -416,6 +429,10 @@ def cmd_ffscan(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    if args.n < 2:
+        raise ParseError("--n must be at least 2")
+    if args.max_power is not None and args.max_power < 0:
+        raise ParseError("--max-power must be non-negative")
     max_power = args.max_power if args.max_power is not None else args.n - 1
     ok, witnesses = verify_no_single_power(args.n, max_power)
     report = _envelope("demo-counterexample",

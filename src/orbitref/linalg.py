@@ -422,20 +422,24 @@ def _rank_field_elim(M: Matrix) -> int:
     return rank
 
 
+def to_complex(s: Scalar) -> complex:
+    """Complex value of a Q, Q(i) or complex scalar."""
+    kind = s.field.kind
+    if kind == KIND_COMPLEX:
+        return complex(s.value)
+    if kind == KIND_RATIONALS:
+        return complex(float(s.value))
+    if kind == KIND_GAUSSIAN:
+        return complex(float(s.value[0]), float(s.value[1]))
+    raise WrongField("finite-field scalar has no complex form")
+
+
 def to_ndarray(M: Matrix) -> np.ndarray:
     """Complex ndarray view of a Q, Q(i) or complex matrix."""
-    kind = M.field.kind
     out = np.empty((M.n, M.n), dtype=complex)
     for i, r in enumerate(M.rows):
         for j, s in enumerate(r):
-            if kind == KIND_COMPLEX:
-                out[i, j] = s.value
-            elif kind == KIND_RATIONALS:
-                out[i, j] = float(s.value)
-            elif kind == KIND_GAUSSIAN:
-                out[i, j] = complex(float(s.value[0]), float(s.value[1]))
-            else:
-                raise WrongField("finite-field matrix has no complex form")
+            out[i, j] = to_complex(s)
     return out
 
 

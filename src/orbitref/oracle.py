@@ -25,19 +25,14 @@ early-exit that makes desk-scale budgets practical.  Everything here is
 exact integer arithmetic on table-encoded field elements; Matrix objects
 only appear at the API boundary.
 
-The numeric half is the membership residual for the complex criterion:
-dist(Sx, C*T^n x), the norm of the component of Sx orthogonal to T^n x,
-computed on renormalised direction iterates so unbounded ||T^n x|| growth
-cancels.  It never claims membership -- it reports decay consistent with
-membership at a tolerance up to a horizon.
-
 `scan_space` sweeps every d x d matrix over GF(q) (d <= 3), classifies the
 minimal polynomial, and checks OrbRef0 = scaled-power-orbit per matrix.
 Verdicts are similarity invariants, so by default the scan memoises the
 expensive enumeration per (characteristic, minimal polynomial) class --
 which determines the similarity class for d <= 3 -- and a flag forces the
-plain per-matrix scan.  Results persist to a JSON-lines cache keyed by
-(q, d, matrix hash); re-runs skip finished matrices.
+plain per-matrix scan.  Results persist to a JSON-lines cache keyed by the
+field (p, k, modulus), d and the matrix index; re-runs skip finished
+matrices.
 """
 
 from __future__ import annotations
@@ -49,11 +44,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional
 
-import numpy as np
-
 from .errors import BudgetExceeded, MixedFields, ShapeMismatch, WrongField
 from .fields import KIND_FINITE, FiniteField, Scalar
-from .linalg import Matrix, to_ndarray
+from .linalg import Matrix
 
 DEFAULT_CONTAINS_BUDGET = 10 ** 6
 DEFAULT_ENUM_BUDGET = 2 ** 24
@@ -419,85 +412,6 @@ def rigidity_violations(T: Matrix, budget: int = DEFAULT_ENUM_BUDGET) -> list[di
 
 
 # ---------------------------------------------------------------------------
-# numeric membership residuals
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ResidualTrace:
-    """Running minima of the point-to-line membership residual.
-
-    events lists (n, value) whenever the minimum improves; min_up_to reads
-    the running minimum at any horizon."""
-
-    events: tuple[tuple[int, float], ...]
-    horizon: int
-
-    def min_up_to(self, n: int) -> float:
-        best = float("inf")
-        for k, v in self.events:
-            if k > n:
-                break
-            best = v
-        return best
-
-    @property
-    def final(self) -> float:
-        return self.events[-1][1]
-
-
-def c_orbit_membership_residual(T: Matrix, S: Matrix, x, N: int) -> ResidualTrace:
-    """dist(Sx, C * T^n x) for n = 0..N, reported as running minima.
-
-    Conventions: the line always contains 0 (lam = 0 is allowed), the
-    distance is ||Sx|| when T^n x = 0 and Sx != 0, and 0 when both vanish.
-    Directions are renormalised every step so growth in ||T^n x|| cancels.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if S.n != T.n:
-        raise ShapeMismatch(f"dims {S.n} vs {T.n}")
-    Tf = to_ndarray(T)
-    Sf = to_ndarray(S)
-    xv = np.array([complex(v.value) if isinstance(v, Scalar) and v.field.kind == "c64"
-                   else _to_complex(v) for v in x], dtype=complex)
-    if xv.shape != (T.n,):
-        raise ShapeMismatch("sample vector has the wrong length")
-    sx = Sf @ xv
-    norm_sx = float(np.linalg.norm(sx))
-    events: list[tuple[int, float]] = []
-    best = float("inf")
-    y = xv.copy()
-    for n in range(N + 1):
-        ny = float(np.linalg.norm(y))
-        if ny == 0.0:
-            res = norm_sx
-        else:
-            proj = abs(np.vdot(y / ny, sx))
-            res = float(np.sqrt(max(norm_sx * norm_sx - proj * proj, 0.0)))
-        if res < best:
-            best = res
-            events.append((n, res))
-        if n < N:
-            y = Tf @ y
-            ny = float(np.linalg.norm(y))
-            if ny > 0.0:
-                y = y / ny
-    return ResidualTrace(tuple(events), N)
-
-
-def _to_complex(v) -> complex:
-    if isinstance(v, Scalar):
-        from .fields import KIND_GAUSSIAN, KIND_RATIONALS
-
-        if v.field.kind == KIND_RATIONALS:
-            return complex(float(v.value), 0.0)
-        if v.field.kind == KIND_GAUSSIAN:
-            return complex(float(v.value[0]), float(v.value[1]))
-        return complex(v.value)
-    return complex(v)
-
-
-# ---------------------------------------------------------------------------
 # exhaustive space scan with cache
 # ---------------------------------------------------------------------------
 
@@ -571,13 +485,6 @@ def _char_poly_int(tbl: _Tables, cols, d: int) -> tuple[int, ...]:
             det = add[det][term if sign > 0 else neg[term]]
         return (neg[det], m2, neg[tr], 1)
     raise ValueError("integer char poly implemented for d <= 3 only")
-
-
-def _poly_eval_int(tbl: _Tables, coeffs, x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = tbl.add[tbl.mul[acc][x]][c]
-    return acc
 
 
 def _poly_deflate_int(tbl: _Tables, coeffs, root: int):
@@ -691,7 +598,18 @@ def default_cache_path() -> str:
                           os.path.join(".orbitref", "ffscan.jsonl"))
 
 
-def _load_cache(path: str, q: int, d: int, need_rigidity: bool) -> dict[int, dict]:
+def _field_key(field: FiniteField) -> dict:
+    """The row fields naming the scanned field; JSON turns the modulus tuple
+    into a list, so it is stored as one."""
+    modulus = list(field.modulus) if field.modulus is not None else None
+    return {"p": field.p, "k": field.k, "modulus": modulus}
+
+
+def _load_cache(path: str, field: FiniteField, d: int,
+                need_rigidity: bool) -> dict[int, dict]:
+    """Rows of this field and dimension; rows of another field, or written
+    before rows named their field, count as misses."""
+    key = _field_key(field)
     rows: dict[int, dict] = {}
     if not path or not os.path.exists(path):
         return rows
@@ -704,7 +622,7 @@ def _load_cache(path: str, q: int, d: int, need_rigidity: bool) -> dict[int, dic
                 row = json.loads(line)
             except json.JSONDecodeError:
                 continue
-            if row.get("q") != q or row.get("d") != d:
+            if row.get("d") != d or any(row.get(f) != v for f, v in key.items()):
                 continue
             if need_rigidity and row.get("rigidity_ok") is None:
                 continue
@@ -733,7 +651,7 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
             f"{q}^{d * d} candidates per matrix exceed the budget of {budget}")
     total = q ** (d * d)
     scan_total = min(total, limit) if limit else total
-    cached = _load_cache(cache_path, q, d, rigidity) if cache_path else {}
+    cached = _load_cache(cache_path, field, d, rigidity) if cache_path else {}
     pending = [i for i in range(scan_total) if i not in cached]
 
     params = (field.p, field.k, field.modulus, d)
@@ -762,7 +680,7 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
     for idx, mhash, key, split, nil in info:
         equal, osize, fsize, rig_ok = by_target[reps[key] if dedup else idx]
         new_rows[idx] = {
-            "q": q, "d": d, "i": idx, "hash": mhash,
+            "q": q, **_field_key(field), "d": d, "i": idx, "hash": mhash,
             "split": split, "nilpotent": nil, "equal": equal,
             "orbref0": osize, "forb": fsize, "rigidity_ok": rig_ok,
         }

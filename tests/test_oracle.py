@@ -239,6 +239,20 @@ def test_scan_cache_resume(tmp_path):
     assert second.counts == first.counts
 
 
+def test_scan_cache_rows_carry_their_field(tmp_path):
+    # GF(9) under the stock modulus and under x^2+1 number the same indices
+    # as different matrices, so neither may serve the other's rows
+    cache = str(tmp_path / "scan.jsonl")
+    stock = scan_space(FiniteField(3, 2), 2, limit=20, cache_path=cache)
+    assert stock.from_cache == 0
+    other = FiniteField(3, 2, (1, 0, 1))
+    rescan = scan_space(other, 2, limit=20, cache_path=cache)
+    fresh = scan_space(other, 2, limit=20, cache_path=None)
+    assert rescan.from_cache == 0
+    assert rescan.counts == fresh.counts
+    assert scan_space(other, 2, limit=20, cache_path=cache).from_cache == 20
+
+
 def test_scan_nilpotent_filter_and_rigidity():
     g3 = FiniteField(3)
     res = scan_space(g3, 2, nilpotent_only=True, rigidity=True, cache_path=None)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from orbitref import (
@@ -22,6 +23,8 @@ from orbitref import (
     orbref0_contains,
     validate_witness,
 )
+from orbitref.linalg import to_ndarray
+from orbitref.witness import _residual_minima, _vector_batch
 
 
 def _witness_pattern(S, m):
@@ -163,14 +166,45 @@ def test_validate_witness_every_vector_converges():
         assert row["checkpoints"]["2000"] < 1e-2
 
 
-def test_validate_witness_workers_deterministic():
+def _reference_residuals(Tf, sx, x, checkpoints):
+    """The per-vector loop the batched kernel replaced, kept as its
+    reference: running minimum of dist(Sx, C * T^n x) at each checkpoint."""
+    horizon = max(checkpoints)
+    norm_sx = float(np.linalg.norm(sx))
+    out = {}
+    best = float("inf")
+    y = x.astype(complex)
+    for n in range(horizon + 1):
+        ny = float(np.linalg.norm(y))
+        if ny == 0.0:
+            res = norm_sx
+        else:
+            proj = abs(np.vdot(y / ny, sx))
+            res = float(np.sqrt(max(norm_sx * norm_sx - proj * proj, 0.0)))
+        best = min(best, res)
+        if n in checkpoints:
+            out[n] = best
+        if n < horizon:
+            y = Tf @ y
+            ny = float(np.linalg.norm(y))
+            if ny > 0.0:
+                y = y / ny
+    return out
+
+
+def test_residual_kernel_matches_per_vector_loop():
     T = Matrix.block_diag([Matrix.jordan_block(QQ, 1, 3),
                            Matrix.jordan_block(QQ, 1, 1)])
-    prof = block_profile(T)
-    S = build_c_orbit_witness(T, prof)
-    reports = [validate_witness(S, T, samples=20, horizon=400, seed=0,
-                                workers=w).as_dict() for w in (1, 2, 8)]
-    assert reports[0] == reports[1] == reports[2]
+    S = build_c_orbit_witness(T, block_profile(T))
+    Tf, Sf = to_ndarray(T), to_ndarray(S)
+    checkpoints = (100, 500, 2000)
+    _, X = _vector_batch(T.n, 100, 0)
+    minima = _residual_minima(Tf, Sf @ X, X, checkpoints)
+    assert minima.shape == (len(checkpoints), 104)
+    for j in range(X.shape[1]):
+        ref = _reference_residuals(Tf, Sf @ X[:, j], X[:, j], checkpoints)
+        for i, n in enumerate(checkpoints):
+            assert abs(minima[i, j] - ref[n]) < 1e-11
 
 
 def test_validate_rejects_shape_mismatch():
