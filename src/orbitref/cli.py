@@ -272,6 +272,11 @@ def cmd_jordan(args) -> int:
     return _emit(report, args)
 
 
+def _check_budget(args) -> None:
+    if args.budget < 1:
+        raise ParseError("--budget must be at least 1")
+
+
 def _check_residual_args(args) -> None:
     if args.powers < 20:
         raise ParseError("--powers must be at least 20")
@@ -283,6 +288,7 @@ def _check_residual_args(args) -> None:
 
 def cmd_decide(args) -> int:
     _check_residual_args(args)
+    _check_budget(args)
     mf = _load_input(args)
     kind = mf.field.kind
     props = _parse_properties(args.properties, kind)
@@ -358,6 +364,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _check_budget(args)
     mf = load_matrix_file(args.input)
     if mf.field.kind != KIND_FINITE:
         raise ParseError("oracle needs a finite-field matrix")
@@ -405,6 +412,9 @@ def cmd_ffscan(args) -> int:
         raise ParseError("ffscan supports --d 1, 2 or 3")
     if args.limit is not None and args.limit < 1:
         raise ParseError("--limit must be at least 1")
+    if args.workers < 1:
+        raise ParseError("--workers must be at least 1")
+    _check_budget(args)
     try:
         field = FiniteField(p, k)
     except (NotPrime, ValueError) as exc:

@@ -360,51 +360,17 @@ class FiniteField(Field):
         return red + (0,) * (self.k - len(red))
 
     def _inv(self, x):
+        # x^(q-2) = x^-1 since the multiplicative group has order q-1; the
+        # modulus was checked irreducible, so GF(p)[x]/(m) is a field
         if self._is_zero(x):
             raise DivisionByZero(f"division by zero in {self.name}")
-        if self.k == 1:
-            return (pow(x[0], self.p - 2, self.p),)
-        # extended Euclid in GF(p)[x]
-        p = self.p
-        r0, r1 = list(self.modulus), [c for c in x]
-        s0, s1 = [0], [1]
-        while _ptrim(list(r1)):
-            r1t = _ptrim(list(r1))
-            q, r = self._polydivmod(_ptrim(list(r0)), r1t)
-            r0, r1 = list(r1t), list(r)
-            s0, s1 = s1, self._polysub(s0, _pmul_modp(tuple(q), tuple(s1), p))
-            s1 = list(s1)
-        g = _ptrim(list(r0))
-        # g is a nonzero constant since modulus is irreducible
-        ginv = pow(g[0], p - 2, p)
-        res = [(c * ginv) % p for c in s0]
-        res = _prem_modp(tuple(res), self.modulus, p)
-        return res + (0,) * (self.k - len(res))
-
-    def _polydivmod(self, a, b):
-        p = self.p
-        a = list(a)
-        binv = pow(b[-1], p - 2, p)
-        q = [0] * max(len(a) - len(b) + 1, 0)
-        while len(a) >= len(b) and _ptrim(list(a)):
-            if a[-1] == 0:
-                a.pop()
-                continue
-            f = (a[-1] * binv) % p
-            shift = len(a) - len(b)
-            q[shift] = f
-            for i, bi in enumerate(b):
-                a[shift + i] = (a[shift + i] - f * bi) % p
-            a.pop()
-        return _ptrim(q), _ptrim(a)
-
-    def _polysub(self, a, b):
-        p = self.p
-        out = [0] * max(len(a), len(b))
-        for i, c in enumerate(a):
-            out[i] = c % p
-        for i, c in enumerate(b):
-            out[i] = (out[i] - c) % p
+        out, base, e = self._one(), x, self.q - 2
+        while e:
+            if e & 1:
+                out = self._mul(out, base)
+            e >>= 1
+            if e:
+                base = self._mul(base, base)
         return out
 
     def _div(self, x, y):

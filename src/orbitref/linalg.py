@@ -1,14 +1,12 @@
 """Dense exact/numeric matrix kernel: rank, powers, characteristic
 polynomials, kernels, conjugation and commutators.
 
-Exact elimination is fraction-free (Bareiss) over Q and Q(i) after clearing
-row denominators, which bounds intermediate growth on conjugated test
-matrices; finite fields use plain Gauss-Jordan.  Characteristic polynomials
-come from the division-free Faddeev-LeVerrier recursion where the
-characteristic allows it (char 0, or p > d) and otherwise from a
-fraction-free expansion of det(tI - M) with polynomial entries.  Floating
-complex matrices route rank questions through an SVD whose threshold comes
-from the field descriptor, never from call sites.
+Exact rank is fraction-free (Bareiss) over Q and Q(i) after clearing row
+denominators, which bounds intermediate growth on conjugated test matrices,
+and field elimination over GF(q).  Characteristic polynomials come from
+Berkowitz's division-free recursion, one path for every exact field and
+characteristic.  Floating complex matrices route rank questions through an
+SVD whose threshold comes from the field descriptor, never from call sites.
 """
 
 from __future__ import annotations
@@ -209,12 +207,6 @@ class Matrix:
         if len(vec) != self.n:
             raise ShapeMismatch("vector length mismatch")
         return tuple(_dot(r, vec) for r in self.rows)
-
-    def trace(self) -> Scalar:
-        t = self.field.zero()
-        for i in range(self.n):
-            t = t + self.rows[i][i]
-        return t
 
     @property
     def is_zero(self) -> bool:
@@ -487,127 +479,28 @@ def matpow(M: Matrix, k: int) -> Matrix:
 
 
 def char_poly(M: Matrix) -> Polynomial:
-    """Monic characteristic polynomial det(tI - M), exactly."""
-    kind = M.field.kind
-    if kind == KIND_COMPLEX:
-        raise NumericKindUnsupported("char_poly needs an exact matrix")
-    if kind == KIND_FINITE and M.field.p <= M.n:
-        return _char_poly_polyentry(M)
-    return _char_poly_faddeev(M)
+    """Monic characteristic polynomial det(tI - M), exactly.
 
-
-def _char_poly_faddeev(M: Matrix) -> Polynomial:
-    # division-free except for /k, hence the p > d guard for finite fields
-    f = M.field
-    n = M.n
-    down = [f.one()]
-    N = Matrix.identity(f, n)
-    for k in range(1, n + 1):
-        MN = M @ N
-        c = -(MN.trace() / f.from_int(k))
-        down.append(c)
-        N = MN.add_scalar_to_diagonal(c)
-    return Polynomial.from_scalars(f, reversed(down))
-
-
-def _pp_trim(c: list[Scalar]) -> tuple[Scalar, ...]:
-    while c and c[-1].is_zero:
-        c.pop()
-    return tuple(c)
-
-
-def _pp_mul(a, b, f: Field):
-    if not a or not b:
-        return ()
-    zero = f.zero()
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai.is_zero:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return _pp_trim(out)
-
-
-def _pp_sub(a, b, f: Field):
-    zero = f.zero()
-    out = [zero] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = out[i] - c
-    return _pp_trim(out)
-
-
-def _pp_divexact(a, b, f: Field):
-    # long division over a field; Bareiss guarantees zero remainder
-    a = list(a)
-    q = [f.zero()] * max(len(a) - len(b) + 1, 0)
-    binv = b[-1]
-    while len(a) >= len(b):
-        if a[-1].is_zero:
-            a.pop()
-            continue
-        fac = a[-1] / binv
-        shift = len(a) - len(b)
-        q[shift] = fac
-        for i, bi in enumerate(b):
-            a[shift + i] = a[shift + i] - fac * bi
-        a.pop()
-    assert not _pp_trim(a), "polynomial Bareiss division was not exact"
-    return tuple(q)
-
-
-def _char_poly_polyentry(M: Matrix) -> Polynomial:
-    """det(tI - M) by fraction-free elimination with GF(p)[t] entries.
-
-    Valid at any characteristic; used when p <= d rules out dividing by k.
+    Berkowitz's recursion: ring operations only, so one path serves every
+    exact field whatever its characteristic.  Step k borders the leading
+    k x k block with row and column k; the new coefficients are the old
+    ones times the Toeplitz column 1, -a_kk, -r c, -r A c, ..., -r A^(k-1) c,
+    where r and c are the border row and column and A the block.
     """
-    f = M.field
-    n = M.n
-    one, zero = f.one(), f.zero()
-    a: list[list[tuple[Scalar, ...]]] = []
-    for i in range(n):
-        row = []
-        for j, s in enumerate(M.rows[i]):
-            const = -s
-            lin = one if i == j else zero
-            row.append(_pp_trim([const, lin]))
-        a.append(row)
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        pi = pj = -1
-        for i in range(k, n):
-            for j in range(k, n):
-                if a[i][j]:
-                    pi, pj = i, j
-                    break
-            if pi >= 0:
-                break
-        if pi < 0:
-            return Polynomial.from_scalars(f, [])  # cannot happen: det is monic
-        if pi != k:
-            a[k], a[pi] = a[pi], a[k]
-            sign = -sign
-        if pj != k:
-            for row in a:
-                row[k], row[pj] = row[pj], row[k]
-            sign = -sign
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                t = _pp_sub(_pp_mul(piv, a[i][j], f), _pp_mul(a[i][k], a[k][j], f), f)
-                if prev is not None:
-                    t = _pp_divexact(t, prev, f)
-                a[i][j] = t
-        prev = piv
-    det = a[n - 1][n - 1]
-    if sign < 0:
-        det = tuple(-c for c in det)
-    poly = Polynomial.from_scalars(f, det)
-    assert poly.is_monic and poly.degree == n
-    return poly
+    if M.field.kind == KIND_COMPLEX:
+        raise NumericKindUnsupported("char_poly needs an exact matrix")
+    rows = M.rows
+    one = M.field.one()
+    poly = [one]  # leading coefficient first
+    for k in range(M.n):
+        col = [rows[i][k] for i in range(k)]
+        toeplitz = [one, -rows[k][k]]
+        for _ in range(k):
+            # zip in _dot cuts row k and rows[i] to the leading block
+            toeplitz.append(-_dot(rows[k], col))
+            col = [_dot(rows[i], col) for i in range(k)]
+        poly = [_dot(poly, toeplitz[j::-1]) for j in range(k + 2)]
+    return Polynomial.from_scalars(M.field, reversed(poly))
 
 
 def minimal_polynomial(M: Matrix) -> Polynomial:

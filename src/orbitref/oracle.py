@@ -69,6 +69,9 @@ class _Tables:
         self.add = [[index[(a + b).value] for b in els] for a in els]
         self.mul = [[index[(a * b).value] for b in els] for a in els]
         self.neg = [index[(-a).value] for a in els]
+        one = index[field.one().value]
+        # inv[0] stays None: zero has no inverse
+        self.inv = [None] + [row.index(one) for row in self.mul[1:]]
 
     def vec_add(self, x, y):
         add = self.add
@@ -312,6 +315,7 @@ def orbref0_contains(T: Matrix, S: Matrix,
     Scols = _encode_matrix(tbl, S)
     powers, tail, _ = _power_cols(tbl, Tcols, d)
     positive = _positive_powers(powers, tail)
+    mul, inv = tbl.mul, tbl.inv
     for x in _all_vectors(q, d):
         y = tbl.mat_vec(Scols, x)
         if all(c == 0 for c in y):
@@ -322,7 +326,7 @@ def orbref0_contains(T: Matrix, S: Matrix,
             i = next((i for i, c in enumerate(z) if c), None)
             if i is None:
                 continue
-            lam = _field_div(tbl, y[i], z[i])
+            lam = mul[y[i]][inv[z[i]]]
             if tbl.vec_scale(lam, z) == y:
                 hit = True
                 break
@@ -330,13 +334,6 @@ def orbref0_contains(T: Matrix, S: Matrix,
             failing = tuple(tbl.scalars[c] for c in x)
             return False, failing
     return True, None
-
-
-def _field_div(tbl: _Tables, a: int, b: int) -> int:
-    # a / b with b != 0, via the scalar layer (tables carry no inverses)
-    sa, sb = tbl.scalars[a], tbl.scalars[b]
-    val = (sa / sb).value
-    return tbl.field.element_index(val)
 
 
 @dataclass(frozen=True)
@@ -526,10 +523,9 @@ def _min_poly_int(tbl: _Tables, cols, d: int) -> tuple[int, ...]:
             combo = [add[x][neg[mul[c][y]]] for x, y in zip(combo, bcombo)]
         piv = next((i for i, x in enumerate(vec) if x), None)
         if piv is None:
-            lead = combo[deg]
-            inv = _field_div(tbl, 1, lead)
+            inv = tbl.inv[combo[deg]]
             return tuple(mul[inv][c] for c in combo[:deg + 1])
-        inv = _field_div(tbl, 1, vec[piv])
+        inv = tbl.inv[vec[piv]]
         vec = [mul[inv][x] for x in vec]
         combo = [mul[inv][x] for x in combo]
         basis.append((vec, combo, piv))

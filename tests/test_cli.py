@@ -179,10 +179,18 @@ def test_ffscan_summary_and_cache(tmp_path, capsys):
     ["ffscan", "--q", "2", "--d", "2", "--no-cache", "--limit", "-3"],
     ["demo-counterexample", "--n", "1"],
     ["demo-counterexample", "--n", "3", "--max-power", "-2"],
+    ["decide", "--budget", "0"],
+    ["oracle", "--budget", "-1"],
+    ["oracle", "--budget", "0"],
+    ["ffscan", "--q", "2", "--d", "2", "--no-cache", "--budget", "0"],
+    ["ffscan", "--q", "2", "--d", "2", "--no-cache", "--workers", "0"],
+    ["ffscan", "--q", "2", "--d", "2", "--no-cache", "--workers", "-3"],
 ])
 def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv):
     if argv[0] in ("witness", "decide"):
         argv = argv + ["--input", _write(tmp_path, "gap2.json", GAP2_Q)]
+    elif argv[0] == "oracle":
+        argv = argv + ["--input", _write(tmp_path, "shear.json", SHEAR_GF3)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("orbitref: parse error: ")

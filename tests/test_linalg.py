@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from orbitref import (
     ComplexFloats,
@@ -104,13 +104,13 @@ def test_char_poly_examples():
     assert str(char_poly(Matrix.from_values(QQ, [[1, 0], [0, 2]]))) == "t^2-3t+2"
     g2 = FiniteField(2)
     shear = Matrix.from_values(g2, [[1, 1], [0, 1]])
-    # p = 2 <= d = 2 exercises the polynomial-entry fallback
+    # p = 2 <= d = 2: a char poly that divided by d would fail here
     assert str(char_poly(shear)) == "t^2+1"
 
 
-def test_char_poly_small_characteristic_fallback_matches_faddeev():
-    # GF(5) with d = 3 < p runs Faddeev-LeVerrier; compare the fallback on
-    # the same matrix by forcing it through a GF(3) twin where p <= d
+def test_char_poly_small_characteristic_cayley_hamilton():
+    # GF(3) with p <= d = 3, where dividing by d is impossible: the
+    # result must still annihilate the matrix
     g3 = FiniteField(3)
     rng = random.Random(13)
     els = g3.elements()
@@ -120,6 +120,71 @@ def test_char_poly_small_characteristic_fallback_matches_faddeev():
         poly = char_poly(M)
         assert poly.is_monic and poly.degree == 3
         assert poly.evaluate_matrix(M).is_zero  # Cayley-Hamilton
+
+
+def _rand_triangular(rng, field, d):
+    els = field.elements()
+    return Matrix(field, [[els[rng.randrange(field.q)] if j <= i else els[0]
+                           for j in range(d)] for i in range(d)])
+
+
+def _rand_invertible(rng, field, d):
+    els = field.elements()
+    while True:
+        P = Matrix(field, [[els[rng.randrange(field.q)] for _ in range(d)]
+                           for _ in range(d)])
+        if rank(P) == d:
+            return P
+
+
+def test_char_poly_small_characteristic_triangular_conjugates():
+    # p <= d throughout: det(tI - P T P^-1) = prod (t - T_ii) for triangular
+    # T, so deflating by each diagonal entry leaves exactly 1
+    rng = random.Random(29)
+    for field in (FiniteField(2), FiniteField(3), FiniteField(2, 2)):
+        for d in range(4, 8):
+            for _ in range(4):
+                T = _rand_triangular(rng, field, d)
+                P = _rand_invertible(rng, field, d)
+                poly = char_poly(conjugate(T, P))
+                for i in range(d):
+                    poly, rem = poly.deflate(T[i, i])
+                    assert rem.is_zero
+                assert poly == Polynomial.from_ints(field, [1])
+
+
+_small_fraction = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def _exact_matrices(draw):
+    d = draw(st.integers(1, 6))
+    gaussian = draw(st.booleans())
+    entries = st.tuples(_small_fraction,
+                        _small_fraction if gaussian else st.just(Fraction(0)))
+    rows = draw(st.lists(st.lists(entries, min_size=d, max_size=d),
+                         min_size=d, max_size=d))
+    if gaussian:
+        return Matrix(QI, [[Scalar(QI, v) for v in r] for r in rows])
+    return Matrix(QQ, [[Scalar(QQ, v[0]) for v in r] for r in rows])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exact_matrices())
+def test_char_poly_matches_sympy(M):
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(s):
+        if M.field == QQ:
+            return sympy.Rational(s.value.numerator, s.value.denominator)
+        re_part, im_part = s.value
+        return (sympy.Rational(re_part.numerator, re_part.denominator)
+                + sympy.I * sympy.Rational(im_part.numerator, im_part.denominator))
+
+    ref = sympy.Matrix([[to_sympy(s) for s in r] for r in M.rows]).charpoly()
+    ours = [to_sympy(c) for c in reversed(char_poly(M).coeffs)]
+    assert len(ours) == M.n + 1
+    assert all(sympy.expand(a - b) == 0 for a, b in zip(ours, ref.all_coeffs()))
 
 
 def test_char_poly_similarity_invariant():
