@@ -371,6 +371,12 @@ def cmd_oracle(args) -> int:
     report = _envelope("oracle", {"budget": args.budget}, mf)
     if args.candidate:
         cand = load_matrix_file(args.candidate)
+        if cand.field != mf.field:
+            raise ParseError(f"candidate is over {cand.field.name}, "
+                             f"the input over {mf.field.name}")
+        if cand.matrix.n != mf.matrix.n:
+            raise ParseError(f"candidate is {cand.matrix.n}x{cand.matrix.n}, "
+                             f"the input {mf.matrix.n}x{mf.matrix.n}")
         ok, failing = orbref0_contains(mf.matrix, cand.matrix, budget=args.budget)
         report["oracle"] = {
             "check": "orbref0_contains",

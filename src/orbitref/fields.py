@@ -67,6 +67,24 @@ def _normalize_text(text: str) -> str:
     return text.replace("−", "-").replace(" ", "")
 
 
+def to_digits(n: int, base: int, width: int) -> tuple[int, ...]:
+    """The `width` little-endian base-`base` digits of n.  This numbering
+    fixes element, vector and scan-index order everywhere."""
+    out = []
+    for _ in range(width):
+        n, r = divmod(n, base)
+        out.append(r)
+    return tuple(out)
+
+
+def from_digits(digits, base: int) -> int:
+    """Inverse of to_digits: the number with these little-endian digits."""
+    n = 0
+    for c in reversed(digits):
+        n = n * base + c
+    return n
+
+
 # ---------------------------------------------------------------------------
 # polynomial helpers over GF(p), little-endian integer coefficient tuples
 # ---------------------------------------------------------------------------
@@ -113,13 +131,7 @@ def _is_irreducible_modp(m: tuple[int, ...], p: int) -> bool:
     for dd in range(1, deg // 2 + 1):
         # all monic divisor candidates of degree dd
         for idx in range(p ** dd):
-            cand = []
-            v = idx
-            for _ in range(dd):
-                cand.append(v % p)
-                v //= p
-            cand.append(1)
-            if not _prem_modp(m, tuple(cand), p):
+            if not _prem_modp(m, to_digits(idx, p, dd) + (1,), p):
                 return False
     return True
 
@@ -284,6 +296,28 @@ class GaussianRationals(Field):
 _GF_TERM = re.compile(r"^(-?\d+|-)?\*?x(?:\^(\d+))?$")
 
 
+def _gf_terms(text: str, error: str):
+    """Yield (exponent, coefficient) for each term of a polynomial string
+    such as "2x^2-x+1", in order; a malformed or empty term raises
+    ParseError(error)."""
+    body = text.replace("-", "+-")
+    if body.startswith("+"):
+        body = body[1:]
+    for term in body.split("+"):
+        m = _GF_TERM.match(term)
+        if m:
+            coeff = int(m.group(1)) if m.group(1) not in (None, "-") else (
+                -1 if m.group(1) == "-" else 1)
+            exp = int(m.group(2)) if m.group(2) else 1
+        else:
+            try:
+                coeff = int(term)
+            except ValueError as exc:
+                raise ParseError(error) from exc
+            exp = 0
+        yield exp, coeff
+
+
 @dataclass(frozen=True)
 class FiniteField(Field):
     p: int
@@ -386,25 +420,7 @@ class FiniteField(Field):
             except ValueError as exc:
                 raise ParseError(f"bad GF({self.p}) scalar {text!r}") from exc
         coeffs = [0] * self.k
-        body = text.replace("-", "+-")
-        if body.startswith("+"):
-            body = body[1:]
-        if body == "":
-            raise ParseError(f"bad {self.name} scalar {text!r}")
-        for term in body.split("+"):
-            if term == "":
-                raise ParseError(f"bad {self.name} scalar {text!r}")
-            m = _GF_TERM.match(term)
-            if m:
-                coeff = int(m.group(1)) if m.group(1) not in (None, "-") else (
-                    -1 if m.group(1) == "-" else 1)
-                exp = int(m.group(2)) if m.group(2) else 1
-            else:
-                try:
-                    coeff = int(term)
-                except ValueError as exc:
-                    raise ParseError(f"bad {self.name} scalar {text!r}") from exc
-                exp = 0
+        for exp, coeff in _gf_terms(text, f"bad {self.name} scalar {text!r}"):
             if exp >= self.k:
                 raise ParseError(
                     f"term degree {exp} too large for {self.name} scalar {text!r}")
@@ -418,21 +434,10 @@ class FiniteField(Field):
 
     def elements(self) -> list["Scalar"]:
         """All q field elements in index order (little-endian base-p digits)."""
-        out = []
-        for idx in range(self.q):
-            v = idx
-            digits = []
-            for _ in range(self.k):
-                digits.append(v % self.p)
-                v //= self.p
-            out.append(self.scalar(tuple(digits)))
-        return out
+        return [self.scalar(to_digits(idx, self.p, self.k)) for idx in range(self.q)]
 
     def element_index(self, payload) -> int:
-        idx = 0
-        for c in reversed(payload):
-            idx = idx * self.p + c
-        return idx
+        return from_digits(payload, self.p)
 
 
 def format_gf_poly(coeffs) -> str:
@@ -452,25 +457,10 @@ def format_gf_poly(coeffs) -> str:
 def parse_gf_modulus(p: int, text: str) -> tuple[int, ...]:
     """Parse a monic modulus polynomial string like "x^2+2x+2" over GF(p)."""
     text = _normalize_text(text)
-    body = text.replace("-", "+-")
-    if body.startswith("+"):
-        body = body[1:]
-    terms = body.split("+")
     coeffs: dict[int, int] = {}
-    for term in terms:
-        m = _GF_TERM.match(term)
-        if m:
-            coeff = int(m.group(1)) if m.group(1) not in (None, "-") else (
-                -1 if m.group(1) == "-" else 1)
-            exp = int(m.group(2)) if m.group(2) else 1
-        else:
-            try:
-                coeff = int(term)
-            except ValueError as exc:
-                raise ParseError(f"bad modulus polynomial {text!r}") from exc
-            exp = 0
+    for exp, coeff in _gf_terms(text, f"bad modulus polynomial {text!r}"):
         coeffs[exp] = (coeffs.get(exp, 0) + coeff) % p
-    deg = max(coeffs) if coeffs else 0
+    deg = max(coeffs)
     return tuple(coeffs.get(e, 0) for e in range(deg + 1))
 
 

@@ -149,12 +149,6 @@ def escalate_field(mf: MatrixFile, target_code: str,
     return MatrixFile(field=field, matrix=matrix, raw=raw)
 
 
-def matrix_to_data(M: Matrix) -> dict:
-    data = {"field": M.field.kind, "rows": M.to_strings()}
-    data.update({k: v for k, v in M.field.describe().items() if k != "field"})
-    return data
-
-
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=True)

@@ -146,9 +146,6 @@ class Matrix:
         i, j = key
         return self.rows[i][j]
 
-    def row(self, i):
-        return self.rows[i]
-
     def col(self, j):
         return tuple(self.rows[i][j] for i in range(self.n))
 
@@ -271,12 +268,6 @@ class Polynomial:
     @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1].is_one
-
-    def evaluate(self, s: Scalar) -> Scalar:
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * s + c
-        return acc
 
     def evaluate_matrix(self, M: Matrix) -> Matrix:
         acc = Matrix.zeros(M.field, M.n)

@@ -18,6 +18,16 @@ two-entry operator S x = (x_0 + x_1) e_{m-1} meets the vectors with
 x_0 = 0 one power lower, at T^{m-2} x = x_1 e_{m-1} with m - 2 >= 1, so it
 stays in OrbRef0 without being a scaled power.
 
+Scaled-power rigidity asks that S f = beta T^k f != 0, for some vector f,
+scalar beta and k >= 1, force S = beta T^k.  A member S of OrbRef0(T)
+violates it exactly when S is a nonzero matrix outside the scaled orbit, or
+S is a scaled power that takes the same nonzero value at some f as a
+different scaled power.  Proof: if S is nonzero and no scaled power, pick f
+with S f != 0; membership gives S f = beta T^k f with k >= 1 and
+S != beta T^k.  If S is a scaled power, a violation is by definition a
+different scaled power beta T^k agreeing with S at a nonzero value S f.
+So the verdict is read off the enumerated members and the scaled orbit.
+
 The enumeration walks candidates by their columns (images of the basis
 vectors) in basis-first order: a column outside the orbit set of its basis
 vector kills every candidate sharing that prefix at once, which is the
@@ -45,7 +55,7 @@ from itertools import product
 from typing import Iterable, Optional
 
 from .errors import BudgetExceeded, MixedFields, ShapeMismatch, WrongField
-from .fields import KIND_FINITE, FiniteField, Scalar
+from .fields import KIND_FINITE, FiniteField, Scalar, from_digits, to_digits
 from .linalg import Matrix
 
 DEFAULT_CONTAINS_BUDGET = 10 ** 6
@@ -113,23 +123,9 @@ def _identity_cols(q: int, d: int):
     return tuple(tuple(1 if i == j else 0 for i in range(d)) for j in range(d))
 
 
-def _vec_index(x, q: int) -> int:
-    idx = 0
-    for c in reversed(x):
-        idx = idx * q + c
-    return idx
-
-
 def _all_vectors(q: int, d: int):
-    out = []
-    for idx in range(q ** d):
-        v = idx
-        digits = []
-        for _ in range(d):
-            digits.append(v % q)
-            v //= q
-        out.append(tuple(digits))
-    return out
+    """Every vector of GF(q)^d; vector x sits at position from_digits(x, q)."""
+    return [to_digits(idx, q, d) for idx in range(q ** d)]
 
 
 def _power_cols(tbl: _Tables, Tcols, d: int):
@@ -165,7 +161,7 @@ def _orbit_masks(tbl: _Tables, powers, tail: int, d: int):
         for P in pos:
             y = tbl.mat_vec(P, x)
             for lam in range(1, q):
-                m |= 1 << _vec_index(tbl.vec_scale(lam, y), q)
+                m |= 1 << from_digits(tbl.vec_scale(lam, y), q)
         masks.append(m)
     return vectors, masks
 
@@ -188,13 +184,13 @@ def _enumerate_members(tbl: _Tables, Tcols, d: int):
     basis = [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
     allowed_cols = []
     for j, e in enumerate(basis):
-        mask = masks[_vec_index(e, q)]
-        allowed_cols.append([v for v in vectors if (mask >> _vec_index(v, q)) & 1])
+        mask = masks[from_digits(e, q)]
+        allowed_cols.append([v for v in vectors if (mask >> from_digits(v, q)) & 1])
     check_vecs = []
     for x in vectors:
         nonzero = [(i, c) for i, c in enumerate(x) if c]
         if len(nonzero) >= 2:  # scalar multiples of basis vectors pass by scaling
-            check_vecs.append((nonzero, masks[_vec_index(x, q)]))
+            check_vecs.append((nonzero, masks[from_digits(x, q)]))
     members = []
     vec_add = tbl.vec_add
     vec_scale = tbl.vec_scale
@@ -205,7 +201,7 @@ def _enumerate_members(tbl: _Tables, Tcols, d: int):
             for i, c in nonzero:
                 term = vec_scale(c, cols[i])
                 acc = term if acc is None else vec_add(acc, term)
-            if not (mask >> _vec_index(acc, q)) & 1:
+            if not (mask >> from_digits(acc, q)) & 1:
                 ok = False
                 break
         if ok:
@@ -216,35 +212,23 @@ def _enumerate_members(tbl: _Tables, Tcols, d: int):
     return members, forb, tail, cycle
 
 
-def _positive_power_pairs(powers, tail: int, cycle: int):
-    """(exponent, T^exponent) for the distinct positive powers."""
-    pairs = [(e, powers[e]) for e in range(1, len(powers))]
-    if tail == 0:
-        pairs.append((cycle, powers[0]))  # identity recurs at T^cycle
-    return pairs
-
-
-def _rigidity_violations_cols(tbl: _Tables, power_pairs, members, d: int):
-    """Scaled-power rigidity: if S f = beta T^k f != 0 for some vector f and
-    k >= 1, then S must equal beta T^k as a matrix.  Returns violators."""
-    q = tbl.q
-    vectors = _all_vectors(q, d)
-    violations = []
-    for cols in members:
-        for f in vectors:
-            y = tbl.mat_vec(cols, f)
-            if all(c == 0 for c in y):
-                continue
-            for k, P in power_pairs:
-                z = tbl.mat_vec(P, f)
-                if all(c == 0 for c in z):
-                    continue
-                for beta in range(1, q):
-                    if tbl.vec_scale(beta, z) == y:
-                        expected = tuple(tbl.vec_scale(beta, col) for col in P)
-                        if cols != expected:
-                            violations.append((cols, f, beta, k))
-    return violations
+def _rigidity_violators(tbl: _Tables, members, forb, d: int) -> list:
+    """The members of OrbRef0 that break scaled-power rigidity, each once and
+    in member order: every nonzero member outside the scaled orbit `forb`,
+    and every scaled power that shares a nonzero value with another scaled
+    power at some vector (the criterion is proved in the module docstring)."""
+    scaled = [R for R in forb if any(any(col) for col in R)]
+    clashing = set()
+    for f in _all_vectors(tbl.q, d):
+        first_at: dict[tuple, tuple] = {}
+        for R in scaled:
+            y = tbl.mat_vec(R, f)
+            if any(y):
+                other = first_at.setdefault(y, R)
+                if other != R:
+                    clashing.update((R, other))
+    # the zero matrix lies in forb, so a member outside it is nonzero
+    return [S for S in members if S not in forb or S in clashing]
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +247,11 @@ class OrbitSet:
 
     def scaled_matrices(self) -> set[Matrix]:
         """The scaled power orbit {lam T^n : n >= 1} (0 included via lam = 0)."""
-        field = self.base.field
-        out = {Matrix.zeros(field, self.base.n)}
-        positive = self.powers if self.tail == 0 else self.powers[1:]
-        for lam in field.elements():
-            if lam.is_zero:
-                continue
-            for P in positive:
-                out.add(P.scale(lam))
-        return out
+        tbl = _Tables(self.base.field)
+        d = self.base.n
+        powers = [_encode_matrix(tbl, P) for P in self.powers]
+        return {_decode_matrix(tbl, cols, d)
+                for cols in _scaled_orbit_cols(tbl, powers, self.tail, d)}
 
 
 def _require_finite(M: Matrix):
@@ -382,9 +362,10 @@ def enumerate_orbref0(T: Matrix, budget: int = DEFAULT_ENUM_BUDGET) -> Orbref0Re
     )
 
 
-def rigidity_violations(T: Matrix, budget: int = DEFAULT_ENUM_BUDGET) -> list[dict]:
-    """Violations of scaled-power rigidity among the members of OrbRef0(T):
-    S f = beta T^k f != 0 must force S = beta T^k."""
+def rigidity_violations(T: Matrix, budget: int = DEFAULT_ENUM_BUDGET) -> list[Matrix]:
+    """The members S of OrbRef0(T) that violate scaled-power rigidity
+    (S f = beta T^k f != 0 for some f, beta and k >= 1 must force
+    S = beta T^k), each once and in enumeration order."""
     _require_finite(T)
     q = T.field.q
     d = T.n
@@ -393,19 +374,9 @@ def rigidity_violations(T: Matrix, budget: int = DEFAULT_ENUM_BUDGET) -> list[di
             f"{q}^{d * d} candidates exceed the budget of {budget}")
     tbl = _Tables(T.field)
     Tcols = _encode_matrix(tbl, T)
-    members, _, _, _ = _enumerate_members(tbl, Tcols, d)
-    powers, tail, cycle = _power_cols(tbl, Tcols, d)
-    raw = _rigidity_violations_cols(tbl, _positive_power_pairs(powers, tail, cycle),
-                                    members, d)
-    out = []
-    for cols, f, beta, k in raw:
-        out.append({
-            "member_rows": _decode_matrix(tbl, cols, d).to_strings(),
-            "vector": [str(tbl.scalars[c]) for c in f],
-            "beta": str(tbl.scalars[beta]),
-            "power": k,
-        })
-    return out
+    members, forb, _, _ = _enumerate_members(tbl, Tcols, d)
+    return [_decode_matrix(tbl, cols, d)
+            for cols in _rigidity_violators(tbl, members, forb, d)]
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +416,7 @@ def matrix_hash(q: int, d: int, digits: Iterable[int]) -> str:
 
 def _matrix_cols_from_index(idx: int, q: int, d: int):
     """Row-major base-q digits of idx, returned column-encoded."""
-    digits = []
-    v = idx
-    for _ in range(d * d):
-        digits.append(v % q)
-        v //= q
+    digits = to_digits(idx, q, d * d)
     cols = tuple(tuple(digits[i * d + j] for i in range(d)) for j in range(d))
     return cols, digits
 
@@ -559,11 +526,7 @@ def _enumerate_one(payload) -> tuple:
     tbl = _Tables(field)
     cols, _ = _matrix_cols_from_index(idx, tbl.q, d)
     members, forb, _, _ = _enumerate_members(tbl, cols, d)
-    rig_ok = None
-    if rigidity:
-        powers, tail, cycle = _power_cols(tbl, cols, d)
-        pairs = _positive_power_pairs(powers, tail, cycle)
-        rig_ok = not _rigidity_violations_cols(tbl, pairs, members, d)
+    rig_ok = not _rigidity_violators(tbl, members, forb, d) if rigidity else None
     return (len(members) == len(forb), len(members), len(forb), rig_ok)
 
 

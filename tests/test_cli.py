@@ -197,6 +197,21 @@ def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("candidate", [
+    {"field": "gf", "p": 5, "rows": [["0", "1"], ["0", "1"]]},
+    {"field": "q", "rows": [["0", "1"], ["0", "1"]]},
+    {"field": "gf", "p": 3, "rows": [["0"] * 3] * 3},
+])
+def test_oracle_candidate_of_another_field_or_size_exits_2(tmp_path, capsys,
+                                                          candidate):
+    t_path = _write(tmp_path, "shear.json", SHEAR_GF3)
+    s_path = _write(tmp_path, "cand.json", candidate)
+    assert main(["oracle", "--input", t_path, "--candidate", s_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("orbitref: parse error: candidate is ")
+    assert "Traceback" not in err
+
+
 def test_decide_and_witness_have_no_workers_option(tmp_path, capsys):
     path = _write(tmp_path, "gap2.json", GAP2_Q)
     for command in ("decide", "witness"):

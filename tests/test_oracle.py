@@ -163,7 +163,62 @@ def test_lone_3_chain_defeats_rigidity_and_equality():
     assert not res.equal
     assert any(D == S for D in res.difference)
     bad = rigidity_violations(J3)
-    assert bad  # S f = T f != 0 at f = e1 without S = T
+    assert S in bad  # S f = T f != 0 at f = e1 without S = T
+
+
+def _rigidity_reference(tbl, Tcols, members, d):
+    """The member x vector x power x beta search the rigidity kernel replaced:
+    the distinct members S with S f = beta T^k f != 0 and S != beta T^k, in
+    member order."""
+    from orbitref.oracle import _all_vectors, _power_cols
+
+    powers, tail, cycle = _power_cols(tbl, Tcols, d)
+    pairs = [(e, powers[e]) for e in range(1, len(powers))]
+    if tail == 0:
+        pairs.append((cycle, powers[0]))  # identity recurs at T^cycle
+    q = tbl.q
+    violations = []
+    for cols in members:
+        for f in _all_vectors(q, d):
+            y = tbl.mat_vec(cols, f)
+            if all(c == 0 for c in y):
+                continue
+            for k, P in pairs:
+                z = tbl.mat_vec(P, f)
+                if all(c == 0 for c in z):
+                    continue
+                for beta in range(1, q):
+                    if tbl.vec_scale(beta, z) == y:
+                        expected = tuple(tbl.vec_scale(beta, col) for col in P)
+                        if cols != expected:
+                            violations.append((cols, f, beta, k))
+    return list(dict.fromkeys(cols for cols, *_ in violations))
+
+
+@pytest.mark.parametrize("field,d", [(FiniteField(3), 2), (FiniteField(2, 2), 2),
+                                     (FiniteField(2), 3)])
+def test_rigidity_violations_match_reference_search(field, d):
+    from orbitref.oracle import (
+        _classify_chunk,
+        _decode_matrix,
+        _encode_matrix,
+        _enumerate_members,
+        _Tables,
+    )
+
+    tbl = _Tables(field)
+    total = field.q ** (d * d)
+    reps = {}
+    for idx, _, key, _, _ in _classify_chunk(
+            (field.p, field.k, field.modulus, d, 0, total, False)):
+        reps.setdefault(key, idx)
+    for idx in reps.values():
+        T = matrix_from_scan_index(field, d, idx)
+        Tcols = _encode_matrix(tbl, T)
+        members, _, _, _ = _enumerate_members(tbl, Tcols, d)
+        expected = [_decode_matrix(tbl, cols, d)
+                    for cols in _rigidity_reference(tbl, Tcols, members, d)]
+        assert rigidity_violations(T) == expected, idx
 
 
 # -- numeric residuals --------------------------------------------------------------
@@ -260,6 +315,15 @@ def test_scan_nilpotent_filter_and_rigidity():
     assert res.counts["nilpotent"] == 9
     assert res.counts["split_not_equal"] == 0
     assert res.counts["rigidity_violating"] == 0
+
+
+@pytest.mark.parametrize("field,checked,violating", [(FiniteField(3), 81, 46),
+                                                      (FiniteField(2, 2), 256, 177)])
+def test_scan_full_space_rigidity_counts(field, checked, violating):
+    # the counts the member x vector x power x beta search gave
+    res = scan_space(field, 2, rigidity=True, cache_path=None)
+    assert res.counts["rigidity_checked"] == checked
+    assert res.counts["rigidity_violating"] == violating
 
 
 def test_matrix_from_scan_index_round_trip():
