@@ -28,12 +28,22 @@ S != beta T^k.  If S is a scaled power, a violation is by definition a
 different scaled power beta T^k agreeing with S at a nonzero value S f.
 So the verdict is read off the enumerated members and the scaled orbit.
 
-The enumeration walks candidates by their columns (images of the basis
-vectors) in basis-first order: a column outside the orbit set of its basis
-vector kills every candidate sharing that prefix at once, which is the
-early-exit that makes desk-scale budgets practical.  Everything here is
-exact integer arithmetic on table-encoded field elements; Matrix objects
-only appear at the API boundary.
+The enumeration codes each vector of GF(q)^d as its from_digits index and
+reads addition, scaling and lines from tables built once per (field, d)
+and process.  The orbit set of x is the OR of the line masks along the
+walk x -> Tx -> T^2 x under the vector map of T.  Candidates are searched
+depth-first over their columns (the images of the basis vectors), column 0
+outermost: column j ranges over the orbit set of e_j, and once it is fixed
+every vector x whose highest nonzero coordinate is j is checked, with its
+image read as img[x] = img[rest] + c * col_j from a vector already done.
+A failed check drops every candidate sharing the prefix at once.  A check
+whose orbit set is the whole space can never fail and is dropped; once no
+check is left the remaining columns combine freely, so a T transitive on
+lines has every candidate as a member without a walk.  The scan only needs
+|OrbRef0(T)| and counts the members without listing them;
+`enumerate_orbref0` lists them column-coded and decodes Matrix objects
+only when a caller reads them.  The scaled orbit must pass the same
+checks in both paths, or the module raises an internal error.
 
 `scan_space` sweeps every d x d matrix over GF(q) (d <= 3), classifies the
 minimal polynomial, and checks OrbRef0 = scaled-power-orbit per matrix.
@@ -50,11 +60,20 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
+from itertools import chain, product
+from math import prod
 from typing import Iterable, Optional
 
-from .errors import BudgetExceeded, MixedFields, ShapeMismatch, WrongField
+from .errors import (
+    BudgetExceeded,
+    MixedFields,
+    OrbitrefError,
+    ShapeMismatch,
+    WrongField,
+)
 from .fields import KIND_FINITE, FiniteField, Scalar, from_digits, to_digits
 from .linalg import Matrix
 
@@ -149,23 +168,6 @@ def _positive_powers(powers, tail: int):
     return powers if tail == 0 else powers[1:]
 
 
-def _orbit_masks(tbl: _Tables, powers, tail: int, d: int):
-    """Per-vector membership bitmasks: bit v of masks[x] says v is lam*(T^n x)
-    for some lam and some n >= 1."""
-    q = tbl.q
-    vectors = _all_vectors(q, d)
-    masks = []
-    pos = _positive_powers(powers, tail)
-    for x in vectors:
-        m = 1  # zero vector always present (lam = 0)
-        for P in pos:
-            y = tbl.mat_vec(P, x)
-            for lam in range(1, q):
-                m |= 1 << from_digits(tbl.vec_scale(lam, y), q)
-        masks.append(m)
-    return vectors, masks
-
-
 def _scaled_orbit_cols(tbl: _Tables, powers, tail: int, d: int) -> frozenset:
     """All matrices lam * T^n with n >= 1 (including 0), column-encoded."""
     q = tbl.q
@@ -176,59 +178,201 @@ def _scaled_orbit_cols(tbl: _Tables, powers, tail: int, d: int) -> frozenset:
     return frozenset(out)
 
 
-def _enumerate_members(tbl: _Tables, Tcols, d: int):
-    """Column scan of all q^(d^2) candidates with basis-first early exit."""
-    q = tbl.q
-    powers, tail, cycle = _power_cols(tbl, Tcols, d)
-    vectors, masks = _orbit_masks(tbl, powers, tail, d)
-    basis = [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
-    allowed_cols = []
-    for j, e in enumerate(basis):
-        mask = masks[from_digits(e, q)]
-        allowed_cols.append([v for v in vectors if (mask >> from_digits(v, q)) & 1])
-    check_vecs = []
-    for x in vectors:
-        nonzero = [(i, c) for i, c in enumerate(x) if c]
-        if len(nonzero) >= 2:  # scalar multiples of basis vectors pass by scaling
-            check_vecs.append((nonzero, masks[from_digits(x, q)]))
-    members = []
-    vec_add = tbl.vec_add
-    vec_scale = tbl.vec_scale
-    for cols in product(*allowed_cols):
-        ok = True
-        for nonzero, mask in check_vecs:
-            acc = None
-            for i, c in nonzero:
-                term = vec_scale(c, cols[i])
-                acc = term if acc is None else vec_add(acc, term)
-            if not (mask >> from_digits(acc, q)) & 1:
-                ok = False
-                break
-        if ok:
-            members.append(cols)
-    forb = _scaled_orbit_cols(tbl, powers, tail, d)
-    member_set = set(members)
-    assert forb <= member_set, "scaled power orbit must sit inside OrbRef0"
-    return members, forb, tail, cycle
+# ---------------------------------------------------------------------------
+# enumeration kernel on integer-coded vectors
+# ---------------------------------------------------------------------------
+
+def _vector_add_table(add, q: int, d: int) -> list[list[int]]:
+    """vadd[a][b] is the index of a + b in GF(q)^d.  Built one coordinate at
+    a time: with a = a0 + q*a1, the sum has low digit add[a0][b0] and high
+    part a1 + b1.  Rows are joined from shared q-long blocks, so the q^(2d)
+    entries refer to q^(d+1) int objects."""
+    vadd = add
+    for _ in range(d - 1):
+        blocks = [[[s + q * w for s in row] for w in range(len(vadd))]
+                  for row in add]
+        vadd = [list(chain.from_iterable(map(blocks[a0].__getitem__, high)))
+                for high in vadd for a0 in range(q)]
+    return vadd
 
 
-def _rigidity_violators(tbl: _Tables, members, forb, d: int) -> list:
+class _Space:
+    """GF(q)^d with each vector coded as its from_digits index, and the
+    tables the enumeration kernel reads: vector addition, scaling and the
+    bitmask of each vector's line.  `_space` builds one per (field, d) and
+    process, on first use."""
+
+    def __init__(self, tbl: _Tables, d: int):
+        q = tbl.q
+        self.tbl, self.q, self.d, self.n = tbl, q, d, q ** d
+        self.vadd = _vector_add_table(tbl.add, q, d)
+        # scale[v][c] is the index of c * v
+        self.scale = [[from_digits([row[a] for a in to_digits(v, q, d)], q)
+                       for row in tbl.mul] for v in range(self.n)]
+        self.line = [sum(1 << w for w in set(multiples)) for multiples in self.scale]
+        # the vectors whose highest nonzero coordinate is j, as
+        # (x, rest, c) with x = rest + c * e_j
+        self.levels = [[(x, x % q ** j, x // q ** j) for x in range(q ** j, q ** (j + 1))]
+                       for j in range(d)]
+
+    def encode(self, cols) -> tuple[int, ...]:
+        q = self.q
+        return tuple(from_digits(col, q) for col in cols)
+
+    def decode(self, cols) -> Matrix:
+        q, d = self.q, self.d
+        return _decode_matrix(self.tbl, [to_digits(c, q, d) for c in cols], d)
+
+    def vector_map(self, cols) -> list[int]:
+        """img[x] = index of M x for the matrix with coded columns cols."""
+        vadd, scale = self.vadd, self.scale
+        img = [0] * self.n
+        for level, col in zip(self.levels, cols):
+            multiples = scale[col]
+            for x, rest, c in level:
+                img[x] = vadd[img[rest]][multiples[c]]
+        return img
+
+
+@lru_cache(maxsize=None)
+def _space(field: FiniteField, d: int) -> _Space:
+    return _Space(_Tables(field), d)
+
+
+def _orbit_masks(sp: _Space, timg: list[int]) -> list[int]:
+    """Bit v of masks[x] says v = lam * T^n x for some lam and n >= 1: the
+    OR of the lines met along the walk x -> Tx -> T^2 x -> ... under the
+    vector map timg of T, up to its first repeat."""
+    line = sp.line
+    masks = []
+    for x in range(sp.n):
+        seen = set()
+        m = 0
+        y = timg[x]
+        while y not in seen:
+            seen.add(y)
+            m |= line[y]
+            y = timg[y]
+        masks.append(m)
+    return masks
+
+
+class _ColumnSearch:
+    """The candidates S of OrbRef0(T), searched depth-first over columns.
+
+    Column j of S ranges over the orbit set of e_j in index order, so
+    members come out in the order of a product over the columns.  Once
+    columns 0..j are fixed, every vector x whose highest nonzero coordinate
+    is j gets its image img[x] = img[rest] + c * col_j, and x is checked:
+    img[x] must lie in the orbit set of x.  A check whose orbit set is the
+    whole space never fails and is dropped, and so is every image no kept
+    check reads; below the last level with a check, every column
+    combination passes.
+    """
+
+    def __init__(self, sp: _Space, Tcols):
+        tbl, q, d, n = sp.tbl, sp.q, sp.d, sp.n
+        powers, self.tail, self.cycle = _power_cols(tbl, Tcols, d)
+        self.forb = frozenset(sp.encode(R) for R in
+                              _scaled_orbit_cols(tbl, powers, self.tail, d))
+        masks = _orbit_masks(sp, sp.vector_map(sp.encode(Tcols)))
+        self.col_masks = [masks[q ** j] for j in range(d)]
+        self.allowed = [[v for v in range(n) if m >> v & 1] for m in self.col_masks]
+        # a vector is checked when its orbit set is not the whole space and
+        # it is no multiple of e_j (those pass with their allowed column);
+        # its image is needed when it is checked or is the rest of one that is
+        full = (1 << n) - 1
+        checked = [False] * n
+        needed = [False] * n
+        for level in reversed(sp.levels):
+            for x, rest, _ in level:
+                if rest and masks[x] != full:
+                    checked[x] = needed[x] = True
+                if needed[x]:
+                    needed[rest] = True
+        # per level the checks come first; a mask of -1 passes every image
+        self.items = [[(x, rest, c, masks[x]) for x, rest, c in level if checked[x]]
+                      + [(x, rest, c, -1) for x, rest, c in level
+                         if needed[x] and not checked[x]]
+                      for level in sp.levels]
+        self.depth = max((j + 1 for j, items in enumerate(self.items) if items),
+                         default=0)
+        self.sp = sp
+        self.img = [0] * n
+        # the scaled orbit sits inside OrbRef0(T); the orbit sets come from
+        # the vector map of T and the scaled orbit from its matrix powers,
+        # so a scaled power failing the checks is a fault of this module
+        if not all(self._passes(R) for R in self.forb):
+            raise OrbitrefError("a scaled power of T fails the OrbRef0 column checks")
+
+    def _fits(self, j: int, col: int) -> bool:
+        """Fix column j to col: fill the images of level j and check them."""
+        vadd, img = self.sp.vadd, self.img
+        multiples = self.sp.scale[col]
+        for x, rest, c, mask in self.items[j]:
+            y = vadd[img[rest]][multiples[c]]
+            if not mask >> y & 1:
+                return False
+            img[x] = y
+        return True
+
+    def _passes(self, cols) -> bool:
+        return all(m >> col & 1 and self._fits(j, col)
+                   for j, (m, col) in enumerate(zip(self.col_masks, cols)))
+
+    def members(self) -> list[tuple[int, ...]]:
+        """The members, column-coded, in product order over the columns."""
+        out: list[tuple[int, ...]] = []
+        free = self.allowed[self.depth:]
+
+        def extend(j: int, prefix: tuple[int, ...]):
+            if j == self.depth:
+                out.extend(prefix + rest for rest in product(*free))
+                return
+            for col in self.allowed[j]:
+                if self._fits(j, col):
+                    extend(j + 1, prefix + (col,))
+
+        extend(0, ())
+        return out
+
+    def count(self) -> int:
+        """The number of members, without listing them."""
+        free = prod(len(cols) for cols in self.allowed[self.depth:])
+
+        def below(j: int) -> int:
+            if j == self.depth:
+                return free
+            return sum(below(j + 1) for col in self.allowed[j] if self._fits(j, col))
+
+        return below(0)
+
+
+def _clashing(sp: _Space, forb) -> set:
+    """The nonzero scaled powers that take the same nonzero value as a
+    different scaled power at some vector."""
+    first_at: dict[tuple[int, int], tuple] = {}
+    clashing = set()
+    for R in forb:
+        if not any(R):
+            continue
+        for f, y in enumerate(sp.vector_map(R)):
+            if y:
+                other = first_at.setdefault((f, y), R)
+                if other != R:
+                    clashing.update((R, other))
+    return clashing
+
+
+def _rigidity_violators(sp: _Space, members, forb) -> list:
     """The members of OrbRef0 that break scaled-power rigidity, each once and
     in member order: every nonzero member outside the scaled orbit `forb`,
     and every scaled power that shares a nonzero value with another scaled
     power at some vector (the criterion is proved in the module docstring)."""
-    scaled = [R for R in forb if any(any(col) for col in R)]
-    clashing = set()
-    for f in _all_vectors(tbl.q, d):
-        first_at: dict[tuple, tuple] = {}
-        for R in scaled:
-            y = tbl.mat_vec(R, f)
-            if any(y):
-                other = first_at.setdefault(y, R)
-                if other != R:
-                    clashing.update((R, other))
+    clashing = _clashing(sp, forb)
     # the zero matrix lies in forb, so a member outside it is nonzero
     return [S for S in members if S not in forb or S in clashing]
+
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +460,31 @@ def orbref0_contains(T: Matrix, S: Matrix,
     return True, None
 
 
+class _Decoded(Sequence):
+    """Column-coded matrices of one space, decoded to Matrix on access, so a
+    caller that reads a few of them decodes only those."""
+
+    def __init__(self, sp: _Space, coded: list):
+        self._sp = sp
+        self._coded = coded
+
+    def __len__(self) -> int:
+        return len(self._coded)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._sp.decode, self._coded[i]))
+        return self._sp.decode(self._coded[i])
+
+
 @dataclass(frozen=True)
 class Orbref0Result:
     base: Matrix
-    members: tuple[Matrix, ...]
+    members: Sequence[Matrix]
     orbref0_size: int
     forb_size: int
     equal: bool
-    difference: tuple[Matrix, ...]
+    difference: Sequence[Matrix]
     tail: int
     cycle: int
 
@@ -337,28 +498,33 @@ class Orbref0Result:
         }
 
 
-def enumerate_orbref0(T: Matrix, budget: int = DEFAULT_ENUM_BUDGET) -> Orbref0Result:
-    """The exact set OrbRef0(T) by exhaustive candidate scan, with the
-    comparison against the scaled power orbit."""
+def _column_search(T: Matrix, budget: int) -> _ColumnSearch:
     _require_finite(T)
     q = T.field.q
     d = T.n
     if q ** (d * d) > budget:
         raise BudgetExceeded(
             f"{q}^{d * d} candidates exceed the budget of {budget}")
-    tbl = _Tables(T.field)
-    Tcols = _encode_matrix(tbl, T)
-    members, forb, tail, cycle = _enumerate_members(tbl, Tcols, d)
-    diff = [cols for cols in members if cols not in forb]
+    sp = _space(T.field, d)
+    return _ColumnSearch(sp, _encode_matrix(sp.tbl, T))
+
+
+def enumerate_orbref0(T: Matrix, budget: int = DEFAULT_ENUM_BUDGET) -> Orbref0Result:
+    """The exact set OrbRef0(T) by exhaustive candidate scan, with the
+    comparison against the scaled power orbit.  `members` and `difference`
+    decode their matrices on access."""
+    search = _column_search(T, budget)
+    members = search.members()
+    forb = search.forb
     return Orbref0Result(
         base=T,
-        members=tuple(_decode_matrix(tbl, c, d) for c in members),
+        members=_Decoded(search.sp, members),
         orbref0_size=len(members),
         forb_size=len(forb),
         equal=len(members) == len(forb),
-        difference=tuple(_decode_matrix(tbl, c, d) for c in diff),
-        tail=tail,
-        cycle=cycle,
+        difference=_Decoded(search.sp, [c for c in members if c not in forb]),
+        tail=search.tail,
+        cycle=search.cycle,
     )
 
 
@@ -366,17 +532,9 @@ def rigidity_violations(T: Matrix, budget: int = DEFAULT_ENUM_BUDGET) -> list[Ma
     """The members S of OrbRef0(T) that violate scaled-power rigidity
     (S f = beta T^k f != 0 for some f, beta and k >= 1 must force
     S = beta T^k), each once and in enumeration order."""
-    _require_finite(T)
-    q = T.field.q
-    d = T.n
-    if q ** (d * d) > budget:
-        raise BudgetExceeded(
-            f"{q}^{d * d} candidates exceed the budget of {budget}")
-    tbl = _Tables(T.field)
-    Tcols = _encode_matrix(tbl, T)
-    members, forb, _, _ = _enumerate_members(tbl, Tcols, d)
-    return [_decode_matrix(tbl, cols, d)
-            for cols in _rigidity_violators(tbl, members, forb, d)]
+    search = _column_search(T, budget)
+    return [search.sp.decode(cols) for cols in
+            _rigidity_violators(search.sp, search.members(), search.forb)]
 
 
 # ---------------------------------------------------------------------------
@@ -522,12 +680,13 @@ def _classify_chunk(payload) -> list[tuple]:
 def _enumerate_one(payload) -> tuple:
     """Full enumeration of one matrix: (equal, orbref0, forb, rigidity_ok)."""
     (p, k, modulus, d, idx, rigidity) = payload
-    field = FiniteField(p, k, modulus)
-    tbl = _Tables(field)
-    cols, _ = _matrix_cols_from_index(idx, tbl.q, d)
-    members, forb, _, _ = _enumerate_members(tbl, cols, d)
-    rig_ok = not _rigidity_violators(tbl, members, forb, d) if rigidity else None
-    return (len(members) == len(forb), len(members), len(forb), rig_ok)
+    sp = _space(FiniteField(p, k, modulus), d)
+    cols, _ = _matrix_cols_from_index(idx, sp.q, d)
+    search = _ColumnSearch(sp, cols)
+    size, forb = search.count(), search.forb
+    # forb lies inside OrbRef0, so no member outside it means size == |forb|
+    rig_ok = size == len(forb) and not _clashing(sp, forb) if rigidity else None
+    return (size == len(forb), size, len(forb), rig_ok)
 
 
 def _blocks(pending: list[int], workers: int) -> list[list[int]]:

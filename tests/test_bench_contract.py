@@ -3,9 +3,14 @@ it lists in `perfbench/spans.py` must exist, or a traced run crashes."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _targets() -> dict:
@@ -32,3 +37,14 @@ def test_span_targets_exist():
             if not callable(owner):
                 missing.append(f"{module_name}.{name}")
     assert not missing, f"bench span targets missing: {missing}"
+
+
+@pytest.mark.slow
+def test_perfbench_smoke_passes():
+    # the traced run's hooks also read result attributes, such as
+    # Orbref0Result.orbref0_size and ScanResult.scanned / from_cache, which
+    # the name check above does not see; the smoke run exercises them
+    proc = subprocess.run([sys.executable, "perfbench/smoke.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=900)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert "smoke: all checks passed" in proc.stdout

@@ -195,30 +195,141 @@ def _rigidity_reference(tbl, Tcols, members, d):
     return list(dict.fromkeys(cols for cols, *_ in violations))
 
 
+def _orbit_masks_reference(tbl, powers, tail, d):
+    """Per-vector membership bitmasks: bit v of masks[x] says v is lam*(T^n x)
+    for some lam and some n >= 1."""
+    from orbitref.fields import from_digits
+    from orbitref.oracle import _all_vectors, _positive_powers
+
+    q = tbl.q
+    vectors = _all_vectors(q, d)
+    masks = []
+    pos = _positive_powers(powers, tail)
+    for x in vectors:
+        m = 1  # zero vector always present (lam = 0)
+        for P in pos:
+            y = tbl.mat_vec(P, x)
+            for lam in range(1, q):
+                m |= 1 << from_digits(tbl.vec_scale(lam, y), q)
+        masks.append(m)
+    return vectors, masks
+
+
+def _product_scan_reference(tbl, Tcols, d):
+    """The product scan the column search replaced: every candidate of the
+    column product, all checks per candidate, on tuple-coded vectors."""
+    from itertools import product
+
+    from orbitref.fields import from_digits
+    from orbitref.oracle import _power_cols, _scaled_orbit_cols
+
+    q = tbl.q
+    powers, tail, cycle = _power_cols(tbl, Tcols, d)
+    vectors, masks = _orbit_masks_reference(tbl, powers, tail, d)
+    basis = [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
+    allowed_cols = []
+    for j, e in enumerate(basis):
+        mask = masks[from_digits(e, q)]
+        allowed_cols.append([v for v in vectors if (mask >> from_digits(v, q)) & 1])
+    check_vecs = []
+    for x in vectors:
+        nonzero = [(i, c) for i, c in enumerate(x) if c]
+        if len(nonzero) >= 2:  # scalar multiples of basis vectors pass by scaling
+            check_vecs.append((nonzero, masks[from_digits(x, q)]))
+    members = []
+    vec_add = tbl.vec_add
+    vec_scale = tbl.vec_scale
+    for cols in product(*allowed_cols):
+        ok = True
+        for nonzero, mask in check_vecs:
+            acc = None
+            for i, c in nonzero:
+                term = vec_scale(c, cols[i])
+                acc = term if acc is None else vec_add(acc, term)
+            if not (mask >> from_digits(acc, q)) & 1:
+                ok = False
+                break
+        if ok:
+            members.append(cols)
+    forb = _scaled_orbit_cols(tbl, powers, tail, d)
+    member_set = set(members)
+    assert forb <= member_set, "scaled power orbit must sit inside OrbRef0"
+    return members, forb, tail, cycle
+
+
+def _class_inputs(field, d):
+    """One matrix per (char poly, min poly) class of M_d(GF(q))."""
+    from orbitref.oracle import _classify_chunk
+
+    reps = {}
+    for idx, _, key, _, _ in _classify_chunk(
+            (field.p, field.k, field.modulus, d, 0, field.q ** (d * d), False)):
+        reps.setdefault(key, idx)
+    return [matrix_from_scan_index(field, d, idx) for idx in reps.values()]
+
+
+def _assert_search_matches_product_scan(T):
+    from orbitref.oracle import _ColumnSearch, _encode_matrix, _space
+
+    sp = _space(T.field, T.n)
+    Tcols = _encode_matrix(sp.tbl, T)
+    members, forb, tail, cycle = _product_scan_reference(sp.tbl, Tcols, T.n)
+    search = _ColumnSearch(sp, Tcols)
+    coded = [sp.encode(cols) for cols in members]
+    assert search.members() == coded, T.to_strings()
+    assert search.count() == len(coded)
+    assert search.forb == {sp.encode(R) for R in forb}
+    assert (search.tail, search.cycle) == (tail, cycle)
+
+
+@pytest.mark.parametrize("field,d", [(FiniteField(2), 2), (FiniteField(3), 2),
+                                     (FiniteField(2, 2), 2), (FiniteField(5), 2),
+                                     (FiniteField(7), 2), (FiniteField(2), 3)])
+def test_column_search_matches_product_scan_per_class(field, d):
+    for T in _class_inputs(field, d):
+        _assert_search_matches_product_scan(T)
+
+
+def test_column_search_matches_product_scan_on_companions_and_chains():
+    g2, g3 = FiniteField(2), FiniteField(3)
+    J = Matrix.jordan_block
+    # x^3+2x+1 is primitive, so T is transitive on lines and no check is
+    # left; x^4+x^3+x^2+x+1 is irreducible of order 5, so T moves lines in
+    # orbits of 5 and checks remain
+    for T in (Matrix.from_values(g3, [[0, 0, 2], [1, 0, 1], [0, 1, 0]]),
+              J(g2, 0, 4),
+              Matrix.block_diag([J(g2, 0, 2), J(g2, 0, 2)]),
+              Matrix.from_values(g2, [[0, 0, 0, 1], [1, 0, 0, 1],
+                                      [0, 1, 0, 1], [0, 0, 1, 1]])):
+        _assert_search_matches_product_scan(T)
+
+
 @pytest.mark.parametrize("field,d", [(FiniteField(3), 2), (FiniteField(2, 2), 2),
                                      (FiniteField(2), 3)])
 def test_rigidity_violations_match_reference_search(field, d):
-    from orbitref.oracle import (
-        _classify_chunk,
-        _decode_matrix,
-        _encode_matrix,
-        _enumerate_members,
-        _Tables,
-    )
+    from orbitref.oracle import _decode_matrix, _encode_matrix, _Tables
 
     tbl = _Tables(field)
-    total = field.q ** (d * d)
-    reps = {}
-    for idx, _, key, _, _ in _classify_chunk(
-            (field.p, field.k, field.modulus, d, 0, total, False)):
-        reps.setdefault(key, idx)
-    for idx in reps.values():
-        T = matrix_from_scan_index(field, d, idx)
+    for T in _class_inputs(field, d):
         Tcols = _encode_matrix(tbl, T)
-        members, _, _, _ = _enumerate_members(tbl, Tcols, d)
+        members, _, _, _ = _product_scan_reference(tbl, Tcols, d)
         expected = [_decode_matrix(tbl, cols, d)
                     for cols in _rigidity_reference(tbl, Tcols, members, d)]
-        assert rigidity_violations(T) == expected, idx
+        assert rigidity_violations(T) == expected, T.to_strings()
+
+
+def test_scaled_power_failing_the_checks_is_an_internal_error(monkeypatch):
+    # the scaled orbit must pass the column checks in the listing and the
+    # counting path alike, and under python -O too, where asserts vanish
+    from orbitref import oracle
+    from orbitref.errors import OrbitrefError
+
+    monkeypatch.setattr(oracle, "_orbit_masks", lambda sp, timg: [1] * sp.n)
+    g3 = FiniteField(3)
+    with pytest.raises(OrbitrefError, match="scaled power"):
+        enumerate_orbref0(Matrix.identity(g3, 2))
+    with pytest.raises(OrbitrefError, match="scaled power"):
+        scan_space(g3, 2, limit=2, cache_path=None)
 
 
 # -- numeric residuals --------------------------------------------------------------
@@ -324,6 +435,37 @@ def test_scan_full_space_rigidity_counts(field, checked, violating):
     res = scan_space(field, 2, rigidity=True, cache_path=None)
     assert res.counts["rigidity_checked"] == checked
     assert res.counts["rigidity_violating"] == violating
+
+
+M3_GF3_COUNTS = {
+    "split": 9909, "split_equal": 4293, "split_not_equal": 5616,
+    "nonsplit": 9774, "nonsplit_equal": 0, "nonsplit_not_equal": 9774,
+    "nilpotent": 729, "nilpotent_equal": 105,
+}
+
+
+@pytest.mark.parametrize("rigidity,checked,violating", [(False, 0, 0),
+                                                        (True, 19683, 19108)])
+def test_scan_m3_gf3_full_space_counts(rigidity, checked, violating):
+    # the counts the product scan gave on the full space
+    res = scan_space(FiniteField(3), 3, rigidity=rigidity, workers=2, cache_path=None)
+    assert res.scanned == 19683
+    assert res.counts == {**M3_GF3_COUNTS, "rigidity_checked": checked,
+                          "rigidity_violating": violating}
+    assert len(res.violations) == 5616
+
+
+@pytest.mark.slow
+def test_scan_m3_gf4_full_space_counts():
+    # the counts the product scan gave on the full space (some 510 s there)
+    res = scan_space(FiniteField(2, 2), 3, workers=2, cache_path=None)
+    assert res.scanned == 262144
+    assert res.counts == {
+        "split": 107776, "split_equal": 103996, "split_not_equal": 3780,
+        "nonsplit": 154368, "nonsplit_equal": 5760, "nonsplit_not_equal": 148608,
+        "nilpotent": 4096, "nilpotent_equal": 316,
+        "rigidity_checked": 0, "rigidity_violating": 0,
+    }
 
 
 def test_matrix_from_scan_index_round_trip():
