@@ -18,6 +18,7 @@ divisibility and no floating point ever enters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 from .fields import Field, QQ, Scalar
 
@@ -118,33 +119,15 @@ def apply_T_factorial(x: CounterexampleVector, n: int) -> CounterexampleVector:
     (shift coefficients at index <= n! vanish)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    # n! >= len(shift) iff the whole shift half dies; n! >= 2^(n-1) covers
-    # any support that is at all enumerable once n is modest
-    shift_len = len(x.shift)
-    dies = n >= shift_len or _factorial_at_least(n, shift_len)
-    shift = () if dies else x.shift[_small_factorial(n):]
+    # n! >= n, so n! is only formed when n is below the shift support; a
+    # slice past the end is empty
+    shift = x.shift[factorial(n):] if n < len(x.shift) else ()
     diag = []
     for k0, (c, phase) in enumerate(x.diag):
         k = k0 + 1
         diag.append((c, (phase + factorial_phase(n, k)) % k))
     return CounterexampleVector(x.field, _trim_shift(list(shift)),
                                 _trim_diag(diag))
-
-
-def _small_factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
-def _factorial_at_least(n: int, bound: int) -> bool:
-    acc = 1
-    for i in range(2, n + 1):
-        acc *= i
-        if acc >= bound:
-            return True
-    return acc >= bound
 
 
 def factorial_truncation_holds(x: CounterexampleVector, n: int) -> bool:
@@ -193,7 +176,7 @@ def truncation_table(n_max: int) -> list[dict]:
         )
         rows.append({
             "n": n,
-            "factorial": _small_factorial(n),
+            "factorial": factorial(n),
             "all_basis_vectors_match": checks,
         })
     return rows

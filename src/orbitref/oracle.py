@@ -28,10 +28,15 @@ S != beta T^k.  If S is a scaled power, a violation is by definition a
 different scaled power beta T^k agreeing with S at a nonzero value S f.
 So the verdict is read off the enumerated members and the scaled orbit.
 
-The enumeration codes each vector of GF(q)^d as its from_digits index and
-reads addition, scaling and lines from tables built once per (field, d)
-and process.  The orbit set of x is the OR of the line masks along the
-walk x -> Tx -> T^2 x under the vector map of T.  Candidates are searched
+GF(q) has one coding here.  An element is its index in the field's
+element order, a vector of GF(q)^d is the from_digits index of its
+coordinates, and a matrix is the tuple of its coded columns.  `_Space`
+builds the tables once per (field, d) and process: the scalar tables
+(add, mul, neg, inv) and the vector tables (addition, scaling and the
+bitmask of each vector's line).  T's powers come from walking each column
+along the vector map of T, T^(n+1) e_j = T (T^n e_j), and the scaled orbit
+is read off the scaling table.  The orbit set of x is the OR of the line
+masks along the walk x -> Tx -> T^2 x.  Candidates are searched
 depth-first over their columns (the images of the basis vectors), column 0
 outermost: column j ranges over the orbit set of e_j, and once it is fixed
 every vector x whose highest nonzero coordinate is j is checked, with its
@@ -45,14 +50,23 @@ lines has every candidate as a member without a walk.  The scan only needs
 only when a caller reads them.  The scaled orbit must pass the same
 checks in both paths, or the module raises an internal error.
 
-`scan_space` sweeps every d x d matrix over GF(q) (d <= 3), classifies the
-minimal polynomial, and checks OrbRef0 = scaled-power-orbit per matrix.
+`orbref0_contains` tests one candidate, and its budget counts the q^d
+vectors it checks.  The vector-addition table alone has q^(2d) entries,
+so it builds only the scalar tables and walks x -> Tx -> T^2 x -> ... up
+to the first repeat for one vector at a time, on tuples of element
+indices.
+
+`scan_space` sweeps every d x d matrix over GF(q) and classifies each by
+its characteristic polynomial (a table-int Berkowitz recursion on the scan
+index's digits) and minimal polynomial (elimination on the coded columns
+of its powers), then checks OrbRef0 = scaled-power-orbit per matrix.
 Verdicts are similarity invariants, so by default the scan memoises the
-expensive enumeration per (characteristic, minimal polynomial) class --
-which determines the similarity class for d <= 3 -- and a flag forces the
-plain per-matrix scan.  Results persist to a JSON-lines cache keyed by the
-field (p, k, modulus), d and the matrix index; re-runs skip finished
-matrices.
+expensive enumeration per (characteristic, minimal polynomial) class,
+and a flag forces the plain per-matrix scan.  That key fixes the
+similarity class only for d <= 3 (at d = 4 the nilpotent [2,2] and
+[2,1,1] share both polynomials), so the scan stops at d = 3.  Results
+persist to a JSON-lines cache keyed by the field (p, k, modulus), d and
+the matrix index; re-runs skip finished matrices.
 """
 
 from __future__ import annotations
@@ -82,104 +96,7 @@ DEFAULT_ENUM_BUDGET = 2 ** 24
 
 
 # ---------------------------------------------------------------------------
-# integer-encoded field kernel
-# ---------------------------------------------------------------------------
-
-class _Tables:
-    """Index-encoded GF(q) arithmetic: elements are 0..q-1 in the field's
-    canonical element order, ops are table lookups."""
-
-    def __init__(self, field: FiniteField):
-        self.field = field
-        els = field.elements()
-        self.q = len(els)
-        self.scalars = els
-        index = {s.value: i for i, s in enumerate(els)}
-        self.add = [[index[(a + b).value] for b in els] for a in els]
-        self.mul = [[index[(a * b).value] for b in els] for a in els]
-        self.neg = [index[(-a).value] for a in els]
-        one = index[field.one().value]
-        # inv[0] stays None: zero has no inverse
-        self.inv = [None] + [row.index(one) for row in self.mul[1:]]
-
-    def vec_add(self, x, y):
-        add = self.add
-        return tuple(add[a][b] for a, b in zip(x, y))
-
-    def vec_scale(self, s, x):
-        row = self.mul[s]
-        return tuple(row[a] for a in x)
-
-    def mat_vec(self, cols, x):
-        acc = None
-        for xi, col in zip(x, cols):
-            if xi == 0:
-                continue
-            term = self.vec_scale(xi, col)
-            acc = term if acc is None else self.vec_add(acc, term)
-        return acc if acc is not None else (0,) * len(cols[0])
-
-    def mat_mul(self, a_cols, b_cols):
-        return tuple(self.mat_vec(a_cols, b) for b in b_cols)
-
-
-def _encode_matrix(tbl: _Tables, M: Matrix):
-    """Matrix -> tuple of column vectors of element indices."""
-    field = tbl.field
-    return tuple(
-        tuple(field.element_index(M[i, j].value) for i in range(M.n))
-        for j in range(M.n)
-    )
-
-
-def _decode_matrix(tbl: _Tables, cols, d: int) -> Matrix:
-    field = tbl.field
-    rows = [[tbl.scalars[cols[j][i]] for j in range(d)] for i in range(d)]
-    return Matrix(field, rows)
-
-
-def _identity_cols(q: int, d: int):
-    return tuple(tuple(1 if i == j else 0 for i in range(d)) for j in range(d))
-
-
-def _all_vectors(q: int, d: int):
-    """Every vector of GF(q)^d; vector x sits at position from_digits(x, q)."""
-    return [to_digits(idx, q, d) for idx in range(q ** d)]
-
-
-def _power_cols(tbl: _Tables, Tcols, d: int):
-    """Distinct powers T^0, T^1, ... plus (tail, cycle) of the sequence."""
-    seen: dict[tuple, int] = {}
-    powers = []
-    cur = _identity_cols(tbl.q, d)
-    k = 0
-    while cur not in seen:
-        seen[cur] = k
-        powers.append(cur)
-        cur = tbl.mat_mul(Tcols, cur)
-        k += 1
-    first_repeat = seen[cur]
-    return powers, first_repeat, k - first_repeat
-
-
-def _positive_powers(powers, tail: int):
-    """The distinct matrices among {T^n : n >= 1}.  When the sequence is
-    purely cyclic (tail 0) the identity recurs as T^cycle and stays in."""
-    return powers if tail == 0 else powers[1:]
-
-
-def _scaled_orbit_cols(tbl: _Tables, powers, tail: int, d: int) -> frozenset:
-    """All matrices lam * T^n with n >= 1 (including 0), column-encoded."""
-    q = tbl.q
-    out = {tuple(tuple(0 for _ in range(d)) for _ in range(d))}
-    for P in _positive_powers(powers, tail):
-        for lam in range(1, q):
-            out.add(tuple(tbl.vec_scale(lam, col) for col in P))
-    return frozenset(out)
-
-
-# ---------------------------------------------------------------------------
-# enumeration kernel on integer-coded vectors
+# integer-coded GF(q) and GF(q)^d
 # ---------------------------------------------------------------------------
 
 def _vector_add_table(add, q: int, d: int) -> list[list[int]]:
@@ -197,31 +114,51 @@ def _vector_add_table(add, q: int, d: int) -> list[list[int]]:
 
 
 class _Space:
-    """GF(q)^d with each vector coded as its from_digits index, and the
-    tables the enumeration kernel reads: vector addition, scaling and the
-    bitmask of each vector's line.  `_space` builds one per (field, d) and
-    process, on first use."""
+    """GF(q)^d with each element coded as its index in the field's element
+    order and each vector as its from_digits index, and the tables the
+    oracle reads: scalar add, mul, neg and inv, vector addition, scaling
+    and the bitmask of each vector's line.  `_space` builds one per
+    (field, d) and process, on first use."""
 
-    def __init__(self, tbl: _Tables, d: int):
-        q = tbl.q
-        self.tbl, self.q, self.d, self.n = tbl, q, d, q ** d
-        self.vadd = _vector_add_table(tbl.add, q, d)
+    def __init__(self, field: FiniteField, d: int):
+        els = field.elements()
+        q = len(els)
+        self.field, self.scalars, self.q, self.d, self.n = field, els, q, d, q ** d
+        index = {s.value: i for i, s in enumerate(els)}
+        self.add = [[index[(a + b).value] for b in els] for a in els]
+        self.mul = [[index[(a * b).value] for b in els] for a in els]
+        self.neg = [index[(-a).value] for a in els]
+        one = index[field.one().value]
+        # inv[0] stays None: zero has no inverse
+        self.inv = [None] + [row.index(one) for row in self.mul[1:]]
+        self.vadd = _vector_add_table(self.add, q, d)
         # scale[v][c] is the index of c * v
         self.scale = [[from_digits([row[a] for a in to_digits(v, q, d)], q)
-                       for row in tbl.mul] for v in range(self.n)]
+                       for row in self.mul] for v in range(self.n)]
         self.line = [sum(1 << w for w in set(multiples)) for multiples in self.scale]
         # the vectors whose highest nonzero coordinate is j, as
         # (x, rest, c) with x = rest + c * e_j
         self.levels = [[(x, x % q ** j, x // q ** j) for x in range(q ** j, q ** (j + 1))]
                        for j in range(d)]
 
-    def encode(self, cols) -> tuple[int, ...]:
-        q = self.q
-        return tuple(from_digits(col, q) for col in cols)
+    def encode(self, M: Matrix) -> tuple[int, ...]:
+        idx, q = self.field.element_index, self.q
+        return tuple(from_digits([idx(s.value) for s in M.col(j)], q)
+                     for j in range(M.n))
 
     def decode(self, cols) -> Matrix:
-        q, d = self.q, self.d
-        return _decode_matrix(self.tbl, [to_digits(c, q, d) for c in cols], d)
+        q, d, els = self.q, self.d, self.scalars
+        digits = [to_digits(c, q, d) for c in cols]
+        return Matrix(self.field, [[els[col[i]] for col in digits] for i in range(d)])
+
+    def apply(self, cols, v: int) -> int:
+        """The index of M v for the matrix with coded columns cols."""
+        vadd, scale, q = self.vadd, self.scale, self.q
+        y = 0
+        for col in cols:
+            v, c = divmod(v, q)
+            y = vadd[y][scale[col][c]]
+        return y
 
     def vector_map(self, cols) -> list[int]:
         """img[x] = index of M x for the matrix with coded columns cols."""
@@ -236,8 +173,26 @@ class _Space:
 
 @lru_cache(maxsize=None)
 def _space(field: FiniteField, d: int) -> _Space:
-    return _Space(_Tables(field), d)
+    return _Space(field, d)
 
+
+def _dot(add, mul, r, c) -> int:
+    """The sum of r_i * c_i over element indices."""
+    acc = 0
+    for a, b in zip(r, c):
+        acc = add[acc][mul[a][b]]
+    return acc
+
+
+def _positive_powers(powers, tail: int):
+    """The distinct matrices among {T^n : n >= 1}.  When the sequence is
+    purely cyclic (tail 0) the identity recurs as T^cycle and stays in."""
+    return powers if tail == 0 else powers[1:]
+
+
+# ---------------------------------------------------------------------------
+# enumeration kernel on integer-coded vectors
+# ---------------------------------------------------------------------------
 
 def _orbit_masks(sp: _Space, timg: list[int]) -> list[int]:
     """Bit v of masks[x] says v = lam * T^n x for some lam and n >= 1: the
@@ -270,12 +225,24 @@ class _ColumnSearch:
     combination passes.
     """
 
-    def __init__(self, sp: _Space, Tcols):
-        tbl, q, d, n = sp.tbl, sp.q, sp.d, sp.n
-        powers, self.tail, self.cycle = _power_cols(tbl, Tcols, d)
-        self.forb = frozenset(sp.encode(R) for R in
-                              _scaled_orbit_cols(tbl, powers, self.tail, d))
-        masks = _orbit_masks(sp, sp.vector_map(sp.encode(Tcols)))
+    def __init__(self, sp: _Space, Tcols: tuple[int, ...]):
+        q, d, n = sp.q, sp.d, sp.n
+        timg = sp.vector_map(Tcols)
+        # the distinct powers T^0, T^1, ... column by column,
+        # T^(n+1) e_j = T (T^n e_j), up to the first repeated matrix
+        seen: dict[tuple[int, ...], int] = {}
+        power = tuple(q ** j for j in range(d))
+        while power not in seen:
+            seen[power] = len(seen)
+            power = tuple(timg[c] for c in power)
+        powers = list(seen)
+        self.tail = seen[power]
+        self.cycle = len(powers) - self.tail
+        scale = sp.scale
+        self.forb = frozenset([(0,) * d] + [
+            tuple(scale[c][lam] for c in P)
+            for P in _positive_powers(powers, self.tail) for lam in range(1, q)])
+        masks = _orbit_masks(sp, timg)
         self.col_masks = [masks[q ** j] for j in range(d)]
         self.allowed = [[v for v in range(n) if m >> v & 1] for m in self.col_masks]
         # a vector is checked when its orbit set is not the whole space and
@@ -300,8 +267,9 @@ class _ColumnSearch:
         self.sp = sp
         self.img = [0] * n
         # the scaled orbit sits inside OrbRef0(T); the orbit sets come from
-        # the vector map of T and the scaled orbit from its matrix powers,
-        # so a scaled power failing the checks is a fault of this module
+        # walks of single vectors and the scaled orbit from the column walk
+        # of the powers, so a scaled power failing the column checks is a
+        # fault of this module
         if not all(self._passes(R) for R in self.forb):
             raise OrbitrefError("a scaled power of T fails the OrbRef0 column checks")
 
@@ -374,7 +342,6 @@ def _rigidity_violators(sp: _Space, members, forb) -> list:
     return [S for S in members if S not in forb or S in clashing]
 
 
-
 # ---------------------------------------------------------------------------
 # public API: orbits, membership, enumeration
 # ---------------------------------------------------------------------------
@@ -391,11 +358,8 @@ class OrbitSet:
 
     def scaled_matrices(self) -> set[Matrix]:
         """The scaled power orbit {lam T^n : n >= 1} (0 included via lam = 0)."""
-        tbl = _Tables(self.base.field)
-        d = self.base.n
-        powers = [_encode_matrix(tbl, P) for P in self.powers]
-        return {_decode_matrix(tbl, cols, d)
-                for cols in _scaled_orbit_cols(tbl, powers, self.tail, d)}
+        return {P.scale(lam) for P in _positive_powers(self.powers, self.tail)
+                for lam in self.base.field.elements()}
 
 
 def _require_finite(M: Matrix):
@@ -406,15 +370,13 @@ def _require_finite(M: Matrix):
 def power_orbit(T: Matrix) -> OrbitSet:
     """Enumerate T^0, T^1, ... until the first repeated matrix."""
     _require_finite(T)
-    tbl = _Tables(T.field)
-    Tcols = _encode_matrix(tbl, T)
-    powers, tail, cycle = _power_cols(tbl, Tcols, T.n)
-    return OrbitSet(
-        base=T,
-        powers=tuple(_decode_matrix(tbl, P, T.n) for P in powers),
-        tail=tail,
-        cycle=cycle,
-    )
+    seen: dict[Matrix, int] = {}
+    P = Matrix.identity(T.field, T.n)
+    while P not in seen:
+        seen[P] = len(seen)
+        P = T @ P
+    powers = tuple(seen)
+    return OrbitSet(base=T, powers=powers, tail=seen[P], cycle=len(powers) - seen[P])
 
 
 def orbref0_contains(T: Matrix, S: Matrix,
@@ -434,29 +396,34 @@ def orbref0_contains(T: Matrix, S: Matrix,
     if q ** d > budget:
         raise BudgetExceeded(
             f"{q}^{d} vector checks exceed the budget of {budget}")
-    tbl = _Tables(T.field)
-    Tcols = _encode_matrix(tbl, T)
-    Scols = _encode_matrix(tbl, S)
-    powers, tail, _ = _power_cols(tbl, Tcols, d)
-    positive = _positive_powers(powers, tail)
-    mul, inv = tbl.mul, tbl.inv
-    for x in _all_vectors(q, d):
-        y = tbl.mat_vec(Scols, x)
-        if all(c == 0 for c in y):
+    # only the scalar tables: those of GF(q)^d would hold q^(2d) entries
+    sc = _space(T.field, 1)
+    add, mul, inv = sc.add, sc.mul, sc.inv
+    idx = T.field.element_index
+    Trows, Srows = ([[idx(s.value) for s in row] for row in M.rows] for M in (T, S))
+
+    def image(rows, x):
+        return tuple(_dot(add, mul, row, x) for row in rows)
+
+    for code in range(q ** d):
+        x = to_digits(code, q, d)
+        y = image(Srows, x)
+        if not any(y):
             continue  # lam = 0 always fits
-        hit = False
-        for P in positive:
-            z = tbl.mat_vec(P, x)
+        # walk z = Tx, T^2 x, ... up to the first repeat: y must be a
+        # multiple lam * z, with lam read off z's first nonzero coordinate
+        seen = set()
+        z = image(Trows, x)
+        while z not in seen:
+            seen.add(z)
             i = next((i for i, c in enumerate(z) if c), None)
-            if i is None:
-                continue
-            lam = mul[y[i]][inv[z[i]]]
-            if tbl.vec_scale(lam, z) == y:
-                hit = True
-                break
-        if not hit:
-            failing = tuple(tbl.scalars[c] for c in x)
-            return False, failing
+            if i is not None:
+                row = mul[mul[y[i]][inv[z[i]]]]
+                if tuple(row[c] for c in z) == y:
+                    break
+            z = image(Trows, z)
+        else:
+            return False, tuple(sc.scalars[c] for c in x)
     return True, None
 
 
@@ -506,7 +473,7 @@ def _column_search(T: Matrix, budget: int) -> _ColumnSearch:
         raise BudgetExceeded(
             f"{q}^{d * d} candidates exceed the budget of {budget}")
     sp = _space(T.field, d)
-    return _ColumnSearch(sp, _encode_matrix(sp.tbl, T))
+    return _ColumnSearch(sp, sp.encode(T))
 
 
 def enumerate_orbref0(T: Matrix, budget: int = DEFAULT_ENUM_BUDGET) -> Orbref0Result:
@@ -572,107 +539,95 @@ def matrix_hash(q: int, d: int, digits: Iterable[int]) -> str:
     return hashlib.sha256(body.encode()).hexdigest()[:16]
 
 
-def _matrix_cols_from_index(idx: int, q: int, d: int):
-    """Row-major base-q digits of idx, returned column-encoded."""
-    digits = to_digits(idx, q, d * d)
-    cols = tuple(tuple(digits[i * d + j] for i in range(d)) for j in range(d))
-    return cols, digits
+def _scan_cols(digits, q: int, d: int) -> tuple[int, ...]:
+    """The coded columns of the matrix with these row-major scan digits."""
+    return tuple(from_digits(digits[j::d], q) for j in range(d))
 
 
-def _char_poly_int(tbl: _Tables, cols, d: int) -> tuple[int, ...]:
-    """Characteristic polynomial coefficients (constant first, monic), by
-    explicit minor sums -- division-free, any characteristic, d <= 3."""
-    add, mul, neg = tbl.add, tbl.mul, tbl.neg
-
-    def a(i, j):
-        return cols[j][i]
-
-    if d == 1:
-        return (neg[a(0, 0)], 1)
-    if d == 2:
-        tr = add[a(0, 0)][a(1, 1)]
-        det = add[mul[a(0, 0)][a(1, 1)]][neg[mul[a(0, 1)][a(1, 0)]]]
-        return (det, neg[tr], 1)
-    if d == 3:
-        tr = add[add[a(0, 0)][a(1, 1)]][a(2, 2)]
-
-        def minor2(r1, r2, c1, c2):
-            return add[mul[a(r1, c1)][a(r2, c2)]][neg[mul[a(r1, c2)][a(r2, c1)]]]
-
-        m2 = add[add[minor2(0, 1, 0, 1)][minor2(0, 2, 0, 2)]][minor2(1, 2, 1, 2)]
-        det = 0
-        for perm, sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                           ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
-            term = mul[mul[a(0, perm[0])][a(1, perm[1])]][a(2, perm[2])]
-            det = add[det][term if sign > 0 else neg[term]]
-        return (neg[det], m2, neg[tr], 1)
-    raise ValueError("integer char poly implemented for d <= 3 only")
+def _char_poly_int(sp: _Space, digits) -> tuple[int, ...]:
+    """Characteristic polynomial coefficients (constant first, monic) of the
+    matrix with row-major element indices `digits`: the Berkowitz recursion
+    of `linalg.char_poly` on table ints, any d and characteristic."""
+    add, mul, neg, d = sp.add, sp.mul, sp.neg, sp.d
+    rows = [digits[i * d:(i + 1) * d] for i in range(d)]
+    poly = [1]  # leading coefficient first
+    for k in range(d):
+        col = [rows[i][k] for i in range(k)]
+        toeplitz = [1, neg[rows[k][k]]]
+        for _ in range(k):
+            toeplitz.append(neg[_dot(add, mul, rows[k], col)])
+            col = [_dot(add, mul, rows[i], col) for i in range(k)]
+        poly = [_dot(add, mul, poly, toeplitz[j::-1]) for j in range(k + 2)]
+    return tuple(reversed(poly))
 
 
-def _poly_deflate_int(tbl: _Tables, coeffs, root: int):
-    out = []
-    acc = 0
-    for c in reversed(coeffs):
-        acc = tbl.add[tbl.mul[acc][root]][c]
-        out.append(acc)
-    rem = out.pop()
-    return tuple(reversed(out)), rem
-
-
-def _splits_int(tbl: _Tables, coeffs) -> bool:
-    cur = coeffs
-    for x in range(tbl.q):
+def _splits_int(sp: _Space, coeffs) -> bool:
+    """Whether the polynomial (constant first) is a product of linear
+    factors: divide out t - x for every root x, as often as it divides."""
+    add, mul = sp.add, sp.mul
+    cur = list(coeffs)
+    for x in range(sp.q):
         while len(cur) > 1:
-            quot, rem = _poly_deflate_int(tbl, cur, x)
-            if rem != 0:
+            # synthetic division, highest coefficient first; the last value
+            # is the remainder
+            quot, acc = [], 0
+            for c in reversed(cur):
+                acc = add[mul[acc][x]][c]
+                quot.append(acc)
+            if quot.pop():
                 break
-            cur = quot
+            cur = quot[::-1]
     return len(cur) == 1
 
 
-def _min_poly_int(tbl: _Tables, cols, d: int) -> tuple[int, ...]:
-    """Least monic dependence among vec(T^0), vec(T^1), ... by elimination."""
-    q = tbl.q
-    add, mul, neg = tbl.add, tbl.mul, tbl.neg
-    basis: list[tuple[list[int], list[int], int]] = []
-    power = _identity_cols(q, d)
+def _min_poly_int(sp: _Space, cols) -> tuple[int, ...]:
+    """Least monic dependence among T^0, T^1, ... by elimination on their
+    coded columns; a pivot is one digit of one column."""
+    q, d = sp.q, sp.d
+    add, mul, neg, inv = sp.add, sp.mul, sp.neg, sp.inv
+    vadd, scale = sp.vadd, sp.scale
+    basis: list[tuple[tuple[int, ...], list[int], int, int]] = []
+    power = tuple(q ** j for j in range(d))
     for deg in range(d + 1):
-        vec = [power[j][i] for j in range(d) for i in range(d)]
+        vec = power
         combo = [0] * (d + 2)
         combo[deg] = 1
-        for bvec, bcombo, piv in basis:
-            c = vec[piv]
+        for bvec, bcombo, j, place in basis:
+            c = vec[j] // place % q
             if c == 0:
                 continue
-            vec = [add[x][neg[mul[c][y]]] for x, y in zip(vec, bvec)]
-            combo = [add[x][neg[mul[c][y]]] for x, y in zip(combo, bcombo)]
-        piv = next((i for i, x in enumerate(vec) if x), None)
-        if piv is None:
-            inv = tbl.inv[combo[deg]]
-            return tuple(mul[inv][c] for c in combo[:deg + 1])
-        inv = tbl.inv[vec[piv]]
-        vec = [mul[inv][x] for x in vec]
-        combo = [mul[inv][x] for x in combo]
-        basis.append((vec, combo, piv))
-        power = tbl.mat_mul(power, cols)
+            m = neg[c]
+            vec = tuple(vadd[x][scale[y][m]] for x, y in zip(vec, bvec))
+            combo = [add[x][mul[m][y]] for x, y in zip(combo, bcombo)]
+        j = next((j for j, v in enumerate(vec) if v), None)
+        if j is None:
+            lead = inv[combo[deg]]
+            return tuple(mul[lead][c] for c in combo[:deg + 1])
+        place = 1
+        while vec[j] // place % q == 0:
+            place *= q
+        lead = inv[vec[j] // place % q]
+        vec = tuple(scale[x][lead] for x in vec)
+        combo = [mul[lead][x] for x in combo]
+        basis.append((vec, combo, j, place))
+        power = tuple(sp.apply(cols, v) for v in power)
     raise AssertionError("dependence must occur by degree d")
 
 
 def _classify_chunk(payload) -> list[tuple]:
     """Cheap per-matrix classification: (idx, hash, key, split, nilpotent)."""
     (p, k, modulus, d, start, stop, nilpotent_only) = payload
-    field = FiniteField(p, k, modulus)
-    tbl = _Tables(field)
-    q = tbl.q
+    sp = _space(FiniteField(p, k, modulus), d)
+    q = sp.q
     out = []
     for idx in range(start, stop):
-        cols, digits = _matrix_cols_from_index(idx, q, d)
-        cp = _char_poly_int(tbl, cols, d)
+        digits = to_digits(idx, q, d * d)
+        cp = _char_poly_int(sp, digits)
         nil = all(c == 0 for c in cp[:-1])
         if nilpotent_only and not nil:
             continue
-        mp = _min_poly_int(tbl, cols, d)
-        split = _splits_int(tbl, cp)
+        mp = _min_poly_int(sp, _scan_cols(digits, q, d))
+        split = _splits_int(sp, cp)
         out.append((idx, matrix_hash(q, d, digits), (cp, mp), split, nil))
     return out
 
@@ -681,8 +636,7 @@ def _enumerate_one(payload) -> tuple:
     """Full enumeration of one matrix: (equal, orbref0, forb, rigidity_ok)."""
     (p, k, modulus, d, idx, rigidity) = payload
     sp = _space(FiniteField(p, k, modulus), d)
-    cols, _ = _matrix_cols_from_index(idx, sp.q, d)
-    search = _ColumnSearch(sp, cols)
+    search = _ColumnSearch(sp, _scan_cols(to_digits(idx, sp.q, d * d), sp.q, d))
     size, forb = search.count(), search.forb
     # forb lies inside OrbRef0, so no member outside it means size == |forb|
     rig_ok = size == len(forb) and not _clashing(sp, forb) if rigidity else None
@@ -855,6 +809,6 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
 
 def matrix_from_scan_index(field: FiniteField, d: int, idx: int) -> Matrix:
     """Reconstruct the matrix a scan row refers to (row-major digit order)."""
-    tbl = _Tables(field)
-    cols, _ = _matrix_cols_from_index(idx, field.q, d)
-    return _decode_matrix(tbl, cols, d)
+    els = field.elements()
+    digits = to_digits(idx, field.q, d * d)
+    return Matrix(field, [[els[c] for c in digits[i * d:(i + 1) * d]] for i in range(d)])

@@ -83,12 +83,6 @@ class SpectralProfile:
                    split=True, nilpotent=_is_nilpotent(entries),
                    spectral_radius_sq=_radius_sq(entries), fragile=False)
 
-    def entry_for(self, eig: Scalar) -> Optional[ProfileEntry]:
-        for e in self.entries:
-            if e.eigenvalue == eig:
-                return e
-        return None
-
     def as_dict(self) -> dict:
         return {
             "dim": self.dim,

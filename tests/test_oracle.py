@@ -86,6 +86,60 @@ def test_contains_budget():
         orbref0_contains(Matrix.identity(g2, 2), Matrix.identity(g2, 2), budget=3)
 
 
+def _first_miss_reference(T, S, orbit_sets):
+    """The first vector in index order whose S x leaves its orbit set."""
+    for x, orbit in orbit_sets:
+        if S.apply(x) not in orbit:
+            return x
+    return None
+
+
+@pytest.mark.parametrize("field", [FiniteField(3), FiniteField(2, 2)])
+def test_contains_agrees_with_enumeration_per_class(field):
+    from itertools import product
+
+    els = field.elements()
+    # index order: the first coordinate runs fastest
+    vectors = [tuple(reversed(t)) for t in product(els, repeat=2)]
+    candidates = [matrix_from_scan_index(field, 2, i) for i in range(field.q ** 4)]
+    for T in _class_inputs(field, 2):
+        # {lam T^n x : n >= 1} by walking x -> Tx -> T^2 x to the first repeat
+        orbit_sets = []
+        for x in vectors:
+            walk, z = [], T.apply(x)
+            while z not in walk:
+                walk.append(z)
+                z = T.apply(z)
+            orbit_sets.append((x, {tuple(lam * c for c in z)
+                                   for z in walk for lam in els}))
+        members = set(enumerate_orbref0(T).members)
+        for S in candidates:
+            ok, failing = orbref0_contains(T, S)
+            assert ok == (S in members), (T.to_strings(), S.to_strings())
+            assert failing == _first_miss_reference(T, S, orbit_sets)
+
+
+def test_contains_large_field_builds_no_vector_tables(monkeypatch):
+    # q^(2d) = 10^8 over GF(101)^2: the membership walk reads scalar tables only
+    from orbitref import oracle
+
+    build = oracle._vector_add_table
+
+    def scalar_only(add, q, d):
+        assert d == 1, f"a GF({q})^{d} vector table was built"
+        return build(add, q, d)
+
+    monkeypatch.setattr(oracle, "_vector_add_table", scalar_only)
+    oracle._space.cache_clear()
+    g101 = FiniteField(101)
+    T = Matrix.from_values(g101, [[2, 0], [0, 3]])
+    assert orbref0_contains(T, T @ T) == (True, None)
+    ok, failing = orbref0_contains(Matrix.identity(g101, 2),
+                                   Matrix.from_values(g101, [[1, 0], [0, 0]]))
+    assert not ok
+    assert [str(v) for v in failing] == ["1", "1"]
+
+
 # -- enumeration ------------------------------------------------------------------
 
 def test_enumerate_gf2_shear_strictly_larger():
@@ -166,24 +220,75 @@ def test_lone_3_chain_defeats_rigidity_and_equality():
     assert S in bad  # S f = T f != 0 at f = e1 without S = T
 
 
+class _TupleArith:
+    """Reference GF(q) arithmetic on tuples of element indices, built from
+    FiniteField scalars; a matrix is the tuple of its columns.  The
+    references below share no code with the oracle's kernel."""
+
+    def __init__(self, field):
+        els = field.elements()
+        index = field.element_index
+        self.field, self.scalars, self.q = field, els, len(els)
+        self.add = [[index((a + b).value) for b in els] for a in els]
+        self.mul = [[index((a * b).value) for b in els] for a in els]
+
+    def vec_add(self, x, y):
+        return tuple(self.add[a][b] for a, b in zip(x, y))
+
+    def vec_scale(self, s, x):
+        return tuple(self.mul[s][a] for a in x)
+
+    def mat_vec(self, cols, x):
+        acc = (0,) * len(cols[0])
+        for xi, col in zip(x, cols):
+            acc = self.vec_add(acc, self.vec_scale(xi, col))
+        return acc
+
+    def encode(self, M):
+        index = self.field.element_index
+        return tuple(tuple(index(s.value) for s in M.col(j)) for j in range(M.n))
+
+    def decode(self, cols):
+        d = len(cols)
+        return Matrix(self.field, [[self.scalars[cols[j][i]] for j in range(d)]
+                                   for i in range(d)])
+
+    def vectors(self, d):
+        """Every vector of GF(q)^d; x sits at position from_digits(x, q)."""
+        from orbitref.fields import to_digits
+
+        return [to_digits(idx, self.q, d) for idx in range(self.q ** d)]
+
+    def positive_powers(self, Tcols, d):
+        """The distinct T^n with n >= 1 (T^0 included when the power
+        sequence is purely cyclic), plus the tail and cycle lengths."""
+        seen = {}
+        cur = tuple(tuple(int(i == j) for i in range(d)) for j in range(d))
+        while cur not in seen:
+            seen[cur] = len(seen)
+            cur = tuple(self.mat_vec(Tcols, col) for col in cur)
+        powers, tail = list(seen), seen[cur]
+        return (powers if tail == 0 else powers[1:]), tail, len(powers) - tail
+
+    def scaled_orbit(self, positive, d):
+        zero = tuple((0,) * d for _ in range(d))
+        return frozenset([zero] + [tuple(self.vec_scale(lam, col) for col in P)
+                                   for P in positive for lam in range(1, self.q)])
+
+
 def _rigidity_reference(tbl, Tcols, members, d):
     """The member x vector x power x beta search the rigidity kernel replaced:
     the distinct members S with S f = beta T^k f != 0 and S != beta T^k, in
     member order."""
-    from orbitref.oracle import _all_vectors, _power_cols
-
-    powers, tail, cycle = _power_cols(tbl, Tcols, d)
-    pairs = [(e, powers[e]) for e in range(1, len(powers))]
-    if tail == 0:
-        pairs.append((cycle, powers[0]))  # identity recurs at T^cycle
+    positive, _, _ = tbl.positive_powers(Tcols, d)
     q = tbl.q
     violations = []
     for cols in members:
-        for f in _all_vectors(q, d):
+        for f in tbl.vectors(d):
             y = tbl.mat_vec(cols, f)
             if all(c == 0 for c in y):
                 continue
-            for k, P in pairs:
+            for P in positive:
                 z = tbl.mat_vec(P, f)
                 if all(c == 0 for c in z):
                     continue
@@ -191,23 +296,21 @@ def _rigidity_reference(tbl, Tcols, members, d):
                     if tbl.vec_scale(beta, z) == y:
                         expected = tuple(tbl.vec_scale(beta, col) for col in P)
                         if cols != expected:
-                            violations.append((cols, f, beta, k))
+                            violations.append((cols, f, beta))
     return list(dict.fromkeys(cols for cols, *_ in violations))
 
 
-def _orbit_masks_reference(tbl, powers, tail, d):
+def _orbit_masks_reference(tbl, positive, d):
     """Per-vector membership bitmasks: bit v of masks[x] says v is lam*(T^n x)
     for some lam and some n >= 1."""
     from orbitref.fields import from_digits
-    from orbitref.oracle import _all_vectors, _positive_powers
 
     q = tbl.q
-    vectors = _all_vectors(q, d)
+    vectors = tbl.vectors(d)
     masks = []
-    pos = _positive_powers(powers, tail)
     for x in vectors:
         m = 1  # zero vector always present (lam = 0)
-        for P in pos:
+        for P in positive:
             y = tbl.mat_vec(P, x)
             for lam in range(1, q):
                 m |= 1 << from_digits(tbl.vec_scale(lam, y), q)
@@ -221,11 +324,10 @@ def _product_scan_reference(tbl, Tcols, d):
     from itertools import product
 
     from orbitref.fields import from_digits
-    from orbitref.oracle import _power_cols, _scaled_orbit_cols
 
     q = tbl.q
-    powers, tail, cycle = _power_cols(tbl, Tcols, d)
-    vectors, masks = _orbit_masks_reference(tbl, powers, tail, d)
+    positive, tail, cycle = tbl.positive_powers(Tcols, d)
+    vectors, masks = _orbit_masks_reference(tbl, positive, d)
     basis = [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
     allowed_cols = []
     for j, e in enumerate(basis):
@@ -251,7 +353,7 @@ def _product_scan_reference(tbl, Tcols, d):
                 break
         if ok:
             members.append(cols)
-    forb = _scaled_orbit_cols(tbl, powers, tail, d)
+    forb = tbl.scaled_orbit(positive, d)
     member_set = set(members)
     assert forb <= member_set, "scaled power orbit must sit inside OrbRef0"
     return members, forb, tail, cycle
@@ -269,16 +371,20 @@ def _class_inputs(field, d):
 
 
 def _assert_search_matches_product_scan(T):
-    from orbitref.oracle import _ColumnSearch, _encode_matrix, _space
+    from orbitref.fields import from_digits
+    from orbitref.oracle import _ColumnSearch, _space
 
     sp = _space(T.field, T.n)
-    Tcols = _encode_matrix(sp.tbl, T)
-    members, forb, tail, cycle = _product_scan_reference(sp.tbl, Tcols, T.n)
-    search = _ColumnSearch(sp, Tcols)
-    coded = [sp.encode(cols) for cols in members]
-    assert search.members() == coded, T.to_strings()
-    assert search.count() == len(coded)
-    assert search.forb == {sp.encode(R) for R in forb}
+    tbl = _TupleArith(T.field)
+    members, forb, tail, cycle = _product_scan_reference(tbl, tbl.encode(T), T.n)
+    search = _ColumnSearch(sp, sp.encode(T))
+
+    def coded(cols):
+        return tuple(from_digits(col, tbl.q) for col in cols)
+
+    assert search.members() == [coded(cols) for cols in members], T.to_strings()
+    assert search.count() == len(members)
+    assert search.forb == {coded(R) for R in forb}
     assert (search.tail, search.cycle) == (tail, cycle)
 
 
@@ -307,13 +413,11 @@ def test_column_search_matches_product_scan_on_companions_and_chains():
 @pytest.mark.parametrize("field,d", [(FiniteField(3), 2), (FiniteField(2, 2), 2),
                                      (FiniteField(2), 3)])
 def test_rigidity_violations_match_reference_search(field, d):
-    from orbitref.oracle import _decode_matrix, _encode_matrix, _Tables
-
-    tbl = _Tables(field)
+    tbl = _TupleArith(field)
     for T in _class_inputs(field, d):
-        Tcols = _encode_matrix(tbl, T)
+        Tcols = tbl.encode(T)
         members, _, _, _ = _product_scan_reference(tbl, Tcols, d)
-        expected = [_decode_matrix(tbl, cols, d)
+        expected = [tbl.decode(cols)
                     for cols in _rigidity_reference(tbl, Tcols, members, d)]
         assert rigidity_violations(T) == expected, T.to_strings()
 
@@ -491,28 +595,23 @@ def test_int_kernel_polynomials_match_matrix_level():
     import random
 
     from orbitref import char_poly, minimal_polynomial
-    from orbitref.oracle import (
-        _Tables,
-        _char_poly_int,
-        _encode_matrix,
-        _min_poly_int,
-    )
+    from orbitref.oracle import _char_poly_int, _min_poly_int, _space
 
     rng = random.Random(9)
     for field in (FiniteField(2), FiniteField(3), FiniteField(2, 2)):
-        tbl = _Tables(field)
         els = field.elements()
-        for d in (1, 2, 3):
+        for d in (1, 2, 3, 4):
+            sp = _space(field, d)
             for _ in range(20):
                 M = Matrix(field, [[els[rng.randrange(len(els))]
                                     for _ in range(d)] for _ in range(d)])
-                cols = _encode_matrix(tbl, M)
-                cp_int = _char_poly_int(tbl, cols, d)
+                digits = [field.element_index(s.value) for row in M.rows for s in row]
+                cp_int = _char_poly_int(sp, digits)
                 cp = char_poly(M)
-                assert [tbl.scalars[c] for c in cp_int] == list(cp.coeffs)
-                mp_int = _min_poly_int(tbl, cols, d)
+                assert [els[c] for c in cp_int] == list(cp.coeffs)
+                mp_int = _min_poly_int(sp, sp.encode(M))
                 mp = minimal_polynomial(M)
-                assert [tbl.scalars[c] for c in mp_int] == list(mp.coeffs)
+                assert [els[c] for c in mp_int] == list(mp.coeffs)
 
 
 @pytest.mark.slow
