@@ -32,8 +32,6 @@ from .fields import (  # noqa: F401
     Rationals,
     Scalar,
     embed,
-    norm_sq,
-    scalar_arith,
 )
 from .linalg import (  # noqa: F401
     Matrix,
@@ -43,9 +41,7 @@ from .linalg import (  # noqa: F401
     conjugate,
     embed_matrix,
     inverse,
-    kernel_basis,
     matpow,
-    minimal_polynomial,
     rank,
 )
 from .spectra import (  # noqa: F401
@@ -54,7 +50,6 @@ from .spectra import (  # noqa: F401
     SpectralProfile,
     block_profile,
     eigenvalues,
-    spectral_radius_entries,
 )
 from .deciders import (  # noqa: F401
     Verdict,

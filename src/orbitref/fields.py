@@ -624,35 +624,6 @@ class Scalar:
         return f"Scalar({self.field.name}, {self})"
 
 
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Field arithmetic dispatch: op is one of add, sub, mul, div."""
-    if not isinstance(a, Scalar) or not isinstance(b, Scalar):
-        raise TypeError("scalar_arith expects Scalar operands")
-    if a.field != b.field:
-        raise MixedFields(
-            f"cannot mix {a.field.name} and {b.field.name} scalars")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def norm_sq(a: Scalar) -> Scalar:
-    """|a|^2 of a Gaussian rational, exactly, as a Q scalar.
-
-    Ordering of norm_sq values decides modulus ties with no rounding.
-    """
-    if not isinstance(a, Scalar) or a.field.kind != KIND_GAUSSIAN:
-        raise WrongField("norm_sq expects a Q(i) scalar")
-    x, y = a.value
-    return Scalar(QQ, x * x + y * y)
-
-
 def embed(a: Scalar, target: Field) -> Scalar:
     """Value-preserving embedding along Q -> Q(i) -> C."""
     if a.field == target:

@@ -49,6 +49,13 @@ class MatrixFile:
         return hashlib.sha256(canonical_json(self.raw).encode()).hexdigest()
 
 
+def _complex_field(tol: Optional[float]) -> ComplexFloats:
+    try:
+        return ComplexFloats(tol if tol is not None else 1e-9)
+    except ValueError as exc:  # tol not positive, NaN included
+        raise ParseError(str(exc)) from exc
+
+
 def _build_field(code: str, p: Optional[int], k: Optional[int],
                  tol: Optional[float], modulus: Optional[str]) -> Field:
     if code == KIND_RATIONALS:
@@ -56,11 +63,15 @@ def _build_field(code: str, p: Optional[int], k: Optional[int],
     if code == KIND_GAUSSIAN:
         return QI
     if code == KIND_COMPLEX:
-        return ComplexFloats(tol if tol is not None else 1e-9)
+        return _complex_field(tol)
     if code == KIND_FINITE:
         if p is None:
             raise ParseError("finite-field input needs p")
         kk = k if k is not None else 1
+        if not (isinstance(p, int) and isinstance(kk, int)):
+            raise ParseError(f"p and k must be integers, not {p!r} and {kk!r}")
+        if not isinstance(modulus, (str, type(None))):
+            raise ParseError(f"modulus must be a polynomial string, not {modulus!r}")
         mod = parse_gf_modulus(p, modulus) if modulus else None
         try:
             return FiniteField(p, kk, mod)
@@ -88,7 +99,7 @@ def load_matrix_data(data: dict) -> MatrixFile:
             tol = float(tol)
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad tol {tol!r}") from exc
-        if tol <= 0:
+        if not tol > 0:  # NaN included
             raise ParseError("tol must be positive")
     field = _build_field(code, data.get("p"), data.get("k"), tol,
                          data.get("modulus"))
@@ -140,7 +151,7 @@ def escalate_field(mf: MatrixFile, target_code: str,
     if target_code == KIND_GAUSSIAN:
         field: Field = QI
     else:
-        field = ComplexFloats(tol if tol is not None else 1e-9)
+        field = _complex_field(tol)
     matrix = embed_matrix(mf.matrix, field)
     raw = dict(mf.raw)
     raw["field"] = target_code

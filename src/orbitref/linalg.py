@@ -1,12 +1,16 @@
-"""Dense exact/numeric matrix kernel: rank, powers, characteristic
-polynomials, kernels, conjugation and commutators.
+"""Dense exact/numeric matrix arithmetic: rank, powers, characteristic
+polynomials, inverses, conjugation and commutators.
 
-Exact rank is fraction-free (Bareiss) over Q and Q(i) after clearing row
-denominators, which bounds intermediate growth on conjugated test matrices,
-and field elimination over GF(q).  Characteristic polynomials come from
-Berkowitz's division-free recursion, one path for every exact field and
-characteristic.  Floating complex matrices route rank questions through an
-SVD whose threshold comes from the field descriptor, never from call sites.
+Exact rank is fraction-free (Bareiss) elimination, one routine for every
+exact field: over Q and Q(i) it runs on integer and Gaussian-integer rows
+after clearing row denominators, which bounds intermediate growth on
+conjugated test matrices, and over GF(q) on the scalars themselves, since
+Bareiss's exact divisions hold in any integral domain.  Characteristic
+polynomials come from Berkowitz's division-free recursion, `_berkowitz`,
+one loop for every exact field and characteristic; the oracle's scan runs
+the same loop on its integer-coded GF(q) tables.  Floating complex
+matrices route rank questions through an SVD whose threshold comes from
+the field descriptor, never from call sites.
 """
 
 from __future__ import annotations
@@ -269,12 +273,6 @@ class Polynomial:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1].is_one
 
-    def evaluate_matrix(self, M: Matrix) -> Matrix:
-        acc = Matrix.zeros(M.field, M.n)
-        for c in reversed(self.coeffs):
-            acc = (acc @ M) + Matrix.identity(M.field, M.n).scale(c)
-        return acc
-
     def deflate(self, root: Scalar) -> tuple["Polynomial", Scalar]:
         """Synthetic division by (t - root): (quotient, remainder)."""
         acc = self.field.zero()
@@ -326,6 +324,8 @@ def _int_divx(a: int, b: int) -> int:
 
 
 def _bareiss_rank(rows, mul, sub, divx, is_zero) -> int:
+    """Rank by fraction-free elimination over any integral domain given by
+    its operations; every divx divides exactly (by the previous pivot)."""
     a = [list(r) for r in rows]
     n = len(a)
     m = len(a[0]) if n else 0
@@ -384,27 +384,6 @@ def _cleared_gint_rows(M: Matrix) -> list[list[gi.Gint]]:
     return out
 
 
-def _rank_field_elim(M: Matrix) -> int:
-    rows = [list(r) for r in M.rows]
-    n = M.n
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, n) if not rows[i][col].is_zero), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col]
-        for i in range(rank + 1, n):
-            if rows[i][col].is_zero:
-                continue
-            f = rows[i][col] / inv
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == n:
-            break
-    return rank
-
-
 def to_complex(s: Scalar) -> complex:
     """Complex value of a Q, Q(i) or complex scalar."""
     kind = s.field.kind
@@ -427,8 +406,8 @@ def to_ndarray(M: Matrix) -> np.ndarray:
 
 
 def rank(M: Matrix) -> int:
-    """Exact rank via fraction-free elimination; numeric rank by SVD with the
-    descriptor tolerance for complex matrices."""
+    """Exact rank via fraction-free elimination over every exact field;
+    numeric rank by SVD with the descriptor tolerance for complex matrices."""
     kind = M.field.kind
     if kind == KIND_COMPLEX:
         s = np.linalg.svd(to_ndarray(M), compute_uv=False)
@@ -436,7 +415,8 @@ def rank(M: Matrix) -> int:
             return 0
         return int(np.count_nonzero(s > M.field.tol * s[0]))
     if kind == KIND_FINITE:
-        return _rank_field_elim(M)
+        return _bareiss_rank(M.rows, Scalar.__mul__, Scalar.__sub__,
+                             Scalar.__truediv__, lambda s: s.is_zero)
     if kind == KIND_RATIONALS:
         return _bareiss_rank(_cleared_int_rows(M), int.__mul__, int.__sub__,
                              _int_divx, lambda x: x == 0)
@@ -451,7 +431,7 @@ def rank(M: Matrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# powers, characteristic and minimal polynomials
+# powers and characteristic polynomials
 # ---------------------------------------------------------------------------
 
 def matpow(M: Matrix, k: int) -> Matrix:
@@ -469,102 +449,42 @@ def matpow(M: Matrix, k: int) -> Matrix:
     return result
 
 
+def _berkowitz(rows, dot, neg, one) -> list:
+    """Coefficients of det(tI - A), leading first, for the square matrix
+    with these rows, by Berkowitz's recursion on the ring operations
+    `dot(row, col)` (a sum of products over the shorter length), `neg` and
+    `one`.  Step k borders the leading k x k block with row and column k;
+    the new coefficients are the old ones times the Toeplitz column 1,
+    -a_kk, -r c, -r A c, ..., -r A^(k-1) c, where r and c are the border row
+    and column and A the block."""
+    poly = [one]
+    for k in range(len(rows)):
+        col = [rows[i][k] for i in range(k)]
+        toeplitz = [one, neg(rows[k][k])]
+        # dot cuts row k and rows[i] to the leading block
+        for step in range(k):
+            if step:  # col = A^step c; A^k c would never be read
+                col = [dot(rows[i], col) for i in range(k)]
+            toeplitz.append(neg(dot(rows[k], col)))
+        poly = [dot(poly, toeplitz[j::-1]) for j in range(k + 2)]
+    return poly
+
+
 def char_poly(M: Matrix) -> Polynomial:
     """Monic characteristic polynomial det(tI - M), exactly.
 
-    Berkowitz's recursion: ring operations only, so one path serves every
-    exact field whatever its characteristic.  Step k borders the leading
-    k x k block with row and column k; the new coefficients are the old
-    ones times the Toeplitz column 1, -a_kk, -r c, -r A c, ..., -r A^(k-1) c,
-    where r and c are the border row and column and A the block.
+    Berkowitz's recursion uses ring operations only, so one path serves
+    every exact field whatever its characteristic.
     """
     if M.field.kind == KIND_COMPLEX:
         raise NumericKindUnsupported("char_poly needs an exact matrix")
-    rows = M.rows
-    one = M.field.one()
-    poly = [one]  # leading coefficient first
-    for k in range(M.n):
-        col = [rows[i][k] for i in range(k)]
-        toeplitz = [one, -rows[k][k]]
-        for _ in range(k):
-            # zip in _dot cuts row k and rows[i] to the leading block
-            toeplitz.append(-_dot(rows[k], col))
-            col = [_dot(rows[i], col) for i in range(k)]
-        poly = [_dot(poly, toeplitz[j::-1]) for j in range(k + 2)]
+    poly = _berkowitz(M.rows, _dot, Scalar.__neg__, M.field.one())
     return Polynomial.from_scalars(M.field, reversed(poly))
 
 
-def minimal_polynomial(M: Matrix) -> Polynomial:
-    """Least-degree monic p with p(M) = 0, via the first Krylov dependence
-    among vec(I), vec(M), vec(M^2), ..."""
-    if M.field.kind == KIND_COMPLEX:
-        raise NumericKindUnsupported("minimal_polynomial needs an exact matrix")
-    f = M.field
-    n = M.n
-    # reduced rows with bookkeeping of the combination that produced them
-    basis: list[tuple[list[Scalar], list[Scalar], int]] = []  # (vector, combo, pivot)
-    power = Matrix.identity(f, n)
-    for deg in range(n + 1):
-        vec = [s for r in power.rows for s in r]
-        combo = [f.zero()] * (n + 2)
-        combo[deg] = f.one()
-        for bvec, bcombo, piv in basis:
-            c = vec[piv]
-            if c.is_zero:
-                continue
-            vec = [x - c * y for x, y in zip(vec, bvec)]
-            combo = [x - c * y for x, y in zip(combo, bcombo)]
-        piv = next((i for i, x in enumerate(vec) if not x.is_zero), None)
-        if piv is None:
-            lead = combo[deg]
-            coeffs = [c / lead for c in combo[:deg + 1]]
-            return Polynomial.from_scalars(f, coeffs)
-        inv = vec[piv]
-        vec = [x / inv for x in vec]
-        combo = [x / inv for x in combo]
-        basis.append((vec, combo, piv))
-        power = power @ M
-    raise AssertionError("Cayley-Hamilton guarantees a dependence by degree n")
-
-
 # ---------------------------------------------------------------------------
-# kernels, inverses, conjugation, commutators
+# inverses, conjugation, commutators
 # ---------------------------------------------------------------------------
-
-def kernel_basis(M: Matrix) -> list[tuple[Scalar, ...]]:
-    """Exact null-space basis (empty iff M invertible); deterministic order."""
-    if M.field.kind == KIND_COMPLEX:
-        raise NumericKindUnsupported(
-            "kernel_basis is exact-only; use rank() for numeric nullity")
-    f = M.field
-    n = M.n
-    rows = [list(r) for r in M.rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, n) if not rows[i][col].is_zero), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][col]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(n):
-            if i != r and not rows[i][col].is_zero:
-                c = rows[i][col]
-                rows[i] = [x - c * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    zero, one = f.zero(), f.one()
-    for fc in free:
-        v = [zero] * n
-        v[fc] = one
-        for ri, pc in enumerate(pivots):
-            v[pc] = -rows[ri][fc]
-        basis.append(tuple(v))
-    return basis
-
 
 def inverse(P: Matrix) -> Matrix:
     """Exact inverse by Gauss-Jordan; raises Singular."""

@@ -57,9 +57,14 @@ to the first repeat for one vector at a time, on tuples of element
 indices.
 
 `scan_space` sweeps every d x d matrix over GF(q) and classifies each by
-its characteristic polynomial (a table-int Berkowitz recursion on the scan
-index's digits) and minimal polynomial (elimination on the coded columns
-of its powers), then checks OrbRef0 = scaled-power-orbit per matrix.
+its characteristic polynomial and minimal polynomial.  The characteristic
+polynomial is `linalg._berkowitz`, the loop behind `char_poly`, run on the
+scalar tables over the scan index's digits; the minimal polynomial, the
+package's only one, is the first dependence among the coded columns of
+I, T, T^2, ..., found by elimination with the vector tables.  A matrix's
+row-major scan digits give its coded columns (`_scan_cols`), so
+`_space(field, d).decode` rebuilds the matrix of any scan row.  Then the
+scan checks OrbRef0 = scaled-power-orbit per matrix.
 Verdicts are similarity invariants, so by default the scan memoises the
 expensive enumeration per (characteristic, minimal polynomial) class,
 and a flag forces the plain per-matrix scan.  That key fixes the
@@ -76,7 +81,7 @@ import json
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, product
 from math import prod
 from typing import Iterable, Optional
@@ -89,7 +94,7 @@ from .errors import (
     WrongField,
 )
 from .fields import KIND_FINITE, FiniteField, Scalar, from_digits, to_digits
-from .linalg import Matrix
+from .linalg import Matrix, _berkowitz
 
 DEFAULT_CONTAINS_BUDGET = 10 ** 6
 DEFAULT_ENUM_BUDGET = 2 ** 24
@@ -546,18 +551,11 @@ def _scan_cols(digits, q: int, d: int) -> tuple[int, ...]:
 
 def _char_poly_int(sp: _Space, digits) -> tuple[int, ...]:
     """Characteristic polynomial coefficients (constant first, monic) of the
-    matrix with row-major element indices `digits`: the Berkowitz recursion
-    of `linalg.char_poly` on table ints, any d and characteristic."""
-    add, mul, neg, d = sp.add, sp.mul, sp.neg, sp.d
+    matrix with row-major element indices `digits`: `linalg._berkowitz` on
+    the table ints, any d and characteristic."""
+    d = sp.d
     rows = [digits[i * d:(i + 1) * d] for i in range(d)]
-    poly = [1]  # leading coefficient first
-    for k in range(d):
-        col = [rows[i][k] for i in range(k)]
-        toeplitz = [1, neg[rows[k][k]]]
-        for _ in range(k):
-            toeplitz.append(neg[_dot(add, mul, rows[k], col)])
-            col = [_dot(add, mul, rows[i], col) for i in range(k)]
-        poly = [_dot(add, mul, poly, toeplitz[j::-1]) for j in range(k + 2)]
+    poly = _berkowitz(rows, partial(_dot, sp.add, sp.mul), sp.neg.__getitem__, 1)
     return tuple(reversed(poly))
 
 
@@ -806,9 +804,3 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
         cache_path=cache_path,
     )
 
-
-def matrix_from_scan_index(field: FiniteField, d: int, idx: int) -> Matrix:
-    """Reconstruct the matrix a scan row refers to (row-major digit order)."""
-    els = field.elements()
-    digits = to_digits(idx, field.q, d * d)
-    return Matrix(field, [[els[c] for c in digits[i * d:(i + 1) * d]] for i in range(d)])

@@ -2,8 +2,9 @@
 
 Block sizes are read off the rank (Weyr) sequence of (M - lam I)^k -- the
 count of blocks of size >= k at lam is rank((M-lam I)^{k-1}) - rank((M-lam I)^k)
--- never from eigenvector chains, so the exact and numeric paths share one
-mechanism and no Jordan basis is ever required.
+-- never from eigenvector chains, so no Jordan basis is ever required.  One
+loop serves every kind; only the rank of a power differs: exact `rank` of
+Matrix powers, or an SVD rank of ndarray powers for complex input.
 
 Exact eigenvalues come from a divisor search on the cleared-denominator
 characteristic polynomial: the rational-root method over Q, its
@@ -15,14 +16,17 @@ decision, never silent.
 Numeric eigenvalues come from QR iteration.  Defective eigenvalues of a
 block of size m scatter like (machine eps)^(1/m) under rounding, so the
 clustering band widens with the dimension; rank thresholds stay at the
-descriptor tolerance, which sits well below true singular values and well
-above the noise floor once clusters are re-centred.
+descriptor tolerance, anchored at the power of A's largest singular value,
+which sits well below true singular values and well above the noise floor
+once clusters are re-centred.  A complex profile is fragile when a 10x
+wider band would merge clusters or change the entries `radius_selection`
+finds at the spectral radius.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -355,45 +359,34 @@ def _sizes_from_counts(counts, lam, mult) -> tuple[int, ...]:
 
 
 def _sizes_from_rank_sequence(M: Matrix, lam: Scalar, mult: int) -> tuple[int, ...]:
-    if M.field.kind == KIND_COMPLEX:
-        return _sizes_numeric(M, lam, mult)
+    """Block sizes at lam from the Weyr counts rank(A^(k-1)) - rank(A^k) of
+    A = M - lam I, taken until the rank reaches n - mult.  Exact kinds take
+    `rank` of the Matrix powers.  Complex input takes SVD ranks of ndarray
+    powers with a power-anchored cutoff, tol * max(smax(A^k), smax(A)^k),
+    so a power that is numerically zero at A's scale cannot masquerade as
+    full rank relative to its own noise."""
     n = M.n
-    A = M.add_scalar_to_diagonal(-lam)
+    if M.field.kind == KIND_COMPLEX:
+        A = to_ndarray(M) - complex(lam.value) * np.eye(n)
+        tol = M.field.tol
+        base = float(np.linalg.svd(A, compute_uv=False)[0])
+
+        def rank_of_power(Ak, k: int) -> int:
+            s = np.linalg.svd(Ak, compute_uv=False)
+            cutoff = tol * max(float(s[0]), base ** k)
+            return 0 if cutoff == 0.0 else int(np.count_nonzero(s > cutoff))
+    else:
+        A = M.add_scalar_to_diagonal(-lam)
+
+        def rank_of_power(Ak, k: int) -> int:
+            return rank(Ak)
     target = n - mult
     counts = []  # counts[k-1] = number of blocks of size >= k
     prev_rank = n
     Ak = A
     k = 1
     while True:
-        r = rank(Ak)
-        counts.append(prev_rank - r)
-        if r <= target or k >= mult:
-            break
-        prev_rank = r
-        Ak = Ak @ A
-        k += 1
-    return _sizes_from_counts(counts, lam, mult)
-
-
-def _sizes_numeric(M: Matrix, lam: Scalar, mult: int) -> tuple[int, ...]:
-    """Weyr counts with power-anchored rank cutoffs: the k-th power's rank
-    uses tol * max(smax(A^k), smax(A)^k), so a power that is numerically zero
-    at A's scale cannot masquerade as full rank relative to its own noise."""
-    n = M.n
-    tol = M.field.tol
-    A = to_ndarray(M) - complex(lam.value) * np.eye(n)
-    svals = np.linalg.svd(A, compute_uv=False)
-    base = float(svals[0]) if svals.size else 0.0
-    target = n - mult
-    counts = []
-    prev_rank = n
-    Ak = A
-    k = 1
-    while True:
-        s = np.linalg.svd(Ak, compute_uv=False)
-        smax = float(s[0]) if s.size else 0.0
-        cutoff = tol * max(smax, base ** k)
-        r = 0 if cutoff == 0.0 else int(np.count_nonzero(s > cutoff))
+        r = rank_of_power(Ak, k)
         counts.append(prev_rank - r)
         if r <= target or k >= mult:
             break
@@ -415,26 +408,19 @@ def block_profile(M: Matrix) -> SpectralProfile:
     for lam, mult in eig.roots:
         sizes = _sizes_from_rank_sequence(M, lam, mult)
         entries.append(ProfileEntry(lam, sizes, _modulus_sq(lam)))
-    fragile = False
-    if M.field.kind == KIND_COMPLEX:
-        vals = np.linalg.eigvals(to_ndarray(M))
-        _, fragile = _cluster_numeric(vals, M.field.tol, M.n)
-        fragile = fragile or _radius_tie_fragile(entries, M.field.tol)
-    return SpectralProfile(
+    profile = SpectralProfile(
         field=M.field, dim=M.n, entries=_sorted_entries(M.field, entries),
         split=True, nilpotent=_is_nilpotent(entries),
-        spectral_radius_sq=_radius_sq(entries), fragile=fragile)
-
-
-def _radius_tie_fragile(entries, tol: float) -> bool:
-    nonzero = [e for e in entries if isinstance(e.modulus_sq, float)
-               and not _is_zero_eig(e.eigenvalue, sum(x.algebraic_multiplicity for x in entries))]
-    if not nonzero:
-        return False
-    r = math.sqrt(max(e.modulus_sq for e in nonzero))
-    tight = {id(e) for e in nonzero if r - math.sqrt(e.modulus_sq) <= tol * max(1.0, r)}
-    loose = {id(e) for e in nonzero if r - math.sqrt(e.modulus_sq) <= 10 * tol * max(1.0, r)}
-    return tight != loose
+        spectral_radius_sq=_radius_sq(entries))
+    if M.field.kind != KIND_COMPLEX:
+        return profile
+    # fragile when a 10x wider band would merge eigenvalue clusters or
+    # change the entries that tie the spectral radius
+    vals = np.linalg.eigvals(to_ndarray(M))
+    _, fragile = _cluster_numeric(vals, M.field.tol, M.n)
+    if not fragile and profile.spectral_radius_sq is not None:
+        fragile = radius_selection(profile)[1]
+    return replace(profile, fragile=fragile)
 
 
 def radius_selection(profile: SpectralProfile) -> tuple[list[ProfileEntry], bool]:
@@ -457,8 +443,3 @@ def radius_selection(profile: SpectralProfile) -> tuple[list[ProfileEntry], bool
              if r - math.sqrt(e.modulus_sq) <= 10 * tol * max(1.0, r)]
     return sel, len(sel) != len(loose)
 
-
-def spectral_radius_entries(profile: SpectralProfile) -> list[ProfileEntry]:
-    """The sub-list of entries at maximum modulus among nonzero eigenvalues."""
-    sel, _ = radius_selection(profile)
-    return sel

@@ -1,6 +1,7 @@
 """End-to-end CLI: file formats, exit codes, report determinism."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -67,6 +68,36 @@ def test_parse_error_exit_2(tmp_path, capsys):
                                         "rows": [["1", "0"], ["0", "1"]]})
     assert main(["jordan", "--input", zig]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("params", [
+    {"p": "3"},
+    {"p": 3.0},
+    {"p": 3, "k": "2"},
+    {"p": 3, "k": 2.0},
+    {"p": 3, "k": 2, "modulus": 5},
+    {"p": 3, "k": 2, "modulus": ["x^2+2x+2"]},
+])
+def test_bad_field_parameters_exit_2(tmp_path, capsys, params):
+    path = _write(tmp_path, "bad.json", {"field": "gf", **params, "rows": [["1"]]})
+    assert main(["jordan", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("orbitref: parse error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_bad_tol_exit_2(tmp_path, capsys, tol):
+    path = _write(tmp_path, "diag.json", DIAG_Q)
+    assert main(["jordan", "--input", path, "--field", "c64", "--tol", tol]) == 2
+    bad = tmp_path / "bad.json"
+    # the JSON reader accepts NaN
+    bad.write_text('{"field": "c64", "tol": %s, "rows": [["1"]]}'
+                   % ("NaN" if tol == "nan" else tol))
+    assert main(["jordan", "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("orbitref: parse error: ") == 2
+    assert "Traceback" not in err
 
 
 def test_decide_gf3_delegates_to_oracle(tmp_path, capsys):
@@ -349,14 +380,34 @@ def test_ffscan_p_k_flags(capsys):
     capsys.readouterr()
 
 
-def test_jordan_golden_report(capsys):
-    import pathlib
+DATA = pathlib.Path(__file__).parent / "data"
 
-    data_dir = pathlib.Path(__file__).parent / "data"
-    code, out = _run(capsys, ["jordan", "--input",
-                              str(data_dir / "diag_input.json")])
+
+def _assert_golden(capsys, argv, golden):
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    code, out = _run(capsys, argv)
     assert code == 0
-    assert out == (data_dir / "diag_jordan_report.golden.json").read_text()
+    assert out == (DATA / f"{golden}.golden.json").read_text()
+
+
+def test_jordan_golden_report(capsys):
+    _assert_golden(capsys, ["jordan", "--input", "diag_input.json"],
+                   "diag_jordan_report")
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (["decide", "--input", "shear_q_input.json", "--samples", "5"],
+     "shear_q_decide_report"),
+    (["decide", "--input", "gf9_input.json"], "gf9_decide_report"),
+    (["jordan", "--field", "c64", "--input", "modulus_tie_input.json"],
+     "modulus_tie_c64_jordan_report"),
+    (["ffscan", "--q", "3", "--d", "2", "--no-cache"], "ffscan_q3_d2_report"),
+])
+def test_golden_report(capsys, argv, golden):
+    # byte-exact reports: a dense shear-conjugated Q matrix with a witness,
+    # a GF(9) matrix, a c64 modulus tie inside the 10x band (fragile) and
+    # a whole-space scan
+    _assert_golden(capsys, argv, golden)
 
 
 def test_decide_c64_input(tmp_path, capsys):

@@ -17,17 +17,16 @@ from orbitref import (
     QQ,
     Scalar,
     WrongField,
-    norm_sq,
-    scalar_arith,
 )
+from orbitref.spectra import _modulus_sq
 
 
 def test_rational_add():
-    assert str(scalar_arith(QQ.parse("1/2"), QQ.parse("1/3"), "add")) == "5/6"
+    assert str(QQ.parse("1/2") + QQ.parse("1/3")) == "5/6"
 
 
 def test_gaussian_norm_identity():
-    prod = scalar_arith(QI.parse("1+1i"), QI.parse("1-1i"), "mul")
+    prod = QI.parse("1+1i") * QI.parse("1-1i")
     assert str(prod) == "2"
 
 
@@ -38,27 +37,32 @@ def test_gf4_generator_square():
 
 
 def test_norm_sq_examples():
-    assert str(norm_sq(QI.parse("3+4i"))) == "25"
-    assert str(norm_sq(QI.parse("1"))) == "1"
-    assert str(norm_sq(QI.parse("1/2+1/2i"))) == "1/2"
-
-
-def test_norm_sq_wrong_field():
-    with pytest.raises(WrongField):
-        norm_sq(QQ.parse("2"))
+    # |a|^2 of an exact scalar is an exact Fraction, so modulus ties are
+    # decided with no rounding
+    assert _modulus_sq(QI.parse("3+4i")) == 25
+    assert _modulus_sq(QI.parse("1")) == 1
+    assert _modulus_sq(QI.parse("1/2+1/2i")) == Fraction(1, 2)
+    assert _modulus_sq(QQ.parse("-2/3")) == Fraction(4, 9)
+    assert _modulus_sq(FiniteField(5).parse("2")) is None
 
 
 def test_mixed_fields_rejected():
     with pytest.raises(MixedFields):
         QQ.parse("1") + QI.parse("1")
+    g5, g7 = FiniteField(5), FiniteField(7)
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        with pytest.raises(MixedFields):
+            getattr(QQ.one(), op)(QI.one())
+        with pytest.raises(MixedFields):
+            getattr(g5.one(), op)(g7.one())
 
 
 def test_division_by_zero():
+    for field in (QQ, QI, FiniteField(5), FiniteField(2, 2), ComplexFloats()):
+        with pytest.raises(DivisionByZero):
+            field.one() / field.zero()
     with pytest.raises(DivisionByZero):
-        scalar_arith(QQ.one(), QQ.zero(), "div")
-    g5 = FiniteField(5)
-    with pytest.raises(DivisionByZero):
-        g5.one() / g5.zero()
+        1 / QQ.zero()
 
 
 def test_unicode_minus_accepted():
@@ -132,7 +136,7 @@ def test_norm_sq_multiplicative():
     for _ in range(300):
         a = _random_scalar(QI, rng)
         b = _random_scalar(QI, rng)
-        assert norm_sq(a * b) == norm_sq(a) * norm_sq(b)
+        assert _modulus_sq(a * b) == _modulus_sq(a) * _modulus_sq(b)
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),

@@ -1,5 +1,5 @@
-"""Exact matrix kernel: ranks, powers, characteristic polynomials, kernels,
-conjugation, commutators."""
+"""Exact matrix arithmetic: ranks, powers, characteristic polynomials,
+inverses, conjugation, commutators."""
 
 import itertools
 import random
@@ -22,9 +22,7 @@ from orbitref import (
     commutator_is_zero,
     conjugate,
     inverse,
-    kernel_basis,
     matpow,
-    minimal_polynomial,
     rank,
 )
 
@@ -64,18 +62,40 @@ def test_rank_numeric_matches_exact():
         assert rank(Mf) == rank(M)
 
 
+def _assert_image_size_is_q_to_the_rank(field, d):
+    # rank-nullity over GF(q): the image {Mx : x in GF(q)^d} of every
+    # M in M_d(GF(q)) has exactly q^rank(M) elements
+    els = field.elements()
+    vectors = list(itertools.product(els, repeat=d))
+    for entries in itertools.product(els, repeat=d * d):
+        M = Matrix(field, [entries[i * d:(i + 1) * d] for i in range(d)])
+        image = {M.apply(x) for x in vectors}
+        assert len(image) == field.q ** rank(M), M
+
+
 def test_rank_nullity_exhaustive_m2_gf2():
-    g2 = FiniteField(2)
-    for vals in itertools.product(range(2), repeat=4):
-        M = Matrix.from_values(g2, [[vals[0], vals[1]], [vals[2], vals[3]]])
-        assert rank(M) + len(kernel_basis(M)) == 2
+    _assert_image_size_is_q_to_the_rank(FiniteField(2), 2)
+
+
+def test_rank_nullity_exhaustive_m2_gf3():
+    _assert_image_size_is_q_to_the_rank(FiniteField(3), 2)
+
+
+def test_rank_nullity_exhaustive_m3_gf2():
+    _assert_image_size_is_q_to_the_rank(FiniteField(2), 3)
 
 
 def test_rank_nullity_random_qi():
+    # P diag(1, .., 1, 0, .., 0) Q with P, Q invertible has an r-dimensional
+    # image and an (n - r)-dimensional kernel
     rng = random.Random(7)
+    one, zero = QI.one(), QI.zero()
     for _ in range(25):
-        M = _rand_matrix_qi(rng, 5)
-        assert rank(M) + len(kernel_basis(M)) == 5
+        r = rng.randint(0, 5)
+        D = Matrix(QI, [[one if i == j < r else zero for j in range(5)]
+                        for i in range(5)])
+        M = _rand_invertible_qi(rng, 5) @ D @ _rand_invertible_qi(rng, 5)
+        assert rank(M) == r
 
 
 # -- powers -----------------------------------------------------------------
@@ -99,6 +119,14 @@ def test_matpow_additive():
 
 # -- characteristic polynomial ----------------------------------------------
 
+def _poly_at(coeffs, M):
+    """sum_i c_i M^i for coefficients from the constant term up."""
+    acc = Matrix.zeros(M.field, M.n)
+    for i, c in enumerate(coeffs):
+        acc = acc + matpow(M, i).scale(c)
+    return acc
+
+
 def test_char_poly_examples():
     assert str(char_poly(Matrix.jordan_block(QQ, 0, 2))) == "t^2"
     assert str(char_poly(Matrix.from_values(QQ, [[1, 0], [0, 2]]))) == "t^2-3t+2"
@@ -119,7 +147,7 @@ def test_char_poly_small_characteristic_cayley_hamilton():
                         for _ in range(3)])
         poly = char_poly(M)
         assert poly.is_monic and poly.degree == 3
-        assert poly.evaluate_matrix(M).is_zero  # Cayley-Hamilton
+        assert _poly_at(poly.coeffs, M).is_zero  # Cayley-Hamilton
 
 
 def _rand_triangular(rng, field, d):
@@ -200,44 +228,13 @@ def test_cayley_hamilton_qi():
     rng = random.Random(19)
     for n in (2, 3, 4, 5, 6):
         M = _rand_matrix_qi(rng, n, span=3)
-        assert char_poly(M).evaluate_matrix(M).is_zero
+        assert _poly_at(char_poly(M).coeffs, M).is_zero
 
 
 def test_companion_round_trip():
     poly = Polynomial.from_ints(QQ, [1, 0, 1])  # t^2 + 1
     C = Matrix.companion(poly)
     assert char_poly(C) == poly
-
-
-def test_minimal_polynomial():
-    # scalar matrix: degree 1; generic diagonal: product of distinct factors
-    M = Matrix.identity(QQ, 3).scale(QQ.from_int(2))
-    assert str(minimal_polynomial(M)) == "t-2"
-    D = Matrix.from_values(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 2]])
-    assert str(minimal_polynomial(D)) == "t^2-3t+2"
-    J = Matrix.block_diag([Matrix.jordan_block(QQ, 0, 2),
-                           Matrix.jordan_block(QQ, 0, 1)])
-    assert str(minimal_polynomial(J)) == "t^2"
-    g2 = FiniteField(2)
-    shear = Matrix.from_values(g2, [[1, 1], [0, 1]])
-    assert str(minimal_polynomial(shear)) == "t^2+1"
-
-
-# -- kernels ----------------------------------------------------------------
-
-def test_kernel_examples():
-    assert kernel_basis(Matrix.identity(QQ, 3)) == []
-    z = kernel_basis(Matrix.zeros(QQ, 2))
-    assert len(z) == 2
-    k = kernel_basis(Matrix.jordan_block(QQ, 0, 3))
-    assert len(k) == 1
-    assert [str(v) for v in k[0]] == ["0", "0", "1"]  # last chain vector
-
-
-def test_kernel_numeric_unsupported():
-    c = ComplexFloats()
-    with pytest.raises(NumericKindUnsupported):
-        kernel_basis(Matrix.identity(c, 2))
 
 
 # -- commutators and conjugation ---------------------------------------------
@@ -267,6 +264,13 @@ def test_conjugate_preserves_nilpotency():
     for _ in range(10):
         P = _rand_invertible_qi(rng, 5)
         assert matpow(conjugate(J, P), 5).is_zero
+
+
+def test_exact_only_routines_reject_complex():
+    c = ComplexFloats()
+    for routine in (char_poly, inverse):
+        with pytest.raises(NumericKindUnsupported):
+            routine(Matrix.identity(c, 2))
 
 
 def test_singular_inverse_rejected():

@@ -17,7 +17,13 @@ from orbitref import (
     power_orbit,
     rigidity_violations,
 )
-from orbitref.oracle import matrix_from_scan_index, scan_space
+from orbitref.fields import to_digits
+from orbitref.oracle import _scan_cols, _space, scan_space
+
+
+def _scan_matrix(field, d, idx):
+    """The matrix of scan index idx: row-major digits, decoded by columns."""
+    return _space(field, d).decode(_scan_cols(to_digits(idx, field.q, d * d), field.q, d))
 
 
 # -- power orbits ---------------------------------------------------------------
@@ -101,7 +107,7 @@ def test_contains_agrees_with_enumeration_per_class(field):
     els = field.elements()
     # index order: the first coordinate runs fastest
     vectors = [tuple(reversed(t)) for t in product(els, repeat=2)]
-    candidates = [matrix_from_scan_index(field, 2, i) for i in range(field.q ** 4)]
+    candidates = [_scan_matrix(field, 2, i) for i in range(field.q ** 4)]
     for T in _class_inputs(field, 2):
         # {lam T^n x : n >= 1} by walking x -> Tx -> T^2 x to the first repeat
         orbit_sets = []
@@ -367,7 +373,7 @@ def _class_inputs(field, d):
     for idx, _, key, _, _ in _classify_chunk(
             (field.p, field.k, field.modulus, d, 0, field.q ** (d * d), False)):
         reps.setdefault(key, idx)
-    return [matrix_from_scan_index(field, d, idx) for idx in reps.values()]
+    return [_scan_matrix(field, d, idx) for idx in reps.values()]
 
 
 def _assert_search_matches_product_scan(T):
@@ -573,12 +579,13 @@ def test_scan_m3_gf4_full_space_counts():
 
 
 def test_matrix_from_scan_index_round_trip():
-    g2 = FiniteField(2)
-    seen = set()
-    for i in range(16):
-        M = matrix_from_scan_index(g2, 2, i)
-        seen.add(tuple(tuple(r) for r in M.to_strings()))
-    assert len(seen) == 16
+    # scan index -> matrix: its row-major element indices are the index's
+    # digits, so every index gives a different matrix
+    for field, d in ((FiniteField(2), 2), (FiniteField(2, 2), 2), (FiniteField(2), 3)):
+        for i in range(field.q ** (d * d)):
+            M = _scan_matrix(field, d, i)
+            digits = [field.element_index(s.value) for row in M.rows for s in row]
+            assert digits == list(to_digits(i, field.q, d * d))
 
 
 def test_scan_d1_all_equal():
@@ -590,12 +597,40 @@ def test_scan_d1_all_equal():
     assert res.counts["nonsplit"] == 0
 
 
+def _poly_at(coeffs, M):
+    """sum_i c_i M^i for coefficients from the constant term up."""
+    acc = Matrix.zeros(M.field, M.n)
+    for i, c in enumerate(coeffs):
+        acc = acc + matpow(M, i).scale(c)
+    return acc
+
+
+def _assert_min_poly(sp, M, expect=None):
+    # mp(M) = 0, monic, and I, M, ..., M^(deg-1) are independent
+    from orbitref import rank
+    from orbitref.oracle import _min_poly_int
+
+    els, d = sp.scalars, M.n
+    mp = [els[c] for c in _min_poly_int(sp, sp.encode(M))]
+    if expect is not None:
+        assert mp == [M.field.parse(c) for c in expect]
+    assert mp[-1].is_one
+    assert _poly_at(mp, M).is_zero
+    deg = len(mp) - 1
+    # vec rows of the lower powers, padded with zero rows to a square
+    vecs = [[s for row in matpow(M, i).rows for s in row] for i in range(deg)]
+    vecs += [[els[0]] * (d * d)] * (d * d - deg)
+    assert rank(Matrix(M.field, vecs)) == deg
+
+
 def test_int_kernel_polynomials_match_matrix_level():
-    # the scan's table-encoded char/min polys agree with the exact kernel
+    # the scan's table-encoded char poly agrees with char_poly and
+    # annihilates M, and its minimal polynomial annihilates M with
+    # independent lower powers
     import random
 
-    from orbitref import char_poly, minimal_polynomial
-    from orbitref.oracle import _char_poly_int, _min_poly_int, _space
+    from orbitref import char_poly
+    from orbitref.oracle import _char_poly_int
 
     rng = random.Random(9)
     for field in (FiniteField(2), FiniteField(3), FiniteField(2, 2)):
@@ -609,9 +644,12 @@ def test_int_kernel_polynomials_match_matrix_level():
                 cp_int = _char_poly_int(sp, digits)
                 cp = char_poly(M)
                 assert [els[c] for c in cp_int] == list(cp.coeffs)
-                mp_int = _min_poly_int(sp, sp.encode(M))
-                mp = minimal_polynomial(M)
-                assert [els[c] for c in mp_int] == list(mp.coeffs)
+                assert _poly_at(cp.coeffs, M).is_zero  # Cayley-Hamilton
+                _assert_min_poly(sp, M)
+    # the GF(2) shear: (t + 1)^2, so not t + 1
+    g2 = FiniteField(2)
+    _assert_min_poly(_space(g2, 2), Matrix.from_values(g2, [[1, 1], [0, 1]]),
+                     expect=["1", "0", "1"])
 
 
 @pytest.mark.slow

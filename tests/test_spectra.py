@@ -20,9 +20,9 @@ from orbitref import (
     conjugate,
     eigenvalues,
     rank,
-    spectral_radius_entries,
 )
 from orbitref.linalg import to_ndarray
+from orbitref.spectra import radius_selection
 
 
 def _profile_dict(profile):
@@ -127,19 +127,20 @@ def test_profile_similarity_invariant():
 
 def test_radius_entries_simple():
     prof = SpectralProfile.from_blocks(QI, [(1, [2]), (0, [3])])
-    sel = spectral_radius_entries(prof)
+    sel, fragile = radius_selection(prof)
     assert [str(e.eigenvalue) for e in sel] == ["1"]
+    assert not fragile
 
 
 def test_radius_entries_sign_tie():
     prof = SpectralProfile.from_blocks(QI, [(2, [1]), (-2, [3])])
-    sel = spectral_radius_entries(prof)
+    sel, _ = radius_selection(prof)
     assert sorted(str(e.eigenvalue) for e in sel) == ["-2", "2"]
 
 
 def test_radius_entries_exact_norm_tie():
     prof = SpectralProfile.from_blocks(QI, [(1, [2]), ("3/5+4/5i", [3])])
-    sel = spectral_radius_entries(prof)
+    sel, _ = radius_selection(prof)
     assert sorted(str(e.eigenvalue) for e in sel) == ["1", "3/5+4/5i"]
     assert all(e.modulus_sq == Fraction(1) for e in sel)
 
@@ -147,7 +148,7 @@ def test_radius_entries_exact_norm_tie():
 def test_radius_entries_nilpotent_raises():
     prof = SpectralProfile.from_blocks(QQ, [(0, [2, 1])])
     with pytest.raises(Nilpotent):
-        spectral_radius_entries(prof)
+        radius_selection(prof)
 
 
 # -- numeric path ----------------------------------------------------------------
@@ -174,8 +175,8 @@ def test_float_profile_modulus_tie_fragile():
     prof = block_profile(Mf)
     # moduli differ by 5e-9: beyond tol, inside the 10x band
     assert prof.fragile
-    sel = spectral_radius_entries(prof)
-    assert len(sel) == 1
+    sel, fragile = radius_selection(prof)
+    assert len(sel) == 1 and fragile
 
 
 def test_float_nilpotent_detection():
