@@ -474,8 +474,10 @@ class ComplexFloats(Field):
     kind: ClassVar[str] = KIND_COMPLEX
 
     def __post_init__(self):
-        if not (self.tol > 0):
-            raise ValueError("tol must be positive")
+        # tol scales the largest singular value into a rank cutoff, so a
+        # tol of 1 or more calls every matrix rank 0
+        if not 0 < self.tol < 1:  # NaN included
+            raise ValueError("tol must lie strictly between 0 and 1")
 
     @property
     def name(self) -> str:

@@ -52,7 +52,7 @@ class MatrixFile:
 def _complex_field(tol: Optional[float]) -> ComplexFloats:
     try:
         return ComplexFloats(tol if tol is not None else 1e-9)
-    except ValueError as exc:  # tol not positive, NaN included
+    except ValueError as exc:  # tol outside (0, 1), NaN included
         raise ParseError(str(exc)) from exc
 
 
@@ -99,8 +99,8 @@ def load_matrix_data(data: dict) -> MatrixFile:
             tol = float(tol)
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad tol {tol!r}") from exc
-        if not tol > 0:  # NaN included
-            raise ParseError("tol must be positive")
+        if not 0 < tol < 1:  # NaN included
+            raise ParseError("tol must lie strictly between 0 and 1")
     field = _build_field(code, data.get("p"), data.get("k"), tol,
                          data.get("modulus"))
     try:

@@ -1,23 +1,27 @@
 """Dense exact/numeric matrix arithmetic: rank, powers, characteristic
 polynomials, inverses, conjugation and commutators.
 
-Exact rank is fraction-free (Bareiss) elimination, one routine for every
-exact field: over Q and Q(i) it runs on integer and Gaussian-integer rows
-after clearing row denominators, which bounds intermediate growth on
-conjugated test matrices, and over GF(q) on the scalars themselves, since
-Bareiss's exact divisions hold in any integral domain.  Characteristic
-polynomials come from Berkowitz's division-free recursion, `_berkowitz`,
-one loop for every exact field and characteristic; the oracle's scan runs
-the same loop on its integer-coded GF(q) tables.  Floating complex
-matrices route rank questions through an SVD whose threshold comes from
-the field descriptor, never from call sites.
+A Q or Q(i) matrix M is cleared once to its integer form c M, with c the
+lcm of all entry denominators, and kept on the matrix.  Its characteristic
+polynomial and every exact rank then run on `int` or Gaussian-integer
+`(int, int)` entries through the ring operations `ZZ` and `ZI`; only the
+polynomial's coefficients are divided back, the t^(n-k) one by c^k.
+Characteristic polynomials come from Berkowitz's division-free recursion,
+`_berkowitz`, and exact ranks from fraction-free (Bareiss) elimination,
+`_bareiss_rank`: one loop each, on any integral domain given by its
+operations.  GF(q) runs both on its scalars, and the oracle's scan runs
+Berkowitz on its integer-coded GF(q) tables.  Floating complex matrices
+route rank questions through an SVD whose threshold comes from the field
+descriptor, never from call sites.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -43,7 +47,7 @@ from .fields import (
 class Matrix:
     """Immutable dense square matrix of scalars over one field."""
 
-    __slots__ = ("field", "n", "rows")
+    __slots__ = ("field", "n", "rows", "_integer_form")
 
     def __init__(self, field: Field, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -317,12 +321,6 @@ def _is_simple_coeff(cs: str) -> bool:
 # rank
 # ---------------------------------------------------------------------------
 
-def _int_divx(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    assert r == 0, "Bareiss division was not exact"
-    return q
-
-
 def _bareiss_rank(rows, mul, sub, divx, is_zero) -> int:
     """Rank by fraction-free elimination over any integral domain given by
     its operations; every divx divides exactly (by the previous pivot)."""
@@ -359,29 +357,113 @@ def _bareiss_rank(rows, mul, sub, divx, is_zero) -> int:
     return rank
 
 
-def _cleared_int_rows(M: Matrix) -> list[list[int]]:
-    out = []
-    for r in M.rows:
-        denom = lcm(*(s.value.denominator for s in r)) if r else 1
-        out.append([int(s.value * denom) for s in r])
+# ---------------------------------------------------------------------------
+# the integer lane: Q and Q(i) matrices cleared to Z and Z[i]
+# ---------------------------------------------------------------------------
+
+def _int_dot(row, col) -> int:
+    return sum(map(operator.mul, row, col))
+
+
+def _int_divx(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    assert r == 0, "Bareiss division was not exact"
+    return q
+
+
+def _int_clear(values) -> tuple[int, list[int]]:
+    c = lcm(*(v.denominator for v in values))
+    return c, [v.numerator * (c // v.denominator) for v in values]
+
+
+def _gint_dot(row, col) -> gi.Gint:
+    re_acc = im_acc = 0
+    for (a, b), (c, d) in zip(row, col):
+        re_acc += a * c - b * d
+        im_acc += a * d + b * c
+    return re_acc, im_acc
+
+
+def _gint_divx(a: gi.Gint, b: gi.Gint) -> gi.Gint:
+    out = gi.gdivexact(a, b)
+    assert out is not None, "Bareiss division was not exact"
     return out
 
 
-def _cleared_gint_rows(M: Matrix) -> list[list[gi.Gint]]:
-    out = []
-    for r in M.rows:
-        denoms = []
-        for s in r:
-            re_part, im_part = s.value
-            denoms.append(re_part.denominator)
-            denoms.append(im_part.denominator)
-        denom = lcm(*denoms)
-        row = []
-        for s in r:
-            re_part, im_part = s.value
-            row.append((int(re_part * denom), int(im_part * denom)))
-        out.append(row)
-    return out
+def _gint_neg(z: gi.Gint) -> gi.Gint:
+    return -z[0], -z[1]
+
+
+def _gint_scale(n: int, z: gi.Gint) -> gi.Gint:
+    return n * z[0], n * z[1]
+
+
+def _gint_clear(values) -> tuple[int, list[gi.Gint]]:
+    c = lcm(*(f.denominator for v in values for f in v))
+    return c, [(re_part.numerator * (c // re_part.denominator),
+                im_part.numerator * (c // im_part.denominator))
+               for re_part, im_part in values]
+
+
+def _gint_fraction(z: gi.Gint, d: int) -> tuple[Fraction, Fraction]:
+    return Fraction(z[0], d), Fraction(z[1], d)
+
+
+class Ring(NamedTuple):
+    """Z or Z[i]: the ring operations the exact kernels run on, and the
+    bridge to Q or Q(i).  `clear(payloads)` gives (c, elements), c the lcm
+    of the payloads' denominators and each element c times its payload;
+    `fraction(x, d)` is the field payload x / d."""
+
+    dot: Callable       # sum of products over the shorter of row and column
+    mul: Callable
+    sub: Callable
+    divx: Callable      # exact division
+    neg: Callable
+    is_zero: Callable
+    one: Any
+    scale: Callable     # (n, x) -> n x for an int n
+    clear: Callable
+    fraction: Callable
+
+    def rank(self, rows) -> int:
+        return _bareiss_rank(rows, self.mul, self.sub, self.divx, self.is_zero)
+
+    def matmul(self, X, Y) -> list:
+        cols = list(zip(*Y))
+        dot = self.dot
+        return [[dot(r, c) for c in cols] for r in X]
+
+
+ZZ = Ring(_int_dot, operator.mul, operator.sub, _int_divx, operator.neg,
+          operator.not_, 1, operator.mul, _int_clear, Fraction)
+ZI = Ring(_gint_dot, gi.gmul, gi.gsub, _gint_divx, _gint_neg, (0, 0).__eq__,
+          (1, 0), _gint_scale, _gint_clear, _gint_fraction)
+_RINGS = {KIND_RATIONALS: ZZ, KIND_GAUSSIAN: ZI}
+
+
+class IntegerForm(NamedTuple):
+    c: int              # lcm of all entry denominators
+    rows: tuple         # c M over the ring
+    ring: Ring
+
+
+def integer_form(M: Matrix) -> IntegerForm:
+    """c M over Z for a Q matrix, over Z[i] for a Q(i) one, where c clears
+    every entry denominator; computed once per matrix and kept on it."""
+    try:
+        return M._integer_form
+    except AttributeError:
+        pass
+    ring = _RINGS.get(M.field.kind)
+    if ring is None:
+        raise WrongField(f"{M.field.name} has no integer form")
+    c, flat = ring.clear([s.value for r in M.rows for s in r])
+    n = M.n
+    form = IntegerForm(c, tuple(tuple(flat[i * n:(i + 1) * n])
+                                for i in range(n)), ring)
+    object.__setattr__(M, "_integer_form", form)
+    return form
 
 
 def to_complex(s: Scalar) -> complex:
@@ -417,17 +499,8 @@ def rank(M: Matrix) -> int:
     if kind == KIND_FINITE:
         return _bareiss_rank(M.rows, Scalar.__mul__, Scalar.__sub__,
                              Scalar.__truediv__, lambda s: s.is_zero)
-    if kind == KIND_RATIONALS:
-        return _bareiss_rank(_cleared_int_rows(M), int.__mul__, int.__sub__,
-                             _int_divx, lambda x: x == 0)
-    if kind == KIND_GAUSSIAN:
-        def gdivx(a, b):
-            out = gi.gdivexact(a, b)
-            assert out is not None, "Bareiss division was not exact"
-            return out
-        return _bareiss_rank(_cleared_gint_rows(M), gi.gmul, gi.gsub, gdivx,
-                             lambda z: z == (0, 0))
-    raise WrongField(f"rank unsupported over {M.field.name}")
+    form = integer_form(M)
+    return form.ring.rank(form.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +546,22 @@ def _berkowitz(rows, dot, neg, one) -> list:
 def char_poly(M: Matrix) -> Polynomial:
     """Monic characteristic polynomial det(tI - M), exactly.
 
-    Berkowitz's recursion uses ring operations only, so one path serves
-    every exact field whatever its characteristic.
+    Berkowitz's recursion uses ring operations only: it runs on the
+    scalars over GF(q), and on the integer form c M over Q and Q(i).
     """
-    if M.field.kind == KIND_COMPLEX:
+    kind = M.field.kind
+    if kind == KIND_COMPLEX:
         raise NumericKindUnsupported("char_poly needs an exact matrix")
-    poly = _berkowitz(M.rows, _dot, Scalar.__neg__, M.field.one())
-    return Polynomial.from_scalars(M.field, reversed(poly))
+    if kind == KIND_FINITE:
+        poly = _berkowitz(M.rows, _dot, Scalar.__neg__, M.field.one())
+        return Polynomial.from_scalars(M.field, reversed(poly))
+    c, rows, ring = integer_form(M)
+    # det(tI - cM) = c^n det((t/c)I - M): its t^(n-k) coefficient is c^k
+    # times that of M
+    poly = _berkowitz(rows, ring.dot, ring.neg, ring.one)
+    coeffs = [Scalar(M.field, ring.fraction(x, c ** k))
+              for k, x in enumerate(poly)]
+    return Polynomial.from_scalars(M.field, reversed(coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 Block sizes are read off the rank (Weyr) sequence of (M - lam I)^k -- the
 count of blocks of size >= k at lam is rank((M-lam I)^{k-1}) - rank((M-lam I)^k)
 -- never from eigenvector chains, so no Jordan basis is ever required.  One
-loop serves every kind; only the rank of a power differs: exact `rank` of
-Matrix powers, or an SVD rank of ndarray powers for complex input.
+loop serves every kind; only the powers and their ranks differ.  Over Q and
+Q(i) the powers are those of h c (M - lam I) = h B - c g I on Z or Z[i],
+where B = c M is the integer form that the characteristic polynomial
+already cleared and lam = g/h, with Bareiss ranks; GF(q) takes `rank` of
+Matrix powers, and complex input SVD ranks of ndarray powers.
 
 Exact eigenvalues come from a divisor search on the cleared-denominator
 characteristic polynomial: the rational-root method over Q, its
@@ -26,6 +29,7 @@ finds at the spectral radius.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
@@ -43,7 +47,8 @@ from .fields import (
     Scalar,
     as_gaussian_pair,
 )
-from .linalg import Matrix, Polynomial, char_poly, rank, to_ndarray
+from .linalg import (Matrix, Polynomial, char_poly, integer_form, rank,
+                     to_ndarray)
 
 _MACH_EPS = float(np.finfo(float).eps)
 
@@ -360,13 +365,16 @@ def _sizes_from_counts(counts, lam, mult) -> tuple[int, ...]:
 
 def _sizes_from_rank_sequence(M: Matrix, lam: Scalar, mult: int) -> tuple[int, ...]:
     """Block sizes at lam from the Weyr counts rank(A^(k-1)) - rank(A^k) of
-    A = M - lam I, taken until the rank reaches n - mult.  Exact kinds take
-    `rank` of the Matrix powers.  Complex input takes SVD ranks of ndarray
-    powers with a power-anchored cutoff, tol * max(smax(A^k), smax(A)^k),
-    so a power that is numerically zero at A's scale cannot masquerade as
-    full rank relative to its own noise."""
+    A = M - lam I, taken until the rank reaches n - mult.  Over Q and Q(i)
+    A is cleared to h c A = h B - c g I, with B = c M the integer form of M
+    and lam = g/h, and the powers and their Bareiss ranks stay on Z or
+    Z[i].  GF(q) takes `rank` of the Matrix powers.  Complex input takes SVD
+    ranks of ndarray powers with a power-anchored cutoff,
+    tol * max(smax(A^k), smax(A)^k), so a power that is numerically zero at
+    A's scale cannot masquerade as full rank relative to its own noise."""
     n = M.n
-    if M.field.kind == KIND_COMPLEX:
+    kind = M.field.kind
+    if kind == KIND_COMPLEX:
         A = to_ndarray(M) - complex(lam.value) * np.eye(n)
         tol = M.field.tol
         base = float(np.linalg.svd(A, compute_uv=False)[0])
@@ -375,11 +383,24 @@ def _sizes_from_rank_sequence(M: Matrix, lam: Scalar, mult: int) -> tuple[int, .
             s = np.linalg.svd(Ak, compute_uv=False)
             cutoff = tol * max(float(s[0]), base ** k)
             return 0 if cutoff == 0.0 else int(np.count_nonzero(s > cutoff))
-    else:
+        next_power = operator.matmul
+    elif kind == KIND_FINITE:
         A = M.add_scalar_to_diagonal(-lam)
 
         def rank_of_power(Ak, k: int) -> int:
             return rank(Ak)
+        next_power = operator.matmul
+    else:
+        c, B, ring = integer_form(M)
+        h, (g,) = ring.clear([lam.value])
+        shift = ring.scale(c, g)
+        A = [[ring.scale(h, x) for x in r] for r in B]
+        for i in range(n):
+            A[i][i] = ring.sub(A[i][i], shift)
+
+        def rank_of_power(Ak, k: int) -> int:
+            return ring.rank(Ak)
+        next_power = ring.matmul
     target = n - mult
     counts = []  # counts[k-1] = number of blocks of size >= k
     prev_rank = n
@@ -391,7 +412,7 @@ def _sizes_from_rank_sequence(M: Matrix, lam: Scalar, mult: int) -> tuple[int, .
         if r <= target or k >= mult:
             break
         prev_rank = r
-        Ak = Ak @ A
+        Ak = next_power(Ak, A)
         k += 1
     return _sizes_from_counts(counts, lam, mult)
 

@@ -86,14 +86,14 @@ def test_bad_field_parameters_exit_2(tmp_path, capsys, params):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "1e300"])
 def test_bad_tol_exit_2(tmp_path, capsys, tol):
     path = _write(tmp_path, "diag.json", DIAG_Q)
     assert main(["jordan", "--input", path, "--field", "c64", "--tol", tol]) == 2
     bad = tmp_path / "bad.json"
-    # the JSON reader accepts NaN
+    # the JSON reader accepts NaN and Infinity
     bad.write_text('{"field": "c64", "tol": %s, "rows": [["1"]]}'
-                   % ("NaN" if tol == "nan" else tol))
+                   % {"nan": "NaN", "inf": "Infinity"}.get(tol, tol))
     assert main(["jordan", "--input", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.count("orbitref: parse error: ") == 2

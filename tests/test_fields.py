@@ -170,8 +170,9 @@ def test_bad_field_parameters():
         FiniteField(4)
     with pytest.raises(ValueError):
         FiniteField(2, 2, (0, 0, 1))  # x^2 is reducible
-    with pytest.raises(ValueError):
-        ComplexFloats(tol=0.0)
+    for tol in (0.0, 1.0, 1e300, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            ComplexFloats(tol=tol)
 
 
 def test_parse_errors():

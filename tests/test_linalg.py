@@ -215,6 +215,27 @@ def test_char_poly_matches_sympy(M):
     assert all(sympy.expand(a - b) == 0 for a, b in zip(ours, ref.all_coeffs()))
 
 
+def test_char_poly_pairwise_coprime_denominators():
+    # every entry denominator is a distinct prime, so the clearing factor c
+    # is their product and coefficient t^(n-k) carries c^k exactly
+    sympy = pytest.importorskip("sympy")
+    primes = iter([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61])
+    q_rows = [[Fraction(k + 1, next(primes)) for k in range(3)] for _ in range(3)]
+    qi_rows = [[(Fraction(-1, next(primes)), Fraction(2, next(primes)))
+                for _ in range(2)] for _ in range(2)]
+    for M in (Matrix(QQ, [[Scalar(QQ, v) for v in r] for r in q_rows]),
+              Matrix(QI, [[Scalar(QI, v) for v in r] for r in qi_rows])):
+        def to_sympy(s):
+            re_part, im_part = (s.value, Fraction(0)) if M.field == QQ else s.value
+            return (sympy.Rational(re_part.numerator, re_part.denominator)
+                    + sympy.I * sympy.Rational(im_part.numerator, im_part.denominator))
+
+        ref = sympy.Matrix([[to_sympy(s) for s in r] for r in M.rows]).charpoly()
+        ours = [to_sympy(c) for c in reversed(char_poly(M).coeffs)]
+        assert all(sympy.expand(a - b) == 0 for a, b in zip(ours, ref.all_coeffs()))
+        assert len(ours) == len(ref.all_coeffs()) == M.n + 1
+
+
 def test_char_poly_similarity_invariant():
     rng = random.Random(17)
     for n in (2, 3, 4, 5, 6):

@@ -123,6 +123,80 @@ def test_profile_similarity_invariant():
         assert _profile_dict(block_profile(conjugate(J, P))) == _profile_dict(block_profile(J))
 
 
+def _to_sympy(sympy, s):
+    re_part, im_part = (s.value, Fraction(0)) if s.field == QQ else s.value
+    return (sympy.Rational(re_part.numerator, re_part.denominator)
+            + sympy.I * sympy.Rational(im_part.numerator, im_part.denominator))
+
+
+def _sympy_jordan_sizes(sympy, M):
+    """{eigenvalue: descending block sizes} read off sympy's jordan_form,
+    whose blocks carry their ones on the superdiagonal."""
+    J = sympy.Matrix([[_to_sympy(sympy, s) for s in r]
+                      for r in M.rows]).jordan_form(calc_transform=False)
+    sizes = {}
+    i = 0
+    while i < J.rows:
+        j = i + 1
+        while j < J.rows and J[j - 1, j] == 1:
+            j += 1
+        sizes.setdefault(sympy.expand(J[i, i]), []).append(j - i)
+        i = j
+    return {lam: sorted(v, reverse=True) for lam, v in sizes.items()}
+
+
+def _fractional_shear(rng, field, n, shears=4):
+    P = Matrix.identity(field, n)
+    for _ in range(shears):
+        i, j = rng.sample(range(n), 2)
+        re_part = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([2, 3, 5]))
+        im_part = (Fraction(rng.choice([-1, 1]), rng.choice([2, 3]))
+                   if field == QI else Fraction(0))
+        rows = [list(r) for r in Matrix.identity(field, n).rows]
+        rows[i][j] = Scalar(field, re_part if field == QQ else (re_part, im_part))
+        P = P @ Matrix(field, rows)
+    return P
+
+
+@pytest.mark.parametrize("field", [QQ, QI], ids=["q", "qi"])
+def test_profile_matches_sympy_jordan_form(field):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(23)
+    palette = ["1/2", "-2/3", "5/6", "1/3"]
+    if field == QI:
+        palette += ["1/2+1/3i", "-1/6i", "5/6-1/2i"]
+    for _ in range(6):
+        d = rng.randint(2, 5)
+        blocks, dim = [], 0
+        while dim < d:
+            size = rng.randint(1, d - dim)
+            blocks.append(Matrix.jordan_block(field, rng.choice(palette), size))
+            dim += size
+        M = conjugate(Matrix.block_diag(blocks), _fractional_shear(rng, field, d))
+        ours = {sympy.expand(_to_sympy(sympy, e.eigenvalue)): list(e.block_sizes)
+                for e in block_profile(M).entries}
+        assert ours == _sympy_jordan_sizes(sympy, M)
+
+
+@pytest.mark.parametrize("field", [QQ, QI], ids=["q", "qi"])
+def test_profile_rescaling_divides_eigenvalues(field):
+    # clearing scales M by the lcm c of its denominators, and each
+    # eigenvalue g/h by h c; dividing M by large coprime factors must move
+    # every eigenvalue to lam/c and keep every block size
+    lams = ["3", "-5"] if field == QQ else ["3", "2+i"]
+    J = Matrix.block_diag([Matrix.jordan_block(field, lams[0], 2),
+                           Matrix.jordan_block(field, lams[0], 1),
+                           Matrix.jordan_block(field, lams[1], 1)])
+    M = conjugate(J, _fractional_shear(random.Random(29), field, J.n))
+    want = block_profile(M)
+    for c in (2 * 3 * 5 * 7 * 11, 1009 * 1013, 2 ** 10 * 10007):
+        inv_c = Scalar(field, Fraction(1, c) if field == QQ
+                       else (Fraction(1, c), Fraction(0)))
+        got = block_profile(M.scale(inv_c))
+        assert _profile_dict(got) == {str(e.eigenvalue * inv_c): list(e.block_sizes)
+                                      for e in want.entries}
+
+
 # -- spectral radius -------------------------------------------------------------
 
 def test_radius_entries_simple():
