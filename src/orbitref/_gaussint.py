@@ -1,13 +1,21 @@
-"""Exact Gaussian-integer arithmetic: gcd, factorisation, divisor enumeration.
+"""Exact integer and Gaussian-integer arithmetic: primality, gcd,
+factorisation, divisor enumeration.
 
-Backs the Q(i) root search.  By the rational-root theorem over the Euclidean
-domain Z[i], any root g/h (in lowest terms) of a polynomial with
-Gaussian-integer coefficients has g dividing the constant term and h dividing
-the leading one, so enumerating divisors of those two coefficients (times the
-four units) yields a complete, finite candidate set.
+Backs the exact root sieve over Q and Q(i).  The roots of the monic
+characteristic polynomial of the integer form B = c M are the (Gaussian)
+integers r = c lam.  By the rational-root theorem over the Euclidean
+domain Z or Z[i], a root lam = g/h in lowest terms of M's cleared
+polynomial (lowest nonzero coefficient low, leading coefficient lead) has
+g | low and h | lead, and integrality of c lam gives h | c, so
+h | gcd(c, lead).  With e = gcd(c, lead), r = (c/e) (e/h) g runs over
+(c/e) times the divisors of e low, all associates included: one finite
+candidate set for both rings, never larger than the pairs g/h with
+h | lead.
 """
 
 from __future__ import annotations
+
+from itertools import chain, count
 
 Gint = tuple[int, int]
 
@@ -22,6 +30,10 @@ def gmul(z: Gint, w: Gint) -> Gint:
     a, b = z
     c, d = w
     return (a * c - b * d, a * d + b * c)
+
+
+def gadd(z: Gint, w: Gint) -> Gint:
+    return (z[0] + w[0], z[1] + w[1])
 
 
 def gsub(z: Gint, w: Gint) -> Gint:
@@ -74,23 +86,64 @@ def canonical_associate(z: Gint) -> Gint:
     raise AssertionError("unreachable")
 
 
+# below this bound the Miller-Rabin bases 2..41 decide primality exactly
+# (it is the least strong pseudoprime to all of them; without 41 the bound
+# would be 318665857834031151167461)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality: deterministic Miller-Rabin below _MR_LIMIT, trial
+    division (`factor_int`) above it."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_LIMIT:
+        return factor_int(n) == {n: 1}
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def factor_int(n: int) -> dict[int, int]:
-    """Trial-division factorisation of n >= 1."""
+    """Factorisation of n >= 1 by trial division by 2, 3 and 6k +- 1; a
+    cofactor below _MR_LIMIT that `is_prime` accepts ends the search."""
     out: dict[int, int] = {}
-    for p in (2, 3):
+    fresh = True  # n changed since its last primality test
+    for p in chain((2, 3), (f + s for f in count(5, 6) for s in (0, 2))):
+        if p * p > n or fresh and n < _MR_LIMIT and is_prime(n):
+            break
+        fresh = False
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        f += 6
+            fresh = True
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def int_divisors(n: int) -> list[int]:
+    """All divisors of n != 0, both signs, ascending."""
+    divs = [1]
+    for p, e in factor_int(abs(n)).items():
+        divs = [d * p ** i for d in divs for i in range(e + 1)]
+    return sorted(d for x in divs for d in (-x, x))
 
 
 def gaussian_prime_over(p: int) -> Gint:
@@ -133,8 +186,14 @@ def gaussian_factor(z: Gint) -> list[tuple[Gint, int]]:
     return factors
 
 
+def gkey(z: Gint) -> tuple[int, Gint]:
+    """Sort key: norm, then real part, then imaginary part."""
+    return gnorm(z), z
+
+
 def gaussian_divisors(z: Gint) -> list[Gint]:
-    """All divisors of z != 0 up to unit multiples (includes 1 and z/unit)."""
+    """All divisors of z != 0, all four associates of each, in `gkey`
+    order."""
     divs: list[Gint] = [(1, 0)]
     for pi, e in gaussian_factor(z):
         grown: list[Gint] = []
@@ -143,4 +202,4 @@ def gaussian_divisors(z: Gint) -> list[Gint]:
             grown.extend(gmul(d, power) for d in divs)
             power = gmul(power, pi)
         divs = grown
-    return divs
+    return sorted((gmul(d, u) for d in divs for u in UNITS), key=gkey)

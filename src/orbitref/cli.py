@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from functools import cache
 
 from . import __version__
 from .counterexample import truncation_table, verify_no_single_power
@@ -74,7 +75,9 @@ _PROPERTY_ALIASES = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="orbitref",
         description="Decide reflexivity, orbit reflexivity and C-orbit "

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, ClassVar, Optional
 
+from ._gaussint import is_prime
 from .errors import DivisionByZero, MixedFields, NotPrime, ParseError, WrongField
 
 KIND_RATIONALS = "q"
@@ -46,21 +47,6 @@ CONWAY_POLYNOMIALS: dict[tuple[int, int], tuple[int, ...]] = {
     (11, 2): (2, 7, 1),       # x^2 + 7x + 2
     (13, 2): (2, 12, 1),      # x^2 + 12x + 2
 }
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def _normalize_text(text: str) -> str:

@@ -6,11 +6,13 @@ lcm of all entry denominators, and kept on the matrix.  Its characteristic
 polynomial and every exact rank then run on `int` or Gaussian-integer
 `(int, int)` entries through the ring operations `ZZ` and `ZI`; only the
 polynomial's coefficients are divided back, the t^(n-k) one by c^k.
-Characteristic polynomials come from Berkowitz's division-free recursion,
-`_berkowitz`, and exact ranks from fraction-free (Bareiss) elimination,
-`_bareiss_rank`: one loop each, on any integral domain given by its
-operations.  GF(q) runs both on its scalars, and the oracle's scan runs
-Berkowitz on its integer-coded GF(q) tables.  Floating complex matrices
+Three kernels, one loop each, run on any integral domain given by its
+operations: Berkowitz's division-free recursion `_berkowitz` for
+characteristic polynomials, fraction-free (Bareiss) elimination
+`_bareiss_rank` for exact ranks, and synthetic division `_split_roots`
+for the roots among given candidates.  GF(q) runs them on its scalars, Q
+and Q(i) on Z and Z[i], and the oracle's scan runs Berkowitz and the root
+kernel on its integer-coded GF(q) tables.  Floating complex matrices
 route rank questions through an SVD whose threshold comes from the field
 descriptor, never from call sites.
 """
@@ -277,16 +279,6 @@ class Polynomial:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1].is_one
 
-    def deflate(self, root: Scalar) -> tuple["Polynomial", Scalar]:
-        """Synthetic division by (t - root): (quotient, remainder)."""
-        acc = self.field.zero()
-        out = []
-        for c in reversed(self.coeffs):
-            acc = acc * root + c
-            out.append(acc)
-        rem = out.pop()
-        return Polynomial.from_scalars(self.field, reversed(out)), rem
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -417,6 +409,7 @@ class Ring(NamedTuple):
 
     dot: Callable       # sum of products over the shorter of row and column
     mul: Callable
+    add: Callable
     sub: Callable
     divx: Callable      # exact division
     neg: Callable
@@ -425,6 +418,8 @@ class Ring(NamedTuple):
     scale: Callable     # (n, x) -> n x for an int n
     clear: Callable
     fraction: Callable
+    divisors: Callable  # every divisor of a nonzero element, all associates
+    key: Callable       # the sort key of the `divisors` order
 
     def rank(self, rows) -> int:
         return _bareiss_rank(rows, self.mul, self.sub, self.divx, self.is_zero)
@@ -435,10 +430,12 @@ class Ring(NamedTuple):
         return [[dot(r, c) for c in cols] for r in X]
 
 
-ZZ = Ring(_int_dot, operator.mul, operator.sub, _int_divx, operator.neg,
-          operator.not_, 1, operator.mul, _int_clear, Fraction)
-ZI = Ring(_gint_dot, gi.gmul, gi.gsub, _gint_divx, _gint_neg, (0, 0).__eq__,
-          (1, 0), _gint_scale, _gint_clear, _gint_fraction)
+ZZ = Ring(_int_dot, operator.mul, operator.add, operator.sub, _int_divx,
+          operator.neg, operator.not_, 1, operator.mul, _int_clear, Fraction,
+          gi.int_divisors, operator.index)
+ZI = Ring(_gint_dot, gi.gmul, gi.gadd, gi.gsub, _gint_divx, _gint_neg,
+          (0, 0).__eq__, (1, 0), _gint_scale, _gint_clear, _gint_fraction,
+          gi.gaussian_divisors, gi.gkey)
 _RINGS = {KIND_RATIONALS: ZZ, KIND_GAUSSIAN: ZI}
 
 
@@ -543,6 +540,40 @@ def _berkowitz(rows, dot, neg, one) -> list:
     return poly
 
 
+def _split_roots(poly, candidates, mul, add, is_zero) -> tuple[list, list]:
+    """Divide t - x out of poly (coefficients leading first) as often as it
+    divides, for each candidate x in turn, by synthetic division on the
+    ring operations `mul`, `add` and `is_zero`.  Returns the roots found
+    with their multiplicities, in candidate order, and the quotient left
+    over (leading first; [lead] when poly splits over the candidates)."""
+    roots = []
+    rest = list(poly)
+    for x in candidates:
+        mult = 0
+        while len(rest) > 1:
+            acc = rest[0]
+            quot = [acc]
+            for c in rest[1:]:
+                acc = add(mul(acc, x), c)
+                quot.append(acc)
+            if not is_zero(quot.pop()):  # the remainder rest(x)
+                break
+            rest = quot
+            mult += 1
+        if mult:
+            roots.append((x, mult))
+    return roots, rest
+
+
+def _divide_back(field: Field, ring: Ring, xs, c: int) -> Polynomial:
+    """The polynomial x(c t) / c^m over Q or Q(i), for the coefficients xs
+    (leading first, degree m) of x(t) over Z or Z[i]: its t^(m-k)
+    coefficient is xs[k] / c^k.  Applied to det(tI - c M) it gives
+    det(tI - M), and to a factor of it the matching factor."""
+    coeffs = [Scalar(field, ring.fraction(x, c ** k)) for k, x in enumerate(xs)]
+    return Polynomial.from_scalars(field, reversed(coeffs))
+
+
 def char_poly(M: Matrix) -> Polynomial:
     """Monic characteristic polynomial det(tI - M), exactly.
 
@@ -556,12 +587,9 @@ def char_poly(M: Matrix) -> Polynomial:
         poly = _berkowitz(M.rows, _dot, Scalar.__neg__, M.field.one())
         return Polynomial.from_scalars(M.field, reversed(poly))
     c, rows, ring = integer_form(M)
-    # det(tI - cM) = c^n det((t/c)I - M): its t^(n-k) coefficient is c^k
-    # times that of M
-    poly = _berkowitz(rows, ring.dot, ring.neg, ring.one)
-    coeffs = [Scalar(M.field, ring.fraction(x, c ** k))
-              for k, x in enumerate(poly)]
-    return Polynomial.from_scalars(M.field, reversed(coeffs))
+    # det(tI - cM) = c^n det((t/c)I - M)
+    return _divide_back(M.field, ring, _berkowitz(rows, ring.dot, ring.neg,
+                                                  ring.one), c)
 
 
 # ---------------------------------------------------------------------------

@@ -59,9 +59,10 @@ indices.
 `scan_space` sweeps every d x d matrix over GF(q) and classifies each by
 its characteristic polynomial and minimal polynomial.  The characteristic
 polynomial is `linalg._berkowitz`, the loop behind `char_poly`, run on the
-scalar tables over the scan index's digits; the minimal polynomial, the
-package's only one, is the first dependence among the coded columns of
-I, T, T^2, ..., found by elimination with the vector tables.  A matrix's
+scalar tables over the scan index's digits, and `linalg._split_roots`
+tells whether it splits, as in `eigenvalues`; the minimal polynomial,
+the package's only one, is the first dependence among the coded columns
+of I, T, T^2, ..., found by elimination with the vector tables.  A matrix's
 row-major scan digits give its coded columns (`_scan_cols`), so
 `_space(field, d).decode` rebuilds the matrix of any scan row.  Then the
 scan checks OrbRef0 = scaled-power-orbit per matrix.
@@ -78,6 +79,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -94,7 +96,7 @@ from .errors import (
     WrongField,
 )
 from .fields import KIND_FINITE, FiniteField, Scalar, from_digits, to_digits
-from .linalg import Matrix, _berkowitz
+from .linalg import Matrix, _berkowitz, _split_roots
 
 DEFAULT_CONTAINS_BUDGET = 10 ** 6
 DEFAULT_ENUM_BUDGET = 2 ** 24
@@ -293,32 +295,34 @@ class _ColumnSearch:
         return all(m >> col & 1 and self._fits(j, col)
                    for j, (m, col) in enumerate(zip(self.col_masks, cols)))
 
+    # the recursions are methods, not nested functions: a nested function
+    # that calls itself is a reference cycle, and it would keep the search
+    # and its member list alive until the next garbage collection
+
     def members(self) -> list[tuple[int, ...]]:
         """The members, column-coded, in product order over the columns."""
         out: list[tuple[int, ...]] = []
-        free = self.allowed[self.depth:]
-
-        def extend(j: int, prefix: tuple[int, ...]):
-            if j == self.depth:
-                out.extend(prefix + rest for rest in product(*free))
-                return
-            for col in self.allowed[j]:
-                if self._fits(j, col):
-                    extend(j + 1, prefix + (col,))
-
-        extend(0, ())
+        self._extend(0, (), out)
         return out
+
+    def _extend(self, j: int, prefix: tuple[int, ...], out: list):
+        if j == self.depth:
+            out.extend(prefix + rest for rest in product(*self.allowed[j:]))
+            return
+        for col in self.allowed[j]:
+            if self._fits(j, col):
+                self._extend(j + 1, prefix + (col,), out)
 
     def count(self) -> int:
         """The number of members, without listing them."""
-        free = prod(len(cols) for cols in self.allowed[self.depth:])
+        return self._count(0, prod(len(cols) for cols in self.allowed[self.depth:]))
 
-        def below(j: int) -> int:
-            if j == self.depth:
-                return free
-            return sum(below(j + 1) for col in self.allowed[j] if self._fits(j, col))
-
-        return below(0)
+    def _count(self, j: int, free: int) -> int:
+        # free: the number of ways to fill the columns that no check reads
+        if j == self.depth:
+            return free
+        return sum(self._count(j + 1, free)
+                   for col in self.allowed[j] if self._fits(j, col))
 
 
 def _clashing(sp: _Space, forb) -> set:
@@ -559,25 +563,6 @@ def _char_poly_int(sp: _Space, digits) -> tuple[int, ...]:
     return tuple(reversed(poly))
 
 
-def _splits_int(sp: _Space, coeffs) -> bool:
-    """Whether the polynomial (constant first) is a product of linear
-    factors: divide out t - x for every root x, as often as it divides."""
-    add, mul = sp.add, sp.mul
-    cur = list(coeffs)
-    for x in range(sp.q):
-        while len(cur) > 1:
-            # synthetic division, highest coefficient first; the last value
-            # is the remainder
-            quot, acc = [], 0
-            for c in reversed(cur):
-                acc = add[mul[acc][x]][c]
-                quot.append(acc)
-            if quot.pop():
-                break
-            cur = quot[::-1]
-    return len(cur) == 1
-
-
 def _min_poly_int(sp: _Space, cols) -> tuple[int, ...]:
     """Least monic dependence among T^0, T^1, ... by elimination on their
     coded columns; a pivot is one digit of one column."""
@@ -617,6 +602,8 @@ def _classify_chunk(payload) -> list[tuple]:
     (p, k, modulus, d, start, stop, nilpotent_only) = payload
     sp = _space(FiniteField(p, k, modulus), d)
     q = sp.q
+    mul = lambda a, b: sp.mul[a][b]
+    add = lambda a, b: sp.add[a][b]
     out = []
     for idx in range(start, stop):
         digits = to_digits(idx, q, d * d)
@@ -625,8 +612,8 @@ def _classify_chunk(payload) -> list[tuple]:
         if nilpotent_only and not nil:
             continue
         mp = _min_poly_int(sp, _scan_cols(digits, q, d))
-        split = _splits_int(sp, cp)
-        out.append((idx, matrix_hash(q, d, digits), (cp, mp), split, nil))
+        rest = _split_roots(cp[::-1], range(q), mul, add, operator.not_)[1]
+        out.append((idx, matrix_hash(q, d, digits), (cp, mp), len(rest) == 1, nil))
     return out
 
 

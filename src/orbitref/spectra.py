@@ -9,12 +9,13 @@ where B = c M is the integer form that the characteristic polynomial
 already cleared and lam = g/h, with Bareiss ranks; GF(q) takes `rank` of
 Matrix powers, and complex input SVD ranks of ndarray powers.
 
-Exact eigenvalues come from a divisor search on the cleared-denominator
-characteristic polynomial: the rational-root method over Q, its
-Gaussian-integer extension over Q(i), exhaustive evaluation over GF(p^k).
-If the polynomial does not fully factor the caller gets NotSplit with the
-residual factor; escalating the field (q -> qi -> c64) is an explicit caller
-decision, never silent.
+Exact eigenvalues come from one synthetic-division sieve,
+`linalg._split_roots`.  Over Q and Q(i) it divides det(tI - B) on Z or Z[i]
+by t - r for the integer candidates r = c lam that the rational-root
+theorem leaves (`_root_candidates`); over GF(p^k) by t - x for every
+element x.  If the polynomial does not fully factor the caller gets
+NotSplit with the residual factor; escalating the field (q -> qi -> c64)
+is an explicit caller decision, never silent.
 
 Numeric eigenvalues come from QR iteration.  Defective eigenvalues of a
 block of size m scatter like (machine eps)^(1/m) under rounding, so the
@@ -28,6 +29,7 @@ finds at the spectral radius.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -36,7 +38,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import _gaussint as gi
 from .errors import Nilpotent, NotSplit, OrbitrefError, WrongField
 from .fields import (
     KIND_COMPLEX,
@@ -47,8 +48,8 @@ from .fields import (
     Scalar,
     as_gaussian_pair,
 )
-from .linalg import (Matrix, Polynomial, char_poly, integer_form, rank,
-                     to_ndarray)
+from .linalg import (Matrix, Polynomial, Ring, _berkowitz, _divide_back,
+                     _split_roots, char_poly, integer_form, rank, to_ndarray)
 
 _MACH_EPS = float(np.finfo(float).eps)
 
@@ -180,127 +181,47 @@ class EigenResult:
 
 
 def eigenvalues(M: Matrix) -> EigenResult:
-    kind = M.field.kind
-    if kind == KIND_COMPLEX:
+    """Exact roots with multiplicities over Q, Q(i) and GF(q) by one
+    synthetic-division sieve, `linalg._split_roots`; numeric clusters over
+    C.  GF(q) divides the characteristic polynomial by t - x for every
+    element x.  Q and Q(i) divide det(tI - B) of the integer form B = c M
+    by t - r for the (Gaussian) integer candidates r = c lam of
+    `_root_candidates`, and divide the roots and the residual back."""
+    field = M.field
+    if field.kind == KIND_COMPLEX:
         return _eigenvalues_numeric(M)
-    poly = char_poly(M)
-    if kind == KIND_FINITE:
-        candidates = [s for s in M.field.elements()]
-    elif kind == KIND_RATIONALS:
-        candidates = _rational_root_candidates(M.field, poly)
-    elif kind == KIND_GAUSSIAN:
-        candidates = _gaussian_root_candidates(M.field, poly)
+    if field.kind == KIND_FINITE:
+        poly = char_poly(M)
+        roots, rest = _split_roots(poly.coeffs[::-1], field.elements(),
+                                   Scalar.__mul__, Scalar.__add__,
+                                   lambda s: s.is_zero)
+        residual = Polynomial.from_scalars(field, rest[::-1])
     else:
-        raise WrongField(f"eigenvalues unsupported over {M.field.name}")
-    roots: list[tuple[Scalar, int]] = []
-    current = poly
-    for cand in candidates:
-        if current.degree == 0:
-            break
-        mult = 0
-        while current.degree > 0:
-            quot, rem = current.deflate(cand)
-            if not rem.is_zero:
-                break
-            current = quot
-            mult += 1
-        if mult:
-            roots.append((cand, mult))
-    split = current.degree == 0
-    return EigenResult(tuple(roots), split, None if split else current)
+        c, rows, ring = integer_form(M)
+        xs = _berkowitz(rows, ring.dot, ring.neg, ring.one)
+        candidates = _root_candidates(ring, c, _divide_back(field, ring, xs, c))
+        found, rest = _split_roots(xs, candidates, ring.mul, ring.add,
+                                   ring.is_zero)
+        roots = [(Scalar(field, ring.fraction(r, c)), m) for r, m in found]
+        residual = _divide_back(field, ring, rest, c)
+    split = len(rest) == 1
+    return EigenResult(tuple(roots), split, None if split else residual)
 
 
-def _int_divisors(n: int) -> list[int]:
-    n = abs(n)
-    divs = [1]
-    for p, e in sorted(gi.factor_int(n).items()):
-        grown = []
-        pe = 1
-        for _ in range(e + 1):
-            grown.extend(d * pe for d in divs)
-            pe *= p
-        divs = grown
-    return sorted(set(divs))
-
-
-def _rational_root_candidates(field: Field, poly: Polynomial) -> list[Scalar]:
-    """True rational roots: divisor candidates sieved by exact integer
-    evaluation of the cleared polynomial (sum c_i p^i q^(d-i))."""
-    coeffs = [s.value for s in poly.coeffs]
-    denom = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom) for c in coeffs]
-    v = 0
-    while v < len(ints) and ints[v] == 0:
-        v += 1
-    deflated = ints[v:]
-    roots: set[Fraction] = set()
-    if v:
-        roots.add(Fraction(0))
-    if len(deflated) > 1:
-        lead, low = deflated[-1], deflated[0]
-        degree = len(deflated) - 1
-        seen: set[Fraction] = set()
-        for dn in _int_divisors(low):
-            for dl in _int_divisors(lead):
-                for num in (dn, -dn):
-                    cand = Fraction(num, dl)
-                    if cand in seen:
-                        continue
-                    seen.add(cand)
-                    p, q = cand.numerator, cand.denominator
-                    acc = 0
-                    qpow = 1
-                    for i in range(degree, -1, -1):
-                        acc = acc * p + deflated[i] * qpow
-                        qpow *= q
-                    if acc == 0:
-                        roots.add(cand)
-    return [Scalar(field, c) for c in sorted(roots)]
-
-
-def _gaussian_root_candidates(field: Field, poly: Polynomial) -> list[Scalar]:
-    """True Q(i) roots via the Gaussian-integer divisor sieve."""
-    pairs = [as_gaussian_pair(s) for s in poly.coeffs]
-    denoms = [f.denominator for re_part, im_part in pairs
-              for f in (re_part, im_part)]
-    denom = math.lcm(*denoms)
-    gints = [(int(re_part * denom), int(im_part * denom))
-             for re_part, im_part in pairs]
-    v = 0
-    while v < len(gints) and gints[v] == (0, 0):
-        v += 1
-    deflated = gints[v:]
-    roots: set[tuple[Fraction, Fraction]] = set()
-    if v:
-        roots.add((Fraction(0), Fraction(0)))
-    if len(deflated) > 1:
-        lead, low = deflated[-1], deflated[0]
-        degree = len(deflated) - 1
-        seen: set[tuple[int, int, int, int]] = set()
-        for dn in gi.gaussian_divisors(low):
-            for dl in gi.gaussian_divisors(lead):
-                for u in gi.UNITS:
-                    g = gi.gmul(dn, u)
-                    key = (g[0], g[1], dl[0], dl[1])
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    # exact evaluation of sum c_i g^i dl^(d-i), all in Z[i]
-                    acc = (0, 0)
-                    hpow = (1, 0)
-                    for i in range(degree, -1, -1):
-                        acc = gi.gmul(acc, g)
-                        acc = (acc[0] + deflated[i][0] * hpow[0]
-                               - deflated[i][1] * hpow[1],
-                               acc[1] + deflated[i][0] * hpow[1]
-                               + deflated[i][1] * hpow[0])
-                        hpow = gi.gmul(hpow, dl)
-                    if acc == (0, 0):
-                        nn = gi.gnorm(dl)
-                        roots.add((Fraction(g[0] * dl[0] + g[1] * dl[1], nn),
-                                   Fraction(g[1] * dl[0] - g[0] * dl[1], nn)))
-    ordered = sorted(roots, key=lambda p: (p[0] * p[0] + p[1] * p[1], p[0], p[1]))
-    return [Scalar(field, c) for c in ordered]
+def _root_candidates(ring: Ring, c: int, poly: Polynomial) -> list:
+    """Every (Gaussian) integer that can be a root r = c lam of det(tI - c M),
+    for the characteristic polynomial `poly` of M: zero when poly(0) = 0,
+    and (c/e) times every divisor of e low, where poly cleared to Z or Z[i]
+    has leading coefficient lead and lowest nonzero coefficient low, and
+    e = gcd(c, lead) (see `_gaussint`).  In `ring.key` order: ascending
+    over Z, by norm, real and imaginary part over Z[i]."""
+    lead, cleared = ring.clear([s.value for s in poly.coeffs])
+    low = next(x for x in cleared if not ring.is_zero(x))
+    e = math.gcd(c, lead)
+    out = [ring.scale(c // e, x) for x in ring.divisors(ring.scale(e, low))]
+    if ring.is_zero(cleared[0]):
+        bisect.insort(out, cleared[0], key=ring.key)
+    return out
 
 
 def _cluster_band(dim: int, tol: float, magnitude: float) -> float:

@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from orbitref.cli import main
+from orbitref.cli import build_parser, main
 from orbitref.fileio import load_matrix_data, render_report
 
 SHEAR_GF3 = {"field": "gf", "p": 3, "rows": [["1", "1"], ["0", "1"]]}
@@ -383,11 +383,20 @@ def test_ffscan_p_k_flags(capsys):
 DATA = pathlib.Path(__file__).parent / "data"
 
 
+# goldens of error paths: their exit code; the file holds stderr
+ERROR_GOLDENS = {"residual_q_jordan_stderr": 3}
+
+
 def _assert_golden(capsys, argv, golden):
     argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
-    code, out = _run(capsys, argv)
-    assert code == 0
-    assert out == (DATA / f"{golden}.golden.json").read_text()
+    code = main(argv)
+    captured = capsys.readouterr()
+    if golden in ERROR_GOLDENS:
+        assert (code, captured.out) == (ERROR_GOLDENS[golden], "")
+        assert captured.err == (DATA / f"{golden}.golden.txt").read_text()
+    else:
+        assert code == 0
+        assert captured.out == (DATA / f"{golden}.golden.json").read_text()
 
 
 def test_jordan_golden_report(capsys):
@@ -395,19 +404,44 @@ def test_jordan_golden_report(capsys):
                    "diag_jordan_report")
 
 
-@pytest.mark.parametrize("argv,golden", [
+GOLDEN_CASES = [
     (["decide", "--input", "shear_q_input.json", "--samples", "5"],
      "shear_q_decide_report"),
     (["decide", "--input", "gf9_input.json"], "gf9_decide_report"),
     (["jordan", "--field", "c64", "--input", "modulus_tie_input.json"],
      "modulus_tie_c64_jordan_report"),
     (["ffscan", "--q", "3", "--d", "2", "--no-cache"], "ffscan_q3_d2_report"),
-])
+    (["jordan", "--input", "residual_q_input.json"], "residual_q_jordan_stderr"),
+]
+
+
+@pytest.mark.parametrize("argv,golden", GOLDEN_CASES)
 def test_golden_report(capsys, argv, golden):
     # byte-exact reports: a dense shear-conjugated Q matrix with a witness,
-    # a GF(9) matrix, a c64 modulus tie inside the 10x band (fragile) and
-    # a whole-space scan
+    # a GF(9) matrix, a c64 modulus tie inside the 10x band (fragile), a
+    # whole-space scan, and the not-split error of a Q matrix whose char
+    # poly is (t - 1/2)(t^2 + 1/3), with its residual factor
     _assert_golden(capsys, argv, golden)
+
+
+def test_golden_reports_back_to_back(capsys):
+    # one parser serves every call of the process, and no call leaves state
+    # behind that changes the next report
+    assert build_parser() is build_parser()
+    for argv, golden in GOLDEN_CASES + GOLDEN_CASES[::-1]:
+        _assert_golden(capsys, argv, golden)
+
+
+def test_jordan_large_prime_denominator(tmp_path, capsys):
+    # 2^61 - 1 is prime: the sieve factors it by one primality test, not
+    # by trial division up to its square root
+    path = _write(tmp_path, "p61.json",
+                  {"field": "q", "rows": [["1/2305843009213693951"]]})
+    code, out = _run(capsys, ["jordan", "--input", path])
+    assert code == 0
+    entries = json.loads(out)["profile"]["entries"]
+    assert [(e["eigenvalue"], e["block_sizes"]) for e in entries] == [
+        ("1/2305843009213693951", [1])]
 
 
 def test_decide_c64_input(tmp_path, capsys):

@@ -18,6 +18,7 @@ from orbitref import (
     Scalar,
     WrongField,
 )
+from orbitref._gaussint import factor_int, is_prime
 from orbitref.spectra import _modulus_sq
 
 
@@ -163,6 +164,32 @@ def test_conway_modulus_recorded():
     assert g4.describe() == {"field": "gf", "p": 2, "k": 2, "modulus": "x^2+x+1"}
     g9 = FiniteField(3, 2)
     assert g9.describe()["modulus"] == "x^2+2x+2"
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-3, 3000):
+        assert is_prime(n) == (n > 1 and all(n % f for f in range(2, int(n ** 0.5) + 1)))
+
+
+def test_is_prime_large():
+    # Mersenne primes, a Carmichael number, and strong pseudoprimes to the
+    # bases 2, 3, 5, 7, to every prime base up to 23 and up to 37
+    for n in (2 ** 31 - 1, 2 ** 61 - 1, 2 ** 79 - 67):
+        assert is_prime(n)
+    for n in (561, 3215031751, 3825123056546413051, (2 ** 31 - 1) ** 2,
+              318665857834031151167461):
+        assert not is_prime(n)
+
+
+def test_factor_int_stops_at_a_prime_cofactor():
+    # the cases with the factor 2^61 - 1 would take about 2^30 trial
+    # divisions without the primality test on the cofactor
+    for factors in ({2: 3, 3: 1, 2 ** 61 - 1: 1}, {1009: 1, 1013: 2, 2 ** 61 - 1: 1},
+                    {151: 1, 751: 1, 28351: 1}, {7: 5}, {}):
+        n = 1
+        for p, e in factors.items():
+            n *= p ** e
+        assert factor_int(n) == factors
 
 
 def test_bad_field_parameters():

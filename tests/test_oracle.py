@@ -652,6 +652,23 @@ def test_int_kernel_polynomials_match_matrix_level():
                      expect=["1", "0", "1"])
 
 
+@pytest.mark.parametrize("field,d", [(FiniteField(2, 2), 2), (FiniteField(2), 3)],
+                         ids=["gf4-d2", "gf2-d3"])
+def test_classify_split_matches_eigenvalues(field, d):
+    # the scan's split flag and eigenvalues() run one root kernel on two
+    # codings of GF(q); they agree on every matrix of the space
+    from orbitref import eigenvalues
+    from orbitref.oracle import _classify_chunk
+
+    total = field.q ** (d * d)
+    rows = _classify_chunk((field.p, field.k, field.modulus, d, 0, total, False))
+    assert [row[0] for row in rows] == list(range(total))
+    flags = [row[3] for row in rows]
+    assert flags == [eigenvalues(_scan_matrix(field, d, idx)).split
+                     for idx in range(total)]
+    assert True in flags and False in flags
+
+
 @pytest.mark.slow
 def test_scan_gf9_full_space():
     # the extension-field equality over GF(9): every 2x2 matrix with split

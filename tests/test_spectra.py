@@ -17,6 +17,7 @@ from orbitref import (
     Scalar,
     SpectralProfile,
     block_profile,
+    char_poly,
     conjugate,
     eigenvalues,
     rank,
@@ -66,6 +67,84 @@ def test_eigenvalues_gaussian_divisor_search():
     eig = eigenvalues(M)
     assert eig.split
     assert [(str(r), m) for r, m in eig.roots] == [("3/5+4/5i", 2)]
+
+
+def _poly_mul(a, b):
+    """Product of two coefficient lists, constant term first."""
+    out = [a[0].field.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _poly_at(coeffs, x):
+    acc = x.field.zero()
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+SIEVE_ROOTS = {
+    # one root per denominator 2, 3, 2310 and 1009*1013, a double one and 0
+    "q": [("1/2", 2), ("-2/3", 1), ("5/2310", 1), ("-3/1022117", 1), ("0", 1)],
+    "qi": [("1/2+1/2i", 2), ("-2/3i", 1), ("1/770+1/2310i", 1),
+           ("2-5/1022117i", 1), ("0", 1)],
+}
+# the order of `eigenvalues`: ascending over Q, by modulus, real and
+# imaginary part over Q(i)
+SIEVE_ORDER = {
+    "q": ["-2/3", "-3/1022117", "0", "1/462", "1/2"],
+    "qi": ["0", "1/770+1/2310i", "-2/3i", "1/2+1/2i", "2-5/1022117i"],
+}
+
+
+@pytest.mark.parametrize("residual", [False, True], ids=["split", "residual"])
+@pytest.mark.parametrize("field", [QQ, QI], ids=["q", "qi"])
+def test_sieve_finds_roots_of_known_products(field, residual):
+    # the companion of prod (t - lam)^m, times t^2 + 1/3 (irreducible over
+    # Q and Q(i)) when residual is set
+    roots = SIEVE_ROOTS[field.kind]
+    poly = [field.one()]
+    for lam, mult in roots:
+        for _ in range(mult):
+            poly = _poly_mul(poly, [-field.parse(lam), field.one()])
+    if residual:
+        poly = _poly_mul(poly, [field.parse("1/3"), field.zero(), field.one()])
+    eig = eigenvalues(Matrix.companion(Polynomial.from_scalars(field, poly)))
+    assert {str(r): m for r, m in eig.roots} == {str(field.parse(lam)): m
+                                                  for lam, m in roots}
+    assert [str(r) for r, _ in eig.roots] == SIEVE_ORDER[field.kind]
+    assert eig.split is not residual
+    assert str(eig.residual) == ("t^2+1/3" if residual else "None")
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_eigenvalues_gf_match_char_poly_evaluation(q):
+    # the roots are the elements where char_poly vanishes, and char_poly is
+    # prod (t - x)^m times a residual without roots in the field
+    p, k = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1),
+            8: (2, 3), 9: (3, 2)}[q]
+    field = FiniteField(p, k)
+    els = field.elements()
+    rng = random.Random(q)
+    for d in range(1, 5):
+        for trial in range(8):
+            rows = [[els[rng.randrange(q)] if trial % 2 or j >= i else els[0]
+                     for j in range(d)] for i in range(d)]
+            M = Matrix(field, rows)
+            cp = char_poly(M).coeffs
+            eig = eigenvalues(M)
+            assert [r for r, _ in eig.roots] == [
+                x for x in els if _poly_at(cp, x).is_zero]
+            rest = [field.one()] if eig.split else list(eig.residual.coeffs)
+            assert not any(_poly_at(rest, x).is_zero for x in els)
+            product = rest
+            for r, mult in eig.roots:
+                for _ in range(mult):
+                    product = _poly_mul(product, [-r, field.one()])
+            assert tuple(product) == cp
+
 
 
 # -- block profiles --------------------------------------------------------------
@@ -178,15 +257,17 @@ def test_profile_matches_sympy_jordan_form(field):
         assert ours == _sympy_jordan_sizes(sympy, M)
 
 
-@pytest.mark.parametrize("field", [QQ, QI], ids=["q", "qi"])
-def test_profile_rescaling_divides_eigenvalues(field):
+@pytest.mark.parametrize("field,blocks", [
+    (QQ, [("3", 2), ("3", 1), ("-5", 1)]),
+    (QI, [("3", 2), ("3", 1), ("2+i", 1)]),
+    (QI, [("3", 2), ("3", 1), ("2+i", 2), ("-1+2i", 1), ("1/2", 1)]),
+], ids=["q", "qi", "qi-d7"])
+def test_profile_rescaling_divides_eigenvalues(field, blocks):
     # clearing scales M by the lcm c of its denominators, and each
     # eigenvalue g/h by h c; dividing M by large coprime factors must move
     # every eigenvalue to lam/c and keep every block size
-    lams = ["3", "-5"] if field == QQ else ["3", "2+i"]
-    J = Matrix.block_diag([Matrix.jordan_block(field, lams[0], 2),
-                           Matrix.jordan_block(field, lams[0], 1),
-                           Matrix.jordan_block(field, lams[1], 1)])
+    J = Matrix.block_diag([Matrix.jordan_block(field, lam, size)
+                           for lam, size in blocks])
     M = conjugate(J, _fractional_shear(random.Random(29), field, J.n))
     want = block_profile(M)
     for c in (2 * 3 * 5 * 7 * 11, 1009 * 1013, 2 ** 10 * 10007):
