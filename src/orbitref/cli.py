@@ -18,6 +18,7 @@ are byte-identical, for ffscan regardless of worker count.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import traceback
 from functools import cache
@@ -397,16 +398,20 @@ def cmd_oracle(args) -> int:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            v = q
-            while v % p == 0:
-                v //= p
-                k += 1
-            if v != 1:
-                raise ParseError(f"{q} is not a prime power")
-            return p, k
+    """(p, k) with q = p^k for the least factor p of q; a q with no factor
+    up to isqrt(q) is (q, 1), and `FiniteField` tests it for primality."""
+    if q >= 2:
+        for p in range(2, math.isqrt(q) + 1):
+            if q % p == 0:
+                k, v = 0, q
+                while v % p == 0:
+                    v //= p
+                    k += 1
+                if v == 1:
+                    return p, k
+                break
+        else:
+            return q, 1
     raise ParseError(f"{q} is not a prime power")
 
 

@@ -12,9 +12,11 @@ characteristic polynomials, fraction-free (Bareiss) elimination
 `_bareiss_rank` for exact ranks, and synthetic division `_split_roots`
 for the roots among given candidates.  GF(q) runs them on its scalars, Q
 and Q(i) on Z and Z[i], and the oracle's scan runs Berkowitz and the root
-kernel on its integer-coded GF(q) tables.  Floating complex matrices
-route rank questions through an SVD whose threshold comes from the field
-descriptor, never from call sites.
+kernel on its integer-coded GF(q) tables.  Over Z and Z[i] the
+subresultant remainder sequence `_squarefree_part` gives the square-free
+part whose roots the sieve lifts.  Floating complex matrices route rank
+questions through an SVD whose threshold comes from the field descriptor,
+never from call sites.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 from typing import Any, Callable, NamedTuple
 
@@ -418,8 +421,9 @@ class Ring(NamedTuple):
     scale: Callable     # (n, x) -> n x for an int n
     clear: Callable
     fraction: Callable
-    divisors: Callable  # every divisor of a nonzero element, all associates
-    key: Callable       # the sort key of the `divisors` order
+    key: Callable       # the sort key of the root order
+    gint: Callable      # the element as a Gaussian-integer pair
+    from_gint: Callable  # a pair as an element, None outside the ring
 
     def rank(self, rows) -> int:
         return _bareiss_rank(rows, self.mul, self.sub, self.divx, self.is_zero)
@@ -432,10 +436,10 @@ class Ring(NamedTuple):
 
 ZZ = Ring(_int_dot, operator.mul, operator.add, operator.sub, _int_divx,
           operator.neg, operator.not_, 1, operator.mul, _int_clear, Fraction,
-          gi.int_divisors, operator.index)
+          operator.index, lambda x: (x, 0), lambda z: None if z[1] else z[0])
 ZI = Ring(_gint_dot, gi.gmul, gi.gadd, gi.gsub, _gint_divx, _gint_neg,
           (0, 0).__eq__, (1, 0), _gint_scale, _gint_clear, _gint_fraction,
-          gi.gaussian_divisors, gi.gkey)
+          gi.gkey, tuple, tuple)
 _RINGS = {KIND_RATIONALS: ZZ, KIND_GAUSSIAN: ZI}
 
 
@@ -563,6 +567,55 @@ def _split_roots(poly, candidates, mul, add, is_zero) -> tuple[list, list]:
         if mult:
             roots.append((x, mult))
     return roots, rest
+
+
+def _pseudo_remainder(a, b, ring: Ring) -> list:
+    """lead(b)^(deg a - deg b + 1) a mod b, leading first, without leading
+    zeros."""
+    mul, sub = ring.mul, ring.sub
+    rest = list(a)
+    for _ in range(len(a) - len(b) + 1):
+        top = rest[0]
+        rest = [mul(b[0], x) for x in rest[1:]]
+        for j, y in enumerate(b[1:]):
+            rest[j] = sub(rest[j], mul(top, y))
+    while rest and ring.is_zero(rest[0]):
+        rest.pop(0)
+    return rest
+
+
+def _squarefree_part(poly, ring: Ring) -> list:
+    """poly / gcd(poly, poly') for a monic poly over Z or Z[i] (leading
+    first): monic, with the same roots, each simple.  The gcd is the last
+    term of the subresultant remainder sequence (Brown-Traub), made monic;
+    every divx is exact, the monic gcd of a monic polynomial having
+    integral coefficients by Gauss's lemma."""
+    mul, divx, one = ring.mul, ring.divx, ring.one
+
+    def power(x, k):
+        return reduce(mul, [x] * k, one)
+
+    n = len(poly) - 1
+    a = poly
+    b = [ring.scale(n - k, x) for k, x in enumerate(poly[:-1])]
+    g = h = one
+    while True:
+        delta = len(a) - len(b)
+        rest = _pseudo_remainder(a, b, ring)
+        if not rest:
+            break
+        a, b = b, [divx(x, mul(g, power(h, delta))) for x in rest]
+        g = a[0]
+        if delta:
+            h = divx(power(g, delta), power(h, delta - 1))
+    gcd = [divx(x, b[0]) for x in b]
+    # the quotient by the monic gcd, by long division in place
+    quot = list(poly)
+    m = len(poly) - len(gcd) + 1
+    for i in range(m):
+        for j, y in enumerate(gcd[1:], i + 1):
+            quot[j] = ring.sub(quot[j], mul(quot[i], y))
+    return quot[:m]
 
 
 def _divide_back(field: Field, ring: Ring, xs, c: int) -> Polynomial:

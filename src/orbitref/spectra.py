@@ -11,8 +11,9 @@ Matrix powers, and complex input SVD ranks of ndarray powers.
 
 Exact eigenvalues come from one synthetic-division sieve,
 `linalg._split_roots`.  Over Q and Q(i) it divides det(tI - B) on Z or Z[i]
-by t - r for the integer candidates r = c lam that the rational-root
-theorem leaves (`_root_candidates`); over GF(p^k) by t - x for every
+by t - r for the candidates r = c lam of `_root_candidates`: the roots of
+the monic square-free part, lifted p-adically from GF(p^2) (`_gaussint`),
+so nothing is factored.  Over GF(p^k) it divides by t - x for every
 element x.  If the polynomial does not fully factor the caller gets
 NotSplit with the residual factor; escalating the field (q -> qi -> c64)
 is an explicit caller decision, never silent.
@@ -29,7 +30,6 @@ finds at the spectral radius.
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -38,6 +38,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import _gaussint as gi
 from .errors import Nilpotent, NotSplit, OrbitrefError, WrongField
 from .fields import (
     KIND_COMPLEX,
@@ -49,7 +50,8 @@ from .fields import (
     as_gaussian_pair,
 )
 from .linalg import (Matrix, Polynomial, Ring, _berkowitz, _divide_back,
-                     _split_roots, char_poly, integer_form, rank, to_ndarray)
+                     _split_roots, _squarefree_part, char_poly, integer_form,
+                     rank, to_ndarray)
 
 _MACH_EPS = float(np.finfo(float).eps)
 
@@ -178,6 +180,7 @@ class EigenResult:
     roots: tuple[tuple[Scalar, int], ...]
     split: bool
     residual: Optional[Polynomial]        # non-split factor, exact kinds only
+    fragile: bool = False                 # complex clusters a 10x band merges
 
 
 def eigenvalues(M: Matrix) -> EigenResult:
@@ -186,7 +189,8 @@ def eigenvalues(M: Matrix) -> EigenResult:
     C.  GF(q) divides the characteristic polynomial by t - x for every
     element x.  Q and Q(i) divide det(tI - B) of the integer form B = c M
     by t - r for the (Gaussian) integer candidates r = c lam of
-    `_root_candidates`, and divide the roots and the residual back."""
+    `_root_candidates`, and divide the roots and the residual back.  Over
+    C, `fragile` is set when a 10x wider band would merge clusters."""
     field = M.field
     if field.kind == KIND_COMPLEX:
         return _eigenvalues_numeric(M)
@@ -199,7 +203,7 @@ def eigenvalues(M: Matrix) -> EigenResult:
     else:
         c, rows, ring = integer_form(M)
         xs = _berkowitz(rows, ring.dot, ring.neg, ring.one)
-        candidates = _root_candidates(ring, c, _divide_back(field, ring, xs, c))
+        candidates = _root_candidates(ring, xs)
         found, rest = _split_roots(xs, candidates, ring.mul, ring.add,
                                    ring.is_zero)
         roots = [(Scalar(field, ring.fraction(r, c)), m) for r, m in found]
@@ -208,20 +212,15 @@ def eigenvalues(M: Matrix) -> EigenResult:
     return EigenResult(tuple(roots), split, None if split else residual)
 
 
-def _root_candidates(ring: Ring, c: int, poly: Polynomial) -> list:
-    """Every (Gaussian) integer that can be a root r = c lam of det(tI - c M),
-    for the characteristic polynomial `poly` of M: zero when poly(0) = 0,
-    and (c/e) times every divisor of e low, where poly cleared to Z or Z[i]
-    has leading coefficient lead and lowest nonzero coefficient low, and
-    e = gcd(c, lead) (see `_gaussint`).  In `ring.key` order: ascending
-    over Z, by norm, real and imaginary part over Z[i]."""
-    lead, cleared = ring.clear([s.value for s in poly.coeffs])
-    low = next(x for x in cleared if not ring.is_zero(x))
-    e = math.gcd(c, lead)
-    out = [ring.scale(c // e, x) for x in ring.divisors(ring.scale(e, low))]
-    if ring.is_zero(cleared[0]):
-        bisect.insort(out, cleared[0], key=ring.key)
-    return out
+def _root_candidates(ring: Ring, xs) -> list:
+    """A superset of the roots in Z or Z[i] of the monic xs over that ring
+    (leading first), in `ring.key` order: ascending over Z, by norm, real
+    and imaginary part over Z[i].  They are the Gaussian-integer roots of
+    its square-free part that `_gaussint.gaussian_roots` lifts, the real
+    ones only over Z; `_split_roots` checks each on xs."""
+    square_free = [ring.gint(x) for x in _squarefree_part(xs, ring)]
+    found = map(ring.from_gint, gi.gaussian_roots(square_free))
+    return sorted((r for r in found if r is not None), key=ring.key)
 
 
 def _cluster_band(dim: int, tol: float, magnitude: float) -> float:
@@ -263,9 +262,9 @@ def _cluster_numeric(vals: np.ndarray, tol: float, dim: int):
 
 def _eigenvalues_numeric(M: Matrix) -> EigenResult:
     vals = np.linalg.eigvals(to_ndarray(M))
-    clusters, _ = _cluster_numeric(vals, M.field.tol, M.n)
+    clusters, fragile = _cluster_numeric(vals, M.field.tol, M.n)
     roots = tuple((Scalar(M.field, z), mult) for z, mult in clusters)
-    return EigenResult(roots, True, None)
+    return EigenResult(roots, True, None, fragile)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +357,7 @@ def block_profile(M: Matrix) -> SpectralProfile:
         return profile
     # fragile when a 10x wider band would merge eigenvalue clusters or
     # change the entries that tie the spectral radius
-    vals = np.linalg.eigvals(to_ndarray(M))
-    _, fragile = _cluster_numeric(vals, M.field.tol, M.n)
+    fragile = eig.fragile
     if not fragile and profile.spectral_radius_sq is not None:
         fragile = radius_selection(profile)[1]
     return replace(profile, fragile=fragile)

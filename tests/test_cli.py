@@ -1,7 +1,10 @@
 """End-to-end CLI: file formats, exit codes, report determinism."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -253,8 +256,28 @@ def test_decide_and_witness_have_no_workers_option(tmp_path, capsys):
 
 
 def test_ffscan_rejects_non_prime_power(capsys):
-    assert main(["ffscan", "--q", "6", "--d", "2", "--no-cache"]) == 2
-    capsys.readouterr()
+    for q in ("6", "1", "12", "0", "-4"):
+        assert main(["ffscan", "--q", q, "--d", "2", "--no-cache"]) == 2
+        assert f"{q} is not a prime power" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,data,code", [
+    (["jordan"], {"field": "q", "rows": [[f"1/{(2 ** 61 - 1) ** 2}"]]}, 0),
+    (["jordan"], {"field": "gf", "p": 2 ** 89 - 1, "rows": [["1"]]}, 2),
+    (["ffscan", "--q", "1000000007", "--d", "1", "--no-cache"], None, 4),
+], ids=["jordan-mersenne-square", "gf-above-primality-bound", "ffscan-large-prime"])
+def test_cli_answers_within_10_s(tmp_path, argv, data, code):
+    # each of these hung before: a subprocess with a timeout makes a
+    # regression fail instead of stalling the suite
+    if data is not None:
+        argv = argv + ["--input", _write(tmp_path, "m.json", data)]
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "orbitref", *argv],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_ffscan_worker_determinism(tmp_path, capsys):

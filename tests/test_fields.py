@@ -18,7 +18,7 @@ from orbitref import (
     Scalar,
     WrongField,
 )
-from orbitref._gaussint import factor_int, is_prime
+from orbitref._gaussint import is_prime
 from orbitref.spectra import _modulus_sq
 
 
@@ -181,15 +181,12 @@ def test_is_prime_large():
         assert not is_prime(n)
 
 
-def test_factor_int_stops_at_a_prime_cofactor():
-    # the cases with the factor 2^61 - 1 would take about 2^30 trial
-    # divisions without the primality test on the cofactor
-    for factors in ({2: 3, 3: 1, 2 ** 61 - 1: 1}, {1009: 1, 1013: 2, 2 ** 61 - 1: 1},
-                    {151: 1, 751: 1, 28351: 1}, {7: 5}, {}):
-        n = 1
-        for p, e in factors.items():
-            n *= p ** e
-        assert factor_int(n) == factors
+def test_is_prime_raises_above_the_miller_rabin_bound():
+    # no base decides there; a factor up to 41 still does
+    for n in (3317044064679887385961981, 2 ** 89 - 1, (2 ** 61 - 1) ** 2):
+        with pytest.raises(ValueError):
+            is_prime(n)
+    assert not is_prime(3 * (2 ** 89 - 1))
 
 
 def test_bad_field_parameters():

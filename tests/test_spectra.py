@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitref import (
     ComplexFloats,
@@ -22,6 +23,7 @@ from orbitref import (
     eigenvalues,
     rank,
 )
+from orbitref._gaussint import simple_roots_mod_p
 from orbitref.linalg import to_ndarray
 from orbitref.spectra import radius_selection
 
@@ -85,26 +87,44 @@ def _poly_at(coeffs, x):
     return acc
 
 
+M61, M89 = 2 ** 61 - 1, 2 ** 89 - 1
 SIEVE_ROOTS = {
     # one root per denominator 2, 3, 2310 and 1009*1013, a double one and 0
     "q": [("1/2", 2), ("-2/3", 1), ("5/2310", 1), ("-3/1022117", 1), ("0", 1)],
     "qi": [("1/2+1/2i", 2), ("-2/3i", 1), ("1/770+1/2310i", 1),
            ("2-5/1022117i", 1), ("0", 1)],
+    # denominators (2^61 - 1)^2 (2^89 - 1), above the Miller-Rabin bound,
+    # and 2^3 3 (2^61 - 1) and 1009 1013^2 (2^61 - 1)
+    "q-large": [(f"1/{M61 ** 2 * M89}", 1), (f"-5/{24 * M61}", 2),
+                (f"7/{1009 * 1013 ** 2 * M61}", 1)],
+    "qi-large": [(f"1/{M61 ** 2 * M89}-{M89}i", 1), (f"-5/{24 * M61}i", 2),
+                 (f"3+7/{1009 * 1013 ** 2 * M61}i", 1)],
+    # 0 and 3 7 11 19 coincide modulo 3, 7, 11 and 19: the sieve prime is 23
+    "q-collide": [("0", 1), ("4389", 2)],
+    "qi-collide": [("4389+4389i", 1), ("0", 2)],
 }
 # the order of `eigenvalues`: ascending over Q, by modulus, real and
 # imaginary part over Q(i)
 SIEVE_ORDER = {
     "q": ["-2/3", "-3/1022117", "0", "1/462", "1/2"],
     "qi": ["0", "1/770+1/2310i", "-2/3i", "1/2+1/2i", "2-5/1022117i"],
+    "q-large": [f"-5/{24 * M61}", f"1/{M61 ** 2 * M89}",
+                f"7/{1009 * 1013 ** 2 * M61}"],
+    "qi-large": [f"-5/{24 * M61}i", f"3+7/{1009 * 1013 ** 2 * M61}i",
+                 f"1/{M61 ** 2 * M89}-{M89}i"],
+    "q-collide": ["0", "4389"],
+    "qi-collide": ["0", "4389+4389i"],
 }
 
 
 @pytest.mark.parametrize("residual", [False, True], ids=["split", "residual"])
-@pytest.mark.parametrize("field", [QQ, QI], ids=["q", "qi"])
-def test_sieve_finds_roots_of_known_products(field, residual):
+@pytest.mark.parametrize("field,case", [
+    pytest.param(QI if case.startswith("qi") else QQ, case, id=case)
+    for case in SIEVE_ROOTS])
+def test_sieve_finds_roots_of_known_products(field, case, residual):
     # the companion of prod (t - lam)^m, times t^2 + 1/3 (irreducible over
     # Q and Q(i)) when residual is set
-    roots = SIEVE_ROOTS[field.kind]
+    roots = SIEVE_ROOTS[case]
     poly = [field.one()]
     for lam, mult in roots:
         for _ in range(mult):
@@ -114,9 +134,17 @@ def test_sieve_finds_roots_of_known_products(field, residual):
     eig = eigenvalues(Matrix.companion(Polynomial.from_scalars(field, poly)))
     assert {str(r): m for r, m in eig.roots} == {str(field.parse(lam)): m
                                                   for lam, m in roots}
-    assert [str(r) for r, _ in eig.roots] == SIEVE_ORDER[field.kind]
+    assert [str(r) for r, _ in eig.roots] == SIEVE_ORDER[case]
     assert eig.split is not residual
     assert str(eig.residual) == ("t^2+1/3" if residual else "None")
+
+
+def test_sieve_prime_skips_colliding_roots():
+    # t (t - 4389): 0 and 3 7 11 19 coincide modulo each of those primes
+    assert simple_roots_mod_p([(1, 0), (-4389, 0), (0, 0)]) == (
+        23, [(0, 0), (19, 0)])
+    # t^2 + 1 has the simple roots +-i modulo 3
+    assert simple_roots_mod_p([(1, 0), (0, 0), (1, 0)]) == (3, [(0, 1), (0, 2)])
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -255,6 +283,44 @@ def test_profile_matches_sympy_jordan_form(field):
         ours = {sympy.expand(_to_sympy(sympy, e.eigenvalue)): list(e.block_sizes)
                 for e in block_profile(M).entries}
         assert ours == _sympy_jordan_sizes(sympy, M)
+
+
+# monic quadratics over Q, constant term first, without a root in Q(i)
+IRREDUCIBLE_QUADRATICS = [("1/3", "0", "1"), ("-2", "0", "1"), ("1", "1", "1"),
+                          ("1", "-3", "1")]
+_SMALL_FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@pytest.mark.parametrize("field", [QQ, QI], ids=["q", "qi"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_eigenvalues_match_sympy_roots(field, data):
+    # prod (t - lam)^m over (Gaussian) rationals lam, optionally times a
+    # quadratic irreducible over Q(i): `eigenvalues` of its companion finds
+    # exactly the roots that sympy finds in Q or Q(i)
+    sympy = pytest.importorskip("sympy")
+    imag = _SMALL_FRACTIONS if field == QI else st.just(Fraction(0))
+    factors = data.draw(st.lists(st.tuples(_SMALL_FRACTIONS, imag,
+                                           st.integers(1, 3)),
+                                 min_size=1, max_size=3))
+    quadratic = data.draw(st.sampled_from([None] + IRREDUCIBLE_QUADRATICS))
+    t = sympy.Symbol("t")
+    poly, expr = [field.one()], sympy.Integer(1)
+    for re_part, im_part, mult in factors:
+        lam = Scalar(field, re_part if field == QQ else (re_part, im_part))
+        for _ in range(mult):
+            poly = _poly_mul(poly, [-lam, field.one()])
+        expr *= (t - _to_sympy(sympy, lam)) ** mult
+    if quadratic:
+        poly = _poly_mul(poly, [field.parse(c) for c in quadratic])
+        expr *= sum(sympy.Rational(c) * t ** k for k, c in enumerate(quadratic))
+    eig = eigenvalues(Matrix.companion(Polynomial.from_scalars(field, poly)))
+    want = {sympy.expand(r): m
+            for r, m in sympy.roots(sympy.Poly(expr, t)).items()
+            if sympy.re(r).is_rational and sympy.im(r).is_rational
+            and (field == QI or sympy.im(r) == 0)}
+    assert {sympy.expand(_to_sympy(sympy, r)): m for r, m in eig.roots} == want
+    assert eig.split is (quadratic is None)
 
 
 @pytest.mark.parametrize("field,blocks", [
