@@ -18,12 +18,12 @@ are byte-identical, for ffscan regardless of worker count.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import traceback
 from functools import cache
 
 from . import __version__
+from ._gaussint import is_prime
 from .counterexample import truncation_table, verify_no_single_power
 from .deciders import (
     PROP_ALGEBRAIC,
@@ -397,21 +397,28 @@ def cmd_oracle(args) -> int:
     return _emit(report, args)
 
 
+def _integer_root(n: int, k: int) -> int:
+    """The integer part of the k-th root of n >= 1, by Newton's method
+    from a power of two above it."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _prime_power(q: int) -> tuple[int, int]:
-    """(p, k) with q = p^k for the least factor p of q; a q with no factor
-    up to isqrt(q) is (q, 1), and `FiniteField` tests it for primality."""
+    """(p, k) with q = p^k and p prime: the prime among the integer k-th
+    roots of q, for k from floor(log2 q) down to 1."""
     if q >= 2:
-        for p in range(2, math.isqrt(q) + 1):
-            if q % p == 0:
-                k, v = 0, q
-                while v % p == 0:
-                    v //= p
-                    k += 1
-                if v == 1:
+        for k in range(q.bit_length() - 1, 0, -1):
+            p = _integer_root(q, k)
+            try:
+                if p ** k == q and is_prime(p):
                     return p, k
-                break
-        else:
-            return q, 1
+            except ValueError as exc:  # p too large for the primality test
+                raise ParseError(str(exc)) from exc
     raise ParseError(f"{q} is not a prime power")
 
 

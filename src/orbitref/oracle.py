@@ -44,11 +44,12 @@ image read as img[x] = img[rest] + c * col_j from a vector already done.
 A failed check drops every candidate sharing the prefix at once.  A check
 whose orbit set is the whole space can never fail and is dropped; once no
 check is left the remaining columns combine freely, so a T transitive on
-lines has every candidate as a member without a walk.  The scan only needs
-|OrbRef0(T)| and counts the members without listing them;
-`enumerate_orbref0` lists them column-coded and decodes Matrix objects
-only when a caller reads them.  The scaled orbit must pass the same
-checks in both paths, or the module raises an internal error.
+lines has every candidate as a member without a walk.  |OrbRef0(T)| is counted
+without listing the members; `enumerate_orbref0` walks the search for its
+members and its difference from the scaled orbit only as far as a caller
+reads them, and decodes Matrix objects only then.  The scaled orbit must
+pass the same checks as every candidate, or the module raises an
+internal error.
 
 `orbref0_contains` tests one candidate, and its budget counts the q^d
 vectors it checks.  The vector-addition table alone has q^(2d) entries,
@@ -57,12 +58,18 @@ to the first repeat for one vector at a time, on tuples of element
 indices.
 
 `scan_space` sweeps every d x d matrix over GF(q) and classifies each by
-its characteristic polynomial and minimal polynomial.  The characteristic
-polynomial is `linalg._berkowitz`, the loop behind `char_poly`, run on the
-scalar tables over the scan index's digits, and `linalg._split_roots`
-tells whether it splits, as in `eigenvalues`; the minimal polynomial,
-the package's only one, is the first dependence among the coded columns
-of I, T, T^2, ..., found by elimination with the vector tables.  A matrix's
+its characteristic polynomial cp and minimal polynomial.  cp is
+`linalg._berkowitz`, the loop behind `char_poly`, run on the scalar
+tables over the scan index's digits.  What depends on cp alone -- whether
+it splits (`linalg._split_roots`, as in `eigenvalues`), whether it is
+nilpotent and whether it is square-free -- is worked out once per distinct
+cp of a chunk.  cp counts as square-free when its roots are simple and
+its rootless part has degree < 4; the rule is exact for d <= 3, and from
+d = 4 on it can only send a square-free cp down the slower path.  A
+square-free cp is its own minimal polynomial, which divides cp and has
+each of its irreducible factors.  Otherwise the minimal polynomial, the
+package's only one, is the first dependence among the coded columns of
+I, T, T^2, ..., found by elimination with the vector tables.  A matrix's
 row-major scan digits give its coded columns (`_scan_cols`), so
 `_space(field, d).decode` rebuilds the matrix of any scan row.  Then the
 scan checks OrbRef0 = scaled-power-orbit per matrix.
@@ -70,9 +77,13 @@ Verdicts are similarity invariants, so by default the scan memoises the
 expensive enumeration per (characteristic, minimal polynomial) class,
 and a flag forces the plain per-matrix scan.  That key fixes the
 similarity class only for d <= 3 (at d = 4 the nilpotent [2,2] and
-[2,1,1] share both polynomials), so the scan stops at d = 3.  Results
-persist to a JSON-lines cache keyed by the field (p, k, modulus), d and
-the matrix index; re-runs skip finished matrices.
+[2,1,1] share both polynomials), so the scan stops at d = 3.  With
+several workers one fork pool serves both passes, and a scan with
+nothing pending starts none.  Results persist to a JSON-lines cache keyed
+by the field (p, k, modulus), d and the matrix index; re-runs skip
+finished matrices.  The cache is read in one pass with one reused JSON
+decoder and written with one reused encoder; blank, malformed, truncated
+and non-object lines are skipped.
 """
 
 from __future__ import annotations
@@ -82,11 +93,12 @@ import json
 import operator
 import os
 from collections.abc import Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, product
+from itertools import chain, islice, product
 from math import prod
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import (
     BudgetExceeded,
@@ -272,7 +284,6 @@ class _ColumnSearch:
         self.depth = max((j + 1 for j, items in enumerate(self.items) if items),
                          default=0)
         self.sp = sp
-        self.img = [0] * n
         # the scaled orbit sits inside OrbRef0(T); the orbit sets come from
         # walks of single vectors and the scaled orbit from the column walk
         # of the powers, so a scaled power failing the column checks is a
@@ -280,9 +291,10 @@ class _ColumnSearch:
         if not all(self._passes(R) for R in self.forb):
             raise OrbitrefError("a scaled power of T fails the OrbRef0 column checks")
 
-    def _fits(self, j: int, col: int) -> bool:
-        """Fix column j to col: fill the images of level j and check them."""
-        vadd, img = self.sp.vadd, self.img
+    def _fits(self, j: int, col: int, img: list[int]) -> bool:
+        """Fix column j to col: fill the images of level j into img and
+        check them."""
+        vadd = self.sp.vadd
         multiples = self.sp.scale[col]
         for x, rest, c, mask in self.items[j]:
             y = vadd[img[rest]][multiples[c]]
@@ -292,37 +304,39 @@ class _ColumnSearch:
         return True
 
     def _passes(self, cols) -> bool:
-        return all(m >> col & 1 and self._fits(j, col)
+        img = [0] * self.sp.n
+        return all(m >> col & 1 and self._fits(j, col, img)
                    for j, (m, col) in enumerate(zip(self.col_masks, cols)))
 
     # the recursions are methods, not nested functions: a nested function
     # that calls itself is a reference cycle, and it would keep the search
-    # and its member list alive until the next garbage collection
+    # alive until the next garbage collection.  Each walk fills its own
+    # image buffer, so walks of one search may interleave.
 
-    def members(self) -> list[tuple[int, ...]]:
-        """The members, column-coded, in product order over the columns."""
-        out: list[tuple[int, ...]] = []
-        self._extend(0, (), out)
-        return out
+    def members(self) -> Iterator[tuple[int, ...]]:
+        """The members one at a time, column-coded, in product order over
+        the columns."""
+        return self._walk(0, (), [0] * self.sp.n)
 
-    def _extend(self, j: int, prefix: tuple[int, ...], out: list):
+    def _walk(self, j: int, prefix: tuple[int, ...], img: list[int]):
         if j == self.depth:
-            out.extend(prefix + rest for rest in product(*self.allowed[j:]))
+            yield from (prefix + rest for rest in product(*self.allowed[j:]))
             return
         for col in self.allowed[j]:
-            if self._fits(j, col):
-                self._extend(j + 1, prefix + (col,), out)
+            if self._fits(j, col, img):
+                yield from self._walk(j + 1, prefix + (col,), img)
 
     def count(self) -> int:
         """The number of members, without listing them."""
-        return self._count(0, prod(len(cols) for cols in self.allowed[self.depth:]))
+        return self._count(0, prod(len(cols) for cols in self.allowed[self.depth:]),
+                           [0] * self.sp.n)
 
-    def _count(self, j: int, free: int) -> int:
+    def _count(self, j: int, free: int, img: list[int]) -> int:
         # free: the number of ways to fill the columns that no check reads
         if j == self.depth:
             return free
-        return sum(self._count(j + 1, free)
-                   for col in self.allowed[j] if self._fits(j, col))
+        return sum(self._count(j + 1, free, img)
+                   for col in self.allowed[j] if self._fits(j, col, img))
 
 
 def _clashing(sp: _Space, forb) -> set:
@@ -437,19 +451,31 @@ def orbref0_contains(T: Matrix, S: Matrix,
 
 
 class _Decoded(Sequence):
-    """Column-coded matrices of one space, decoded to Matrix on access, so a
-    caller that reads a few of them decodes only those."""
+    """`size` column-coded matrices of one space, drawn from an iterator only
+    as far as a caller reads and decoded to Matrix on access, so a caller
+    that reads a few of them walks and decodes only those."""
 
-    def __init__(self, sp: _Space, coded: list):
-        self._sp = sp
-        self._coded = coded
+    def __init__(self, sp: _Space, size: int, coded: Iterator):
+        self._sp, self._size, self._source = sp, size, coded
+        self._coded: list = []
 
     def __len__(self) -> int:
-        return len(self._coded)
+        return self._size
+
+    def _read(self, stop: int):
+        if stop > len(self._coded):
+            self._coded.extend(islice(self._source, stop - len(self._coded)))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(map(self._sp.decode, self._coded[i]))
+            start, stop, step = i.indices(self._size)
+            self._read(max(start + 1, stop))
+            return tuple(self._sp.decode(self._coded[j]) for j in range(start, stop, step))
+        if i < 0:
+            i += self._size
+        if not 0 <= i < self._size:
+            raise IndexError(i)
+        self._read(i + 1)
         return self._sp.decode(self._coded[i])
 
 
@@ -487,18 +513,20 @@ def _column_search(T: Matrix, budget: int) -> _ColumnSearch:
 
 def enumerate_orbref0(T: Matrix, budget: int = DEFAULT_ENUM_BUDGET) -> Orbref0Result:
     """The exact set OrbRef0(T) by exhaustive candidate scan, with the
-    comparison against the scaled power orbit.  `members` and `difference`
-    decode their matrices on access."""
+    comparison against the scaled power orbit.  The sizes come from
+    counting; `members` and `difference` walk the search and decode their
+    matrices only as far as a caller reads them."""
     search = _column_search(T, budget)
-    members = search.members()
-    forb = search.forb
+    size, forb = search.count(), search.forb
+    # forb lies inside OrbRef0, so size - |forb| members lie outside it
     return Orbref0Result(
         base=T,
-        members=_Decoded(search.sp, members),
-        orbref0_size=len(members),
+        members=_Decoded(search.sp, size, search.members()),
+        orbref0_size=size,
         forb_size=len(forb),
-        equal=len(members) == len(forb),
-        difference=_Decoded(search.sp, [c for c in members if c not in forb]),
+        equal=size == len(forb),
+        difference=_Decoded(search.sp, size - len(forb),
+                            (c for c in search.members() if c not in forb)),
         tail=search.tail,
         cycle=search.cycle,
     )
@@ -544,7 +572,7 @@ class ScanResult:
 
 
 def matrix_hash(q: int, d: int, digits: Iterable[int]) -> str:
-    body = f"{q}:{d}:" + ",".join(str(c) for c in digits)
+    body = f"{q}:{d}:" + ",".join(map(str, digits))
     return hashlib.sha256(body.encode()).hexdigest()[:16]
 
 
@@ -597,23 +625,42 @@ def _min_poly_int(sp: _Space, cols) -> tuple[int, ...]:
     raise AssertionError("dependence must occur by degree d")
 
 
+def _cp_facts(sp: _Space, cp: tuple[int, ...]) -> tuple[bool, bool, bool]:
+    """(split, nilpotent, square-free) for the characteristic polynomial cp
+    (constant first).  cp counts as square-free when each root is simple
+    and the part left without roots has degree < 4: a rootless polynomial
+    of degree 2 or 3 has no linear factor, so it is irreducible.  The rule
+    never calls a cp with a repeated factor square-free, and at d <= 3 it is
+    exact; from d = 4 on it misses square-free cps whose rootless part has
+    degree >= 4 (a product of two distinct irreducible quadratics), which
+    then only take the slower minimal polynomial path."""
+    roots, rest = _split_roots(cp[::-1], range(sp.q), lambda a, b: sp.mul[a][b],
+                               lambda a, b: sp.add[a][b], operator.not_)
+    return (len(rest) == 1, not any(cp[:-1]),
+            all(mult == 1 for _, mult in roots) and len(rest) <= 4)
+
+
 def _classify_chunk(payload) -> list[tuple]:
-    """Cheap per-matrix classification: (idx, hash, key, split, nilpotent)."""
+    """Cheap per-matrix classification: (idx, hash, key, split, nilpotent).
+    The facts that depend only on the characteristic polynomial cp come
+    from `_cp_facts` once per distinct cp of the chunk."""
     (p, k, modulus, d, start, stop, nilpotent_only) = payload
     sp = _space(FiniteField(p, k, modulus), d)
     q = sp.q
-    mul = lambda a, b: sp.mul[a][b]
-    add = lambda a, b: sp.add[a][b]
+    facts: dict[tuple, tuple[bool, bool, bool]] = {}
     out = []
     for idx in range(start, stop):
         digits = to_digits(idx, q, d * d)
         cp = _char_poly_int(sp, digits)
-        nil = all(c == 0 for c in cp[:-1])
+        if cp not in facts:
+            facts[cp] = _cp_facts(sp, cp)
+        split, nil, squarefree = facts[cp]
         if nilpotent_only and not nil:
             continue
-        mp = _min_poly_int(sp, _scan_cols(digits, q, d))
-        rest = _split_roots(cp[::-1], range(q), mul, add, operator.not_)[1]
-        out.append((idx, matrix_hash(q, d, digits), (cp, mp), len(rest) == 1, nil))
+        # the minimal polynomial divides cp and has each irreducible factor
+        # of cp, so a square-free cp is its own minimal polynomial
+        mp = cp if squarefree else _min_poly_int(sp, _scan_cols(digits, q, d))
+        out.append((idx, matrix_hash(q, d, digits), (cp, mp), split, nil))
     return out
 
 
@@ -637,17 +684,14 @@ def _blocks(pending: list[int], workers: int) -> list[list[int]]:
     return [pending[pos:pos + size] for pos in range(0, len(pending), size)]
 
 
-def _fan_out(workers: int, fn, payloads: list) -> list:
-    """Run fn over payloads, with a fork pool when workers > 1; output order
-    follows payload order regardless of worker count."""
-    if not payloads:
-        return []
-    if workers > 1 and len(payloads) > 1:
+def _pool(workers: int, pending: int):
+    """The fork pool of one scan, or no pool when one process does the
+    work or nothing is pending."""
+    if workers > 1 and pending:
         from multiprocessing import get_context
 
-        with get_context("fork").Pool(min(workers, len(payloads))) as pool:
-            return pool.map(fn, payloads)
-    return [fn(p) for p in payloads]
+        return get_context("fork").Pool(min(workers, pending))
+    return nullcontext()
 
 
 def default_cache_path() -> str:
@@ -664,22 +708,25 @@ def _field_key(field: FiniteField) -> dict:
 
 def _load_cache(path: str, field: FiniteField, d: int,
                 need_rigidity: bool) -> dict[int, dict]:
-    """Rows of this field and dimension; rows of another field, or written
-    before rows named their field, count as misses."""
+    """Rows of this field and dimension, read in one pass with one decoder;
+    blank, malformed and non-object lines are skipped, and rows of another
+    field, or written before rows named their field, count as misses."""
     key = _field_key(field)
+    want = (d, key["p"], key["k"], key["modulus"])
+    decode = json.JSONDecoder().raw_decode
     rows: dict[int, dict] = {}
     if not path or not os.path.exists(path):
         return rows
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
-            if not line:
-                continue
             try:
-                row = json.loads(line)
+                row, end = decode(line)  # a blank line raises too
             except json.JSONDecodeError:
                 continue
-            if row.get("d") != d or any(row.get(f) != v for f, v in key.items()):
+            if end != len(line) or not isinstance(row, dict):
+                continue
+            if (row.get("d"), row.get("p"), row.get("k"), row.get("modulus")) != want:
                 continue
             if need_rigidity and row.get("rigidity_ok") is None:
                 continue
@@ -698,7 +745,7 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
     Two phases: a cheap classification pass over all matrices, then the
     expensive enumeration -- once per (char poly, min poly) similarity class
     under dedup, or once per matrix without it.  Both phases fan out across
-    workers; results are identical for any worker count.
+    the workers of one pool; results are identical for any worker count.
     """
     if d > 3:
         raise ValueError("scan_space supports d <= 3")
@@ -712,25 +759,27 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
     pending = [i for i in range(scan_total) if i not in cached]
 
     params = (field.p, field.k, field.modulus, d)
-    classification = _fan_out(
-        workers,
-        _classify_chunk,
-        [params + (block[0], block[-1] + 1, nilpotent_only)
-         for block in _blocks(pending, workers)],
-    )
-    info = [item for part in classification for item in part
-            if item[0] < scan_total and item[0] not in cached]
+    # one fork pool serves both passes; map keeps payload order, so the
+    # results are the same for any worker count
+    with _pool(workers, len(pending)) as pool:
+        fan_out = pool.map if pool else lambda fn, payloads: list(map(fn, payloads))
+        classification = fan_out(
+            _classify_chunk,
+            [params + (block[0], block[-1] + 1, nilpotent_only)
+             for block in _blocks(pending, workers)])
+        info = [item for part in classification for item in part
+                if item[0] < scan_total and item[0] not in cached]
 
-    # enumeration targets: the first representative per class, or every matrix
-    reps: dict[tuple, int] = {}
-    if dedup:
-        for idx, _, key, _, _ in info:
-            reps.setdefault(key, idx)
-        targets = sorted(set(reps.values()))
-    else:
-        targets = [idx for idx, *_ in info]
-    enum_results = _fan_out(workers, _enumerate_one,
-                            [params + (idx, rigidity) for idx in targets])
+        # enumeration targets: the first representative per class, or every matrix
+        reps: dict[tuple, int] = {}
+        if dedup:
+            for idx, _, key, _, _ in info:
+                reps.setdefault(key, idx)
+            targets = sorted(set(reps.values()))
+        else:
+            targets = [idx for idx, *_ in info]
+        enum_results = fan_out(_enumerate_one,
+                               [params + (idx, rigidity) for idx in targets])
     by_target = dict(zip(targets, enum_results))
 
     new_rows: dict[int, dict] = {}
@@ -744,9 +793,9 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
 
     if cache_path and new_rows:
         os.makedirs(os.path.dirname(cache_path) or ".", exist_ok=True)
+        encode = json.JSONEncoder(sort_keys=True).encode
         with open(cache_path, "a", encoding="utf-8") as fh:
-            for i in sorted(new_rows):
-                fh.write(json.dumps(new_rows[i], sort_keys=True) + "\n")
+            fh.writelines(encode(new_rows[i]) + "\n" for i in sorted(new_rows))
 
     counts = {
         "split": 0, "split_equal": 0, "split_not_equal": 0,

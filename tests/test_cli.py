@@ -265,7 +265,10 @@ def test_ffscan_rejects_non_prime_power(capsys):
     (["jordan"], {"field": "q", "rows": [[f"1/{(2 ** 61 - 1) ** 2}"]]}, 0),
     (["jordan"], {"field": "gf", "p": 2 ** 89 - 1, "rows": [["1"]]}, 2),
     (["ffscan", "--q", "1000000007", "--d", "1", "--no-cache"], None, 4),
-], ids=["jordan-mersenne-square", "gf-above-primality-bound", "ffscan-large-prime"])
+    (["ffscan", "--q", str(2 ** 61 - 1), "--d", "1", "--no-cache"], None, 4),
+    (["ffscan", "--q", "3317044064679887385961981", "--d", "1", "--no-cache"], None, 2),
+], ids=["jordan-mersenne-square", "gf-above-primality-bound", "ffscan-large-prime",
+        "ffscan-mersenne-prime", "ffscan-above-primality-bound"])
 def test_cli_answers_within_10_s(tmp_path, argv, data, code):
     # each of these hung before: a subprocess with a timeout makes a
     # regression fail instead of stalling the suite

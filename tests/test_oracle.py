@@ -388,7 +388,7 @@ def _assert_search_matches_product_scan(T):
     def coded(cols):
         return tuple(from_digits(col, tbl.q) for col in cols)
 
-    assert search.members() == [coded(cols) for cols in members], T.to_strings()
+    assert list(search.members()) == [coded(cols) for cols in members], T.to_strings()
     assert search.count() == len(members)
     assert search.forb == {coded(R) for R in forb}
     assert (search.tail, search.cycle) == (tail, cycle)
@@ -529,6 +529,39 @@ def test_scan_cache_rows_carry_their_field(tmp_path):
     assert scan_space(other, 2, limit=20, cache_path=cache).from_cache == 20
 
 
+def test_load_cache_serves_only_valid_rows(tmp_path):
+    # a cache may hold partial writes, foreign rows and hand edits; the
+    # loader serves exactly the valid rows of its field and dimension
+    import json
+
+    from orbitref.oracle import _load_cache
+
+    g3 = FiniteField(3)
+    cache = tmp_path / "scan.jsonl"
+    scan_space(g3, 2, limit=4, rigidity=True, cache_path=str(cache))
+    good = cache.read_text().splitlines()
+    rows = [json.loads(line) for line in good]
+    unrated = dict(rows[2], rigidity_ok=None)
+    unkeyed = {f: v for f, v in rows[3].items() if f != "rigidity_ok"}
+    lines = [
+        good[0],
+        "",
+        "not json",
+        "[1]",                                          # JSON, but no object
+        good[1] + " 42",                                # trailing garbage
+        json.dumps(dict(rows[1], d=3)),                 # another dimension
+        json.dumps(dict(rows[1], p=5, q=5)),            # another field
+        json.dumps({f: v for f, v in rows[1].items()    # no field named
+                    if f not in ("p", "k", "modulus")}),
+        json.dumps(unrated),
+        json.dumps(unkeyed),
+        good[1][:len(good[1]) // 2],                    # a partial last write
+    ]
+    cache.write_text("\n".join(lines))
+    assert _load_cache(str(cache), g3, 2, False) == {0: rows[0], 2: unrated, 3: unkeyed}
+    assert _load_cache(str(cache), g3, 2, True) == {0: rows[0]}
+
+
 def test_scan_nilpotent_filter_and_rigidity():
     g3 = FiniteField(3)
     res = scan_space(g3, 2, nilpotent_only=True, rigidity=True, cache_path=None)
@@ -667,6 +700,27 @@ def test_classify_split_matches_eigenvalues(field, d):
     assert flags == [eigenvalues(_scan_matrix(field, d, idx)).split
                      for idx in range(total)]
     assert True in flags and False in flags
+
+
+@pytest.mark.parametrize("field,d", [(FiniteField(p, k), 2) for p, k in
+                                     ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))]
+                         + [(FiniteField(2), 3), (FiniteField(3), 3)],
+                         ids=["gf2-d2", "gf3-d2", "gf4-d2", "gf5-d2", "gf7-d2", "gf8-d2",
+                              "gf9-d2", "gf2-d3", "gf3-d3"])
+def test_classify_square_free_shortcut_keeps_every_key(field, d):
+    # the classify pass takes a square-free char poly as its own minimal
+    # polynomial without computing it; every key must still be the pair of
+    # the char poly and the computed minimal polynomial
+    from orbitref.oracle import _char_poly_int, _classify_chunk, _min_poly_int
+
+    sp, q = _space(field, d), field.q
+    total = q ** (d * d)
+    rows = _classify_chunk((field.p, field.k, field.modulus, d, 0, total, False))
+    assert [row[0] for row in rows] == list(range(total))
+    for idx, _, key, _, _ in rows:
+        digits = to_digits(idx, q, d * d)
+        assert key == (_char_poly_int(sp, digits),
+                       _min_poly_int(sp, _scan_cols(digits, q, d))), idx
 
 
 @pytest.mark.slow
