@@ -11,7 +11,6 @@ from .errors import (  # noqa: F401
     DivisionByZero,
     FiniteFieldUnsupported,
     MixedFields,
-    Nilpotent,
     NotJordanCoordinates,
     NotPrime,
     NotSplit,

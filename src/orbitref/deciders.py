@@ -5,17 +5,18 @@ Four properties are decided:
 * reflexive -- the classical Deddens-Fillmore block-gap criterion: for each
   eigenvalue, the two largest Jordan blocks differ in size by at most 1.
 * orbit-reflexive -- universally true in finite dimensions (classical).
-* c-orbit-reflexive -- nilpotent operators qualify outright (kernels of
-  powers exhaust the space); otherwise pool the Jordan blocks of all
-  eigenvalues whose modulus ties the spectral radius and require the two
-  largest pooled blocks to differ by at most 1.
+* c-orbit-reflexive -- pool the Jordan blocks of all eigenvalues whose
+  modulus ties the spectral radius and require the two largest pooled
+  blocks to differ by at most 1.  At spectral radius 0 (nilpotent) the
+  pool is the zero-eigenvalue blocks.
 * algebraic-orbit-reflexive over GF(p^k) -- true when k >= 2 and the minimal
   polynomial splits; over prime fields the criterion is silent, so the
   verdict is "unknown" until the exhaustive orbit oracle settles it.
 
-Missing-second-block convention: a lone block of size m is compared against
-0, so a lone block with m >= 2 fails the gap tests.  The d = 2 brute-force
-oracle confirms this convention for the pooled criterion (see tests).
+Missing-second-block convention (`block_gap`): a lone block of size m is
+compared against 0, so a lone block with m >= 2 fails the gap tests.  The
+d = 2 brute-force oracle confirms this convention for the pooled criterion,
+and a floor-0 brute force over GF(q) confirms the nilpotent case (see tests).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import FiniteFieldUnsupported, WrongField
+from .errors import WrongField
 from .fields import KIND_FINITE
 from .linalg import Matrix
 from .spectra import SpectralProfile, eigenvalues, radius_selection
@@ -35,7 +36,6 @@ PROP_ALGEBRAIC = "algebraic_orbit_reflexive"
 
 CITE_REFLEXIVE = "criterion:per-eigenvalue-block-gap (Deddens-Fillmore)"
 CITE_ORBIT = "fact:every-finite-dimensional-operator-is-orbit-reflexive"
-CITE_C_ORBIT_NILPOTENT = "criterion:nilpotent-kernels-exhaust-the-space"
 CITE_C_ORBIT_GAP = "criterion:max-modulus-block-gap"
 CITE_ALGEBRAIC_EXT = "criterion:non-prime-scalar-field-with-split-minimal-polynomial"
 CITE_ALGEBRAIC_DELEGATED = "delegated:exhaustive-orbit-oracle"
@@ -60,24 +60,29 @@ class Verdict:
         }
 
 
+def block_gap(sizes) -> int:
+    """Largest minus second-largest of descending block sizes; a missing
+    second block counts as 0."""
+    return sizes[0] - (sizes[1] if len(sizes) > 1 else 0)
+
+
 @dataclass(frozen=True)
 class MaxModulusGap:
     pooled_sizes: tuple[int, ...]          # descending, across tied eigenvalues
-    largest: int
-    second: int                            # 0 when only one block ties the radius
     eigenvalues: tuple[str, ...]
     fragile: bool
 
     @property
     def gap(self) -> int:
-        return self.largest - self.second
+        return block_gap(self.pooled_sizes)
 
     def as_dict(self) -> dict:
+        largest, gap = self.pooled_sizes[0], self.gap
         return {
             "pooled_block_sizes": list(self.pooled_sizes),
-            "largest": self.largest,
-            "second_largest": self.second,
-            "gap": self.gap,
+            "largest": largest,
+            "second_largest": largest - gap,
+            "gap": gap,
             "max_modulus_eigenvalues": list(self.eigenvalues),
         }
 
@@ -88,8 +93,6 @@ def max_modulus_gap(profile: SpectralProfile) -> MaxModulusGap:
     pooled = sorted((s for e in entries for s in e.block_sizes), reverse=True)
     return MaxModulusGap(
         pooled_sizes=tuple(pooled),
-        largest=pooled[0],
-        second=pooled[1] if len(pooled) > 1 else 0,
         eigenvalues=tuple(str(e.eigenvalue) for e in entries),
         fragile=fragile,
     )
@@ -97,19 +100,9 @@ def max_modulus_gap(profile: SpectralProfile) -> MaxModulusGap:
 
 def decide_reflexive(profile: SpectralProfile) -> Verdict:
     """Per eigenvalue: the two largest blocks differ in size by at most 1."""
-    trace = []
-    ok = True
-    for e in profile.entries:
-        largest = e.block_sizes[0]
-        second = e.block_sizes[1] if len(e.block_sizes) > 1 else 0
-        gap = largest - second
-        trace.append({
-            "eigenvalue": str(e.eigenvalue),
-            "block_sizes": list(e.block_sizes),
-            "gap": gap,
-        })
-        if gap > 1:
-            ok = False
+    trace = [{"eigenvalue": str(e.eigenvalue), "block_sizes": list(e.block_sizes),
+              "gap": block_gap(e.block_sizes)} for e in profile.entries]
+    ok = all(t["gap"] <= 1 for t in trace)
     return Verdict(PROP_REFLEXIVE, ok, CITE_REFLEXIVE, profile.fragile,
                    {"criterion_trace": trace})
 
@@ -122,24 +115,15 @@ def decide_orbit_reflexive(M: Matrix) -> Verdict:
 
 def decide_c_orbit_reflexive(profile: SpectralProfile,
                              attach_witness: bool = True) -> Verdict:
-    """Pooled max-modulus block gap; nilpotent operators pass outright.
+    """Pooled max-modulus block gap, for every profile over a subfield of C
+    (nilpotent ones included: their pool is the zero-eigenvalue blocks).
 
     On a false verdict the certificate carries the explicit witness operator
     (in canonical Jordan-model coordinates) built by the witness module.
     """
-    if profile.field.kind == KIND_FINITE:
-        raise FiniteFieldUnsupported(
-            "c-orbit reflexivity compares complex moduli; finite fields have none")
-    if profile.nilpotent:
-        return Verdict(PROP_C_ORBIT_REFLEXIVE, True, CITE_C_ORBIT_NILPOTENT,
-                       profile.fragile, {"nilpotent": True})
     gap = max_modulus_gap(profile)
-    fragile = profile.fragile or gap.fragile
-    if gap.gap <= 1:
-        return Verdict(PROP_C_ORBIT_REFLEXIVE, True, CITE_C_ORBIT_GAP, fragile,
-                       {"criterion_trace": gap.as_dict()})
     certificate: dict = {"criterion_trace": gap.as_dict()}
-    if attach_witness:
+    if gap.gap > 1 and attach_witness:
         from .witness import build_c_orbit_witness, canonical_jordan
 
         T, layout = canonical_jordan(profile)
@@ -150,8 +134,8 @@ def decide_c_orbit_reflexive(profile: SpectralProfile,
             "operator_rows": T.to_strings(),
             "witness_rows": S.to_strings(),
         }
-    return Verdict(PROP_C_ORBIT_REFLEXIVE, False, CITE_C_ORBIT_GAP, fragile,
-                   certificate)
+    return Verdict(PROP_C_ORBIT_REFLEXIVE, gap.gap <= 1, CITE_C_ORBIT_GAP,
+                   profile.fragile or gap.fragile, certificate)
 
 
 def decide_algebraic_f_orbit_reflexive(M: Matrix) -> Verdict:

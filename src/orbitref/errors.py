@@ -38,10 +38,6 @@ class NotSplit(OrbitrefError):
         self.residual = residual
 
 
-class Nilpotent(OrbitrefError):
-    """Spectral-radius query on a nilpotent profile."""
-
-
 class CriterionHolds(OrbitrefError):
     """No witness exists: the block-gap criterion is satisfied."""
 

@@ -83,7 +83,7 @@ nothing pending starts none.  Results persist to a JSON-lines cache keyed
 by the field (p, k, modulus), d and the matrix index; re-runs skip
 finished matrices.  The cache is read in one pass with one reused JSON
 decoder and written with one reused encoder; blank, malformed, truncated
-and non-object lines are skipped.
+and non-object lines, and rows missing a key the scan reads, are skipped.
 """
 
 from __future__ import annotations
@@ -112,6 +112,8 @@ from .linalg import Matrix, _berkowitz, _split_roots
 
 DEFAULT_CONTAINS_BUDGET = 10 ** 6
 DEFAULT_ENUM_BUDGET = 2 ** 24
+_ROW_KEYS = frozenset(
+    {"i", "hash", "split", "nilpotent", "equal", "orbref0", "forb"})
 
 
 # ---------------------------------------------------------------------------
@@ -708,9 +710,9 @@ def _field_key(field: FiniteField) -> dict:
 
 def _load_cache(path: str, field: FiniteField, d: int,
                 need_rigidity: bool) -> dict[int, dict]:
-    """Rows of this field and dimension, read in one pass with one decoder;
-    blank, malformed and non-object lines are skipped, and rows of another
-    field, or written before rows named their field, count as misses."""
+    """Rows of this field and dimension, read in one pass with one decoder.
+    Blank, malformed and non-object lines and rows lacking one of _ROW_KEYS
+    are skipped, and rows of another field or with none named are misses."""
     key = _field_key(field)
     want = (d, key["p"], key["k"], key["modulus"])
     decode = json.JSONDecoder().raw_decode
@@ -724,7 +726,8 @@ def _load_cache(path: str, field: FiniteField, d: int,
                 row, end = decode(line)  # a blank line raises too
             except json.JSONDecodeError:
                 continue
-            if end != len(line) or not isinstance(row, dict):
+            if (end != len(line) or not isinstance(row, dict)
+                    or not _ROW_KEYS <= row.keys()):
                 continue
             if (row.get("d"), row.get("p"), row.get("k"), row.get("modulus")) != want:
                 continue

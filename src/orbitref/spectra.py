@@ -39,7 +39,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _gaussint as gi
-from .errors import Nilpotent, NotSplit, OrbitrefError, WrongField
+from .errors import FiniteFieldUnsupported, NotSplit, OrbitrefError
 from .fields import (
     KIND_COMPLEX,
     KIND_FINITE,
@@ -357,21 +357,21 @@ def block_profile(M: Matrix) -> SpectralProfile:
         return profile
     # fragile when a 10x wider band would merge eigenvalue clusters or
     # change the entries that tie the spectral radius
-    fragile = eig.fragile
-    if not fragile and profile.spectral_radius_sq is not None:
-        fragile = radius_selection(profile)[1]
+    fragile = eig.fragile or radius_selection(profile)[1]
     return replace(profile, fragile=fragile)
 
 
 def radius_selection(profile: SpectralProfile) -> tuple[list[ProfileEntry], bool]:
     """Entries whose modulus ties the spectral radius, plus a fragility flag
-    for float ties inside the 10x tolerance band."""
-    if profile.nilpotent:
-        raise Nilpotent("spectral radius of a nilpotent profile is 0")
+    for float ties inside the 10x tolerance band.  Only nonzero entries set
+    the radius; with none (nilpotent, radius 0) every entry is selected."""
     if profile.field.kind == KIND_FINITE:
-        raise WrongField("modulus comparisons need a subfield of C")
+        raise FiniteFieldUnsupported(
+            "c-orbit reflexivity compares complex moduli; finite fields have none")
     nonzero = [e for e in profile.entries
                if not _is_zero_eig(e.eigenvalue, profile.dim)]
+    if not nonzero:
+        return list(profile.entries), False
     if isinstance(profile.spectral_radius_sq, Fraction):
         sel = [e for e in nonzero if e.modulus_sq == profile.spectral_radius_sq]
         return sel, False

@@ -7,7 +7,10 @@ is at least 2, the witness is the rank-one-ish operator
 
 on the chain basis e_0..e_{m-1} of the dominant block (T e_k = lam e_k +
 e_{k+1}).  As a matrix S has exactly two nonzero entries: row m-1, columns
-0 and 1.  Two falsifiable certificates back the verdict:
+0 and 1.  The same S serves lam = 0: for nilpotent T every other block has
+size at most m-2, so S x = ((x_0 + x_1) / x_0) T^{m-1} x when x_0 != 0 and
+S x = T^{m-2} x when x_0 = 0, and membership is exact at a finite power.
+Two falsifiable certificates back the verdict:
 
 * commutant exclusion: ST != TS, checked exactly, which keeps S out of the
   SOT closure of the scaled power orbit;
@@ -131,8 +134,6 @@ def build_c_orbit_witness(T: Matrix, profile: SpectralProfile) -> Matrix:
     largest max-modulus block (size m >= 2) first; the result has ones at
     (m-1, 0) and (m-1, 1) and zeros elsewhere.
     """
-    if profile.nilpotent:
-        raise CriterionHolds("nilpotent operators are C-orbit reflexive")
     gap = max_modulus_gap(profile)
     if gap.gap <= 1:
         raise CriterionHolds(
@@ -147,9 +148,7 @@ def build_c_orbit_witness(T: Matrix, profile: SpectralProfile) -> Matrix:
         raise NotJordanCoordinates(
             f"Jordan layout {layout_blocks} does not match profile {profile_blocks}")
     lam0, m, start0 = blocks[0]
-    entries, _ = radius_selection(profile)
-    max_eigs = {str(e.eigenvalue) for e in entries}
-    if str(lam0) not in max_eigs or m != gap.largest or start0 != 0:
+    if str(lam0) not in gap.eigenvalues or m != gap.pooled_sizes[0] or start0 != 0:
         raise NotJordanCoordinates(
             "largest max-modulus block must lead the block order")
     S = [[T.field.zero()] * T.n for _ in range(T.n)]

@@ -438,6 +438,8 @@ GOLDEN_CASES = [
      "modulus_tie_c64_jordan_report"),
     (["ffscan", "--q", "3", "--d", "2", "--no-cache"], "ffscan_q3_d2_report"),
     (["jordan", "--input", "residual_q_input.json"], "residual_q_jordan_stderr"),
+    (["decide", "--input", "nil3_q_input.json", "--samples", "5"],
+     "nil3_q_decide_report"),
 ]
 
 
@@ -445,8 +447,9 @@ GOLDEN_CASES = [
 def test_golden_report(capsys, argv, golden):
     # byte-exact reports: a dense shear-conjugated Q matrix with a witness,
     # a GF(9) matrix, a c64 modulus tie inside the 10x band (fragile), a
-    # whole-space scan, and the not-split error of a Q matrix whose char
-    # poly is (t - 1/2)(t^2 + 1/3), with its residual factor
+    # whole-space scan, the not-split error of a Q matrix whose char poly
+    # is (t - 1/2)(t^2 + 1/3), with its residual factor, and the lone
+    # nilpotent 3-chain over Q, whose zero block fails the gap against 0
     _assert_golden(capsys, argv, golden)
 
 
@@ -502,5 +505,6 @@ def test_decide_nilpotent_input(tmp_path, capsys):
     verdicts = {v["property"]: v for v in report["verdicts"]}
     assert report["profile"]["nilpotent"] is True
     assert verdicts["reflexive"]["answer"] is False      # gap 3 vs 1
-    assert verdicts["c_orbit_reflexive"]["answer"] is True
-    assert "witness" not in report
+    # at spectral radius 0 the zero blocks pool: [3, 1] has gap 2
+    assert verdicts["c_orbit_reflexive"]["answer"] is False
+    assert report["witness"]["verdict_supported"] is True

@@ -31,11 +31,12 @@ from orbitref import (
     decide_reflexive,
     upgrade_algebraic_verdict,
 )
+from orbitref.oracle import _space
 
 # (blocks, reflexive, c_orbit): every entry hand-derived from the block-gap
 # rules; lone-block rows confirmed by the d = 2 oracle below.
 GOLDEN_TABLE = [
-    ([("0", [5, 2])], False, True),            # nilpotent, gap 3 per eigenvalue
+    ([("0", [5, 2])], False, False),           # nilpotent: zero blocks pool, gap 3
     ([("1", [1, 1]), ("i", [1])], True, True),  # diagonal, unimodular tie
     ([("1", [2, 1])], True, True),             # gap 1
     ([("1", [3, 1])], False, False),           # gap 2
@@ -168,6 +169,81 @@ def test_lone_block_size_one_is_reflexive():
     # verdict must be true; the profile rule agrees
     prof = SpectralProfile.from_blocks(QI, [("5", [1])])
     assert decide_c_orbit_reflexive(prof, attach_witness=False).answer is True
+
+
+# -- floor-0 brute force on nilpotent profiles ----------------------------------
+
+def nilpotent_partitions(d, top=None):
+    """The block-size partitions of d, each in descending order."""
+    top = d if top is None else top
+    if d == 0:
+        yield ()
+        return
+    for s in range(min(d, top), 0, -1):
+        for rest in nilpotent_partitions(d - s, s):
+            yield (s,) + rest
+
+
+def _floor0_reflexive(field, sizes):
+    """Over GF(q), does {S : S x in {lam T^n x : n >= 0} for every x} equal
+    {lam T^n : n >= 0} for the nilpotent T with these Jordan blocks?
+
+    Exponents start at 0 here, the C-orbit definition, not at 1 as in
+    OrbRef0.  Columns are fixed depth-first: column j ranges over the floor-0
+    orbit set of e_j, and fixing it checks every vector whose highest
+    nonzero coordinate is j."""
+    d = sum(sizes)
+    sp = _space(field, d)
+    T = Matrix.block_diag([Matrix.jordan_block(field, 0, s) for s in sizes])
+    timg = sp.vector_map(sp.encode(T))
+    # the lines through x, Tx, ..., T^d x = 0
+    masks = []
+    for x in range(sp.n):
+        m = 0
+        for _ in range(d + 1):
+            m |= sp.line[x]
+            x = timg[x]
+        masks.append(m)
+    powers = [tuple(sp.q ** j for j in range(d))]
+    for _ in range(d):
+        powers.append(tuple(timg[c] for c in powers[-1]))
+    scaled = {tuple(sp.scale[c][lam] for c in P)
+              for P in powers for lam in range(sp.q)}
+    members = set()
+
+    def walk(j, cols, img):
+        if j == d:
+            members.add(cols)
+            return
+        for col in range(sp.n):
+            if not masks[sp.q ** j] >> col & 1:
+                continue
+            img = list(img)
+            for x, rest, c in sp.levels[j]:
+                img[x] = sp.vadd[img[rest]][sp.scale[col][c]]
+                if not masks[x] >> img[x] & 1:
+                    break
+            else:
+                walk(j + 1, cols + (col,), img)
+
+    walk(0, (), [0] * sp.n)
+    assert scaled <= members
+    return members == scaled
+
+
+@pytest.mark.parametrize("field,max_d", [
+    (FiniteField(2), 6),
+    (FiniteField(3), 4), (FiniteField(2, 2), 4), (FiniteField(5), 4),
+    (FiniteField(7), 3), (FiniteField(2, 3), 3), (FiniteField(3, 2), 3),
+])
+def test_nilpotent_gap_rule_matches_floor0_brute_force(field, max_d):
+    # the nilpotent C-orbit verdict is the pooled gap of the zero blocks,
+    # checked against the definition with exponents from 0 over GF(q)
+    for d in range(1, max_d + 1):
+        for sizes in nilpotent_partitions(d):
+            prof = SpectralProfile.from_blocks(QQ, [(0, list(sizes))])
+            expect = decide_c_orbit_reflexive(prof, attach_witness=False).answer
+            assert _floor0_reflexive(field, sizes) is expect, (field.q, sizes)
 
 
 # -- algebraic verdicts over finite fields -------------------------------------

@@ -543,6 +543,9 @@ def test_load_cache_serves_only_valid_rows(tmp_path):
     rows = [json.loads(line) for line in good]
     unrated = dict(rows[2], rigidity_ok=None)
     unkeyed = {f: v for f, v in rows[3].items() if f != "rigidity_ok"}
+    # rows the scan could not read: no index, no verdict
+    unindexed = {f: v for f, v in rows[1].items() if f != "i"}
+    unjudged = {f: v for f, v in rows[1].items() if f != "equal"}
     lines = [
         good[0],
         "",
@@ -555,6 +558,8 @@ def test_load_cache_serves_only_valid_rows(tmp_path):
                     if f not in ("p", "k", "modulus")}),
         json.dumps(unrated),
         json.dumps(unkeyed),
+        json.dumps(unindexed),
+        json.dumps(unjudged),
         good[1][:len(good[1]) // 2],                    # a partial last write
     ]
     cache.write_text("\n".join(lines))

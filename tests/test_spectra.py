@@ -10,7 +10,6 @@ from orbitref import (
     ComplexFloats,
     FiniteField,
     Matrix,
-    Nilpotent,
     NotSplit,
     Polynomial,
     QI,
@@ -366,10 +365,12 @@ def test_radius_entries_exact_norm_tie():
     assert all(e.modulus_sq == Fraction(1) for e in sel)
 
 
-def test_radius_entries_nilpotent_raises():
+def test_radius_entries_nilpotent_selects_zero_blocks():
+    # spectral radius 0: the zero-eigenvalue entry is the whole selection
     prof = SpectralProfile.from_blocks(QQ, [(0, [2, 1])])
-    with pytest.raises(Nilpotent):
-        radius_selection(prof)
+    sel, fragile = radius_selection(prof)
+    assert [(str(e.eigenvalue), e.block_sizes) for e in sel] == [("0", (2, 1))]
+    assert not fragile
 
 
 # -- numeric path ----------------------------------------------------------------

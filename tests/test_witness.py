@@ -1,6 +1,8 @@
 """Witness construction and validation certificates."""
 
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,12 +21,14 @@ from orbitref import (
     build_prime_field_counterexample,
     canonical_jordan,
     commutator_is_zero,
+    decide_c_orbit_reflexive,
     enumerate_orbref0,
     orbref0_contains,
     validate_witness,
 )
 from orbitref.linalg import to_ndarray
 from orbitref.witness import _residual_minima, _vector_batch
+from test_deciders import nilpotent_partitions
 
 
 def _witness_pattern(S, m):
@@ -81,9 +85,53 @@ def test_witness_requires_failed_criterion():
     T = Matrix.jordan_block(QQ, 1, 1)
     with pytest.raises(CriterionHolds):
         build_c_orbit_witness(T, block_profile(T))
-    N = Matrix.jordan_block(QQ, 0, 3)
+    N = Matrix.block_diag([Matrix.jordan_block(QQ, 0, 2),
+                           Matrix.jordan_block(QQ, 0, 1)])
     with pytest.raises(CriterionHolds):
         build_c_orbit_witness(N, block_profile(N))
+
+
+def _is_multiple(y, z):
+    """Is y = lam z for some lam?  Exact, on lists of Fractions."""
+    if not any(y):
+        return True
+    i = next((i for i, c in enumerate(z) if c), None)
+    return i is not None and all(yk == y[i] / z[i] * zk for yk, zk in zip(y, z))
+
+
+def test_nilpotent_witness_membership_is_exact():
+    # every nilpotent profile of d <= 6 that fails the gap: S x is an exact
+    # scalar multiple of some T^n x, n < d, on basis vectors, vectors with
+    # x_0 = 0 != x_1, and seeded rational vectors
+    rng = random.Random(7)
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+    failing = 0
+    for d in range(1, 7):
+        for sizes in nilpotent_partitions(d):
+            prof = SpectralProfile.from_blocks(QQ, [(0, list(sizes))])
+            if decide_c_orbit_reflexive(prof, attach_witness=False).answer:
+                continue
+            failing += 1
+            T, _ = canonical_jordan(prof)
+            S = build_c_orbit_witness(T, prof)
+            Tq, Sq = ([[e.value for e in row] for row in M.rows] for M in (T, S))
+            vectors = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+            vectors += [[Fraction(0), Fraction(k)] + [rational() for _ in range(d - 2)]
+                        for k in (1, -2, 3)]
+            vectors += [[rational() for _ in range(d)] for _ in range(30)]
+            for x in vectors:
+                y = [sum(a * b for a, b in zip(row, x)) for row in Sq]
+                z = x
+                for _ in range(d):
+                    if _is_multiple(y, z):
+                        break
+                    z = [sum(a * b for a, b in zip(row, z)) for row in Tq]
+                else:
+                    pytest.fail(f"S x leaves the scaled orbit of x: {sizes}, {x}")
+    assert failing == 12
 
 
 def test_witness_requires_jordan_coordinates():
