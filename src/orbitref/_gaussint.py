@@ -44,15 +44,6 @@ def gconj(z: Gint) -> Gint:
     return (z[0], -z[1])
 
 
-def gdivexact(z: Gint, w: Gint) -> Gint | None:
-    """z / w if w divides z exactly, else None."""
-    n = gnorm(w)
-    num = gmul(z, gconj(w))
-    if num[0] % n or num[1] % n:
-        return None
-    return (num[0] // n, num[1] // n)
-
-
 def gkey(z: Gint) -> tuple[int, Gint]:
     """Sort key: norm, then real part, then imaginary part."""
     return gnorm(z), z

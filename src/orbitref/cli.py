@@ -323,8 +323,7 @@ def cmd_decide(args) -> int:
         elif prop == PROP_C_ORBIT_REFLEXIVE:
             v = decide_c_orbit_reflexive(profile)
             if v.answer is False:
-                T, _ = canonical_jordan(profile)
-                S = build_c_orbit_witness(T, profile)
+                T, S = v.witness
                 witness_report = validate_witness(
                     S, T, samples=args.samples, horizon=args.powers,
                     seed=args.seed)

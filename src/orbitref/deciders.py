@@ -21,7 +21,7 @@ and a floor-0 brute force over GF(q) confirms the nilpotent case (see tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import WrongField
@@ -49,6 +49,10 @@ class Verdict:
     citation: str
     fragile: bool = False
     certificate: Optional[dict] = None
+    # (T, S): the Jordan model and witness behind a false C-orbit verdict's
+    # certificate, kept so that callers validate them without a rebuild
+    witness: Optional[tuple[Matrix, Matrix]] = field(default=None, compare=False,
+                                                     repr=False)
 
     def as_dict(self) -> dict:
         return {
@@ -119,10 +123,12 @@ def decide_c_orbit_reflexive(profile: SpectralProfile,
     (nilpotent ones included: their pool is the zero-eigenvalue blocks).
 
     On a false verdict the certificate carries the explicit witness operator
-    (in canonical Jordan-model coordinates) built by the witness module.
+    (in canonical Jordan-model coordinates) built by the witness module, and
+    `Verdict.witness` the Jordan model and witness as matrices.
     """
     gap = max_modulus_gap(profile)
     certificate: dict = {"criterion_trace": gap.as_dict()}
+    witness = None
     if gap.gap > 1 and attach_witness:
         from .witness import build_c_orbit_witness, canonical_jordan
 
@@ -134,8 +140,9 @@ def decide_c_orbit_reflexive(profile: SpectralProfile,
             "operator_rows": T.to_strings(),
             "witness_rows": S.to_strings(),
         }
+        witness = T, S
     return Verdict(PROP_C_ORBIT_REFLEXIVE, gap.gap <= 1, CITE_C_ORBIT_GAP,
-                   profile.fragile or gap.fragile, certificate)
+                   profile.fragile or gap.fragile, certificate, witness)
 
 
 def decide_algebraic_f_orbit_reflexive(M: Matrix) -> Verdict:

@@ -53,6 +53,11 @@ def _normalize_text(text: str) -> str:
     return text.replace("−", "-").replace(" ", "")
 
 
+# most Q and Q(i) entries are plain integers: int reads them faster than
+# Fraction's own parser, and to the same value
+_ASCII_INT = re.compile(r"-?[0-9]+")
+
+
 def to_digits(n: int, base: int, width: int) -> tuple[int, ...]:
     """The `width` little-endian base-`base` digits of n.  This numbering
     fixes element, vector and scan-index order everywhere."""
@@ -185,6 +190,8 @@ class Rationals(Field):
         return x == 0
 
     def _parse(self, text):
+        if _ASCII_INT.fullmatch(text):
+            return Fraction(int(text))
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
@@ -254,6 +261,8 @@ class GaussianRationals(Field):
         return x[0] == 0 and x[1] == 0
 
     def _parse(self, text):
+        if _ASCII_INT.fullmatch(text):
+            return (Fraction(int(text)), Fraction(0))
         try:
             if text.endswith("i"):
                 body = text[:-1]

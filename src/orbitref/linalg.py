@@ -8,11 +8,14 @@ polynomial and every exact rank then run on `int` or Gaussian-integer
 polynomial's coefficients are divided back, the t^(n-k) one by c^k.
 Three kernels, one loop each, run on any integral domain given by its
 operations: Berkowitz's division-free recursion `_berkowitz` for
-characteristic polynomials, fraction-free (Bareiss) elimination
-`_bareiss_rank` for exact ranks, and synthetic division `_split_roots`
-for the roots among given candidates.  GF(q) runs them on its scalars, Q
-and Q(i) on Z and Z[i], and the oracle's scan runs Berkowitz and the root
-kernel on its integer-coded GF(q) tables.  Over Z and Z[i] the
+characteristic polynomials, fraction-free (Bareiss) elimination `_bareiss`
+for exact ranks and pivot rows, and synthetic division `_split_roots` for
+the roots among given candidates.  GF(q) runs them on its scalars, Q and
+Q(i) on Z and Z[i], and the oracle's scan runs Berkowitz and the root
+kernel on its integer-coded GF(q) tables.  `power_ranks` gives the ranks
+of the powers of M - lam I along a row chain: the pivot rows of one power
+times M - lam I span the next power's row space, so no full power is ever
+formed or eliminated.  Over Z and Z[i] the
 subresultant remainder sequence `_squarefree_part` gives the square-free
 part whose roots the sieve lifts.  Floating complex matrices route rank
 questions through an SVD whose threshold comes from the field descriptor,
@@ -34,6 +37,7 @@ from . import _gaussint as gi
 from .errors import (
     MixedFields,
     NumericKindUnsupported,
+    OrbitrefError,
     ShapeMismatch,
     Singular,
     WrongField,
@@ -316,40 +320,37 @@ def _is_simple_coeff(cs: str) -> bool:
 # rank
 # ---------------------------------------------------------------------------
 
-def _bareiss_rank(rows, mul, sub, divx, is_zero) -> int:
+def _bareiss(rows, mul, sub, divx, is_zero) -> tuple[int, list[int]]:
     """Rank by fraction-free elimination over any integral domain given by
-    its operations; every divx divides exactly (by the previous pivot)."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    m = len(a[0]) if n else 0
-    rank = 0
+    its operations, and the indices of the rows taken as pivot rows, which
+    are a basis of the row space.  Each step pivots on the first nonzero
+    entry of the first nonzero row left, drops that row and column, and
+    replaces every other row left by piv row - row[j] prow, divided by the
+    previous pivot; the division is exact, every entry being a minor of the
+    input (Bareiss 1968).  Zero rows stay zero and are dropped when met."""
+    live = [(i, list(r)) for i, r in enumerate(rows)]
+    pivots = []
     prev = None
-    while rank < n and rank < m:
-        pi = pj = -1
-        for i in range(rank, n):
-            for j in range(rank, m):
-                if not is_zero(a[i][j]):
-                    pi, pj = i, j
-                    break
-            if pi >= 0:
+    while live:
+        for pos, (i, prow) in enumerate(live):
+            j = next((j for j, x in enumerate(prow) if not is_zero(x)), None)
+            if j is not None:
                 break
-        if pi < 0:
+        else:
             break
-        a[rank], a[pi] = a[pi], a[rank]
-        if pj != rank:
-            for row in a:
-                row[rank], row[pj] = row[pj], row[rank]
-        piv = a[rank][rank]
-        for i in range(rank + 1, n):
-            air = a[i][rank]
-            for j in range(rank + 1, m):
-                t = sub(mul(piv, a[i][j]), mul(air, a[rank][j]))
-                if prev is not None:
-                    t = divx(t, prev)
-                a[i][j] = t
+        del live[:pos + 1]
+        pivots.append(i)
+        piv = prow.pop(j)
+        for t, (k, row) in enumerate(live):
+            a = row.pop(j)
+            if prev is None:
+                row = [sub(mul(piv, x), mul(a, y)) for x, y in zip(row, prow)]
+            else:
+                row = [divx(sub(mul(piv, x), mul(a, y)), prev)
+                       for x, y in zip(row, prow)]
+            live[t] = (k, row)
         prev = piv
-        rank += 1
-    return rank
+    return len(pivots), pivots
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +363,8 @@ def _int_dot(row, col) -> int:
 
 def _int_divx(a: int, b: int) -> int:
     q, r = divmod(a, b)
-    assert r == 0, "Bareiss division was not exact"
+    if r:
+        raise OrbitrefError(f"{b} does not divide {a} exactly")
     return q
 
 
@@ -379,10 +381,15 @@ def _gint_dot(row, col) -> gi.Gint:
     return re_acc, im_acc
 
 
-def _gint_divx(a: gi.Gint, b: gi.Gint) -> gi.Gint:
-    out = gi.gdivexact(a, b)
-    assert out is not None, "Bareiss division was not exact"
-    return out
+def _gint_divx(z: gi.Gint, w: gi.Gint) -> gi.Gint:
+    # z / w = z conj(w) / |w|^2, written out: the kernels' hottest call
+    (a, b), (c, d) = z, w
+    n = c * c + d * d
+    re_part, re_rest = divmod(a * c + b * d, n)
+    im_part, im_rest = divmod(b * c - a * d, n)
+    if re_rest or im_rest:
+        raise OrbitrefError(f"{w} does not divide {z} exactly")
+    return re_part, im_part
 
 
 def _gint_neg(z: gi.Gint) -> gi.Gint:
@@ -424,14 +431,6 @@ class Ring(NamedTuple):
     key: Callable       # the sort key of the root order
     gint: Callable      # the element as a Gaussian-integer pair
     from_gint: Callable  # a pair as an element, None outside the ring
-
-    def rank(self, rows) -> int:
-        return _bareiss_rank(rows, self.mul, self.sub, self.divx, self.is_zero)
-
-    def matmul(self, X, Y) -> list:
-        cols = list(zip(*Y))
-        dot = self.dot
-        return [[dot(r, c) for c in cols] for r in X]
 
 
 ZZ = Ring(_int_dot, operator.mul, operator.add, operator.sub, _int_divx,
@@ -491,17 +490,41 @@ def to_ndarray(M: Matrix) -> np.ndarray:
 def rank(M: Matrix) -> int:
     """Exact rank via fraction-free elimination over every exact field;
     numeric rank by SVD with the descriptor tolerance for complex matrices."""
-    kind = M.field.kind
-    if kind == KIND_COMPLEX:
+    if M.field.kind == KIND_COMPLEX:
         s = np.linalg.svd(to_ndarray(M), compute_uv=False)
         if s.size == 0 or s[0] == 0.0:
             return 0
         return int(np.count_nonzero(s > M.field.tol * s[0]))
-    if kind == KIND_FINITE:
-        return _bareiss_rank(M.rows, Scalar.__mul__, Scalar.__sub__,
-                             Scalar.__truediv__, lambda s: s.is_zero)
-    form = integer_form(M)
-    return form.ring.rank(form.rows)
+    return next(power_ranks(M, M.field.zero()))
+
+
+def power_ranks(M: Matrix, lam: Scalar):
+    """rank(A^k) for k = 1, 2, ... of A = M - lam I over an exact field,
+    lazily, by `_bareiss`.  The row space of A^k is that of A^(k-1) times A,
+    so step k eliminates the pivot rows of step k - 1 times A, an
+    r_(k-1) x n matrix, never a full power.  GF(q) runs on the scalars; over
+    Q and Q(i) A is cleared to h c A = h B - c g I on Z or Z[i], with
+    B = c M the integer form and lam = g/h."""
+    if M.field.kind == KIND_FINITE:
+        A = M.add_scalar_to_diagonal(-lam).rows
+        dot, mul, sub, divx = (_dot, Scalar.__mul__, Scalar.__sub__,
+                               Scalar.__truediv__)
+        is_zero = operator.attrgetter("is_zero")
+    else:
+        c, B, ring = integer_form(M)
+        h, (g,) = ring.clear([lam.value])
+        shift = ring.scale(c, g)
+        A = [[ring.scale(h, x) for x in r] for r in B]
+        for i in range(M.n):
+            A[i][i] = ring.sub(A[i][i], shift)
+        dot, mul, sub, divx, is_zero = (ring.dot, ring.mul, ring.sub,
+                                        ring.divx, ring.is_zero)
+    cols = list(zip(*A))
+    rows = A
+    while True:
+        r, pivots = _bareiss(rows, mul, sub, divx, is_zero)
+        yield r
+        rows = [[dot(rows[i], col) for col in cols] for i in pivots]
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@
 Block sizes are read off the rank (Weyr) sequence of (M - lam I)^k -- the
 count of blocks of size >= k at lam is rank((M-lam I)^{k-1}) - rank((M-lam I)^k)
 -- never from eigenvector chains, so no Jordan basis is ever required.  One
-loop serves every kind; only the powers and their ranks differ.  Over Q and
-Q(i) the powers are those of h c (M - lam I) = h B - c g I on Z or Z[i],
-where B = c M is the integer form that the characteristic polynomial
-already cleared and lam = g/h, with Bareiss ranks; GF(q) takes `rank` of
-Matrix powers, and complex input SVD ranks of ndarray powers.
+loop serves every kind; only the ranks differ.  The exact kinds take
+`linalg.power_ranks`: Bareiss ranks along a shrinking row basis, the pivot
+rows of (M - lam I)^(k-1) times M - lam I, on Z or Z[i] over Q and Q(i)
+(the powers of h c (M - lam I) = h B - c g I, where B = c M is the integer
+form that the characteristic polynomial already cleared and lam = g/h) and
+on the scalars over GF(q).  They stop as soon as the counts force the
+sizes, so a simple eigenvalue takes no elimination and a lone chain one.
+Complex input takes SVD ranks of every full ndarray power.
 
 Exact eigenvalues come from one synthetic-division sieve,
 `linalg._split_roots`.  Over Q and Q(i) it divides det(tI - B) on Z or Z[i]
@@ -31,9 +34,9 @@ finds at the spectral radius.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import count
 from typing import Optional, Union
 
 import numpy as np
@@ -51,7 +54,7 @@ from .fields import (
 )
 from .linalg import (Matrix, Polynomial, Ring, _berkowitz, _divide_back,
                      _split_roots, _squarefree_part, char_poly, integer_form,
-                     rank, to_ndarray)
+                     power_ranks, to_ndarray)
 
 _MACH_EPS = float(np.finfo(float).eps)
 
@@ -285,56 +288,41 @@ def _sizes_from_counts(counts, lam, mult) -> tuple[int, ...]:
 
 def _sizes_from_rank_sequence(M: Matrix, lam: Scalar, mult: int) -> tuple[int, ...]:
     """Block sizes at lam from the Weyr counts rank(A^(k-1)) - rank(A^k) of
-    A = M - lam I, taken until the rank reaches n - mult.  Over Q and Q(i)
-    A is cleared to h c A = h B - c g I, with B = c M the integer form of M
-    and lam = g/h, and the powers and their Bareiss ranks stay on Z or
-    Z[i].  GF(q) takes `rank` of the Matrix powers.  Complex input takes SVD
-    ranks of ndarray powers with a power-anchored cutoff,
+    A = M - lam I, taken until the rank reaches n - mult.  Exact kinds take
+    the ranks of `linalg.power_ranks`, which eliminates a shrinking row
+    basis, and stop as soon as the counts force the sizes: multiplicity 1
+    takes no rank at all, and when one block is left of size >= k, or one
+    unit of multiplicity, that block takes all that is left.  Complex input
+    takes SVD ranks of every ndarray power with a power-anchored cutoff,
     tol * max(smax(A^k), smax(A)^k), so a power that is numerically zero at
-    A's scale cannot masquerade as full rank relative to its own noise."""
+    A's scale cannot masquerade as full rank relative to its own noise; it
+    never stops early, since the counts' consistency with the multiplicity
+    is what catches a bad cluster."""
     n = M.n
-    kind = M.field.kind
-    if kind == KIND_COMPLEX:
-        A = to_ndarray(M) - complex(lam.value) * np.eye(n)
-        tol = M.field.tol
-        base = float(np.linalg.svd(A, compute_uv=False)[0])
-
-        def rank_of_power(Ak, k: int) -> int:
-            s = np.linalg.svd(Ak, compute_uv=False)
-            cutoff = tol * max(float(s[0]), base ** k)
-            return 0 if cutoff == 0.0 else int(np.count_nonzero(s > cutoff))
-        next_power = operator.matmul
-    elif kind == KIND_FINITE:
-        A = M.add_scalar_to_diagonal(-lam)
-
-        def rank_of_power(Ak, k: int) -> int:
-            return rank(Ak)
-        next_power = operator.matmul
-    else:
-        c, B, ring = integer_form(M)
-        h, (g,) = ring.clear([lam.value])
-        shift = ring.scale(c, g)
-        A = [[ring.scale(h, x) for x in r] for r in B]
-        for i in range(n):
-            A[i][i] = ring.sub(A[i][i], shift)
-
-        def rank_of_power(Ak, k: int) -> int:
-            return ring.rank(Ak)
-        next_power = ring.matmul
-    target = n - mult
-    counts = []  # counts[k-1] = number of blocks of size >= k
-    prev_rank = n
-    Ak = A
-    k = 1
-    while True:
-        r = rank_of_power(Ak, k)
-        counts.append(prev_rank - r)
-        if r <= target or k >= mult:
+    exact = M.field.kind != KIND_COMPLEX
+    ranks = power_ranks(M, lam) if exact else _svd_power_ranks(M, lam)
+    counts = []     # counts[k-1] = number of blocks of size >= k
+    rest = mult     # rank(A^k) - (n - mult): multiplicity past the first k layers
+    while rest > 0 and len(counts) < mult:
+        if exact and (rest == 1 or counts[-1:] == [1]):
+            counts += [1] * rest  # one block takes what is left
             break
-        prev_rank = r
-        Ak = next_power(Ak, A)
-        k += 1
+        r = next(ranks) - (n - mult)
+        counts.append(rest - r)
+        rest = r
     return _sizes_from_counts(counts, lam, mult)
+
+
+def _svd_power_ranks(M: Matrix, lam: Scalar):
+    A = to_ndarray(M) - complex(lam.value) * np.eye(M.n)
+    tol = M.field.tol
+    base = float(np.linalg.svd(A, compute_uv=False)[0])
+    Ak = A
+    for k in count(1):
+        s = np.linalg.svd(Ak, compute_uv=False)
+        cutoff = tol * max(float(s[0]), base ** k)
+        yield 0 if cutoff == 0.0 else int(np.count_nonzero(s > cutoff))
+        Ak = Ak @ A
 
 
 def block_profile(M: Matrix) -> SpectralProfile:

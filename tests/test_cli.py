@@ -461,6 +461,24 @@ def test_golden_reports_back_to_back(capsys):
         _assert_golden(capsys, argv, golden)
 
 
+def test_decide_builds_the_witness_once(capsys, monkeypatch):
+    # decide validates the Jordan model and witness that its false C-orbit
+    # verdict already carries, and builds neither a second time
+    from orbitref import cli, witness
+
+    calls = {"canonical_jordan": 0, "build_c_orbit_witness": 0}
+    for name in calls:
+        original = getattr(witness, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(witness, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    _assert_golden(capsys, GOLDEN_CASES[0][0], GOLDEN_CASES[0][1])
+    assert calls == {"canonical_jordan": 1, "build_c_orbit_witness": 1}
+
+
 def test_jordan_large_prime_denominator(tmp_path, capsys):
     # 2^61 - 1 is prime: the sieve factors it by one primality test, not
     # by trial division up to its square root

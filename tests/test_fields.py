@@ -208,6 +208,40 @@ def test_parse_errors():
         ComplexFloats().parse("1.2.3")
 
 
+# (text, then the Q, Q(i) and c64 values, None for a ParseError); "1_0" and
+# "٣" read as Fraction and float read them, since only ASCII digits take
+# the int path of Q and Q(i)
+PARSE_TABLE = [
+    ("1_0", Fraction("1_0"), (Fraction("1_0"), 0), float("1_0")),
+    ("+5", 5, (5, 0), 5),
+    ("٣", Fraction("٣"), (Fraction("٣"), 0), float("٣")),
+    ("3/0", None, None, None),
+    ("", None, None, None),
+    ("−2", -2, (-2, 0), -2),
+    ("-i", None, (0, -1), -1j),
+    ("2i", None, (0, 2), 2j),
+    ("-7+5i", None, (-7, 5), -7 + 5j),
+    ("-0042", -42, (-42, 0), -42),
+]
+
+
+@pytest.mark.parametrize("text,q_value,qi_value,c64_value", PARSE_TABLE)
+def test_parse_table(text, q_value, qi_value, c64_value):
+    for field, value, name, kind in (
+            (QQ, q_value, "rational", Fraction),
+            (QI, qi_value, "Gaussian-rational", Fraction),
+            (ComplexFloats(), c64_value, "complex", complex)):
+        if value is None:
+            with pytest.raises(ParseError) as exc:
+                field.parse(text)
+            assert str(exc.value) == (
+                f"bad {name} scalar {text.replace('−', '-')!r}")
+        else:
+            payload = field.parse(text).value
+            assert payload == value
+            assert {type(x) for x in (payload if field is QI else (payload,))} == {kind}
+
+
 def test_scalar_is_flags():
     assert QQ.zero().is_zero and QQ.one().is_one
     g4 = FiniteField(2, 2)

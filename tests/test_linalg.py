@@ -26,7 +26,8 @@ from orbitref import (
     matpow,
     rank,
 )
-from orbitref.linalg import _split_roots
+from orbitref.errors import OrbitrefError
+from orbitref.linalg import _gint_divx, _int_divx, _split_roots
 
 
 def _rand_scalar_qi(rng, span=4):
@@ -101,6 +102,16 @@ def test_rank_nullity_random_qi():
 
 
 # -- powers -----------------------------------------------------------------
+
+def test_exact_division_checks_survive_optimisation():
+    # the kernels' exact divisions raise, not assert, so python -O keeps them
+    assert _int_divx(-12, 4) == -3
+    assert _gint_divx((0, 2), (1, 1)) == (1, 1)  # 2i = (1+i)^2
+    for divx, a, b in ((_int_divx, 7, 2), (_gint_divx, (1, 0), (1, 1)),
+                       (_gint_divx, (3, 1), (2, 0))):
+        with pytest.raises(OrbitrefError, match="does not divide"):
+            divx(a, b)
+
 
 def test_matpow_examples():
     J2 = Matrix.jordan_block(QQ, 0, 2)

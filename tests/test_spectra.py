@@ -343,6 +343,108 @@ def test_profile_rescaling_divides_eigenvalues(field, blocks):
                                       for e in want.entries}
 
 
+def _reference_rank(M):
+    """Rank by Gaussian elimination with field division on the scalars."""
+    rows = [list(r) for r in M.rows]
+    rank = 0
+    for col in range(M.n):
+        piv = next((i for i in range(rank, M.n) if not rows[i][col].is_zero), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, M.n):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _reference_sizes(M, lam):
+    """Block sizes at lam from the rank of every full power of M - lam I,
+    taken until the rank stops falling."""
+    A = M.add_scalar_to_diagonal(-lam)
+    counts, prev, power = [], M.n, A
+    while (r := _reference_rank(power)) < prev:
+        counts.append(prev - r)
+        prev, power = r, power @ A
+    counts.append(0)
+    return tuple(sorted((k for k in range(1, len(counts))
+                         for _ in range(counts[k - 1] - counts[k])), reverse=True))
+
+
+# Jordan assemblies as (eigenvalue slot, block sizes): multiplicity 1, one
+# chain, [k,k], [k+1,k], [k+2,k], [k,k,k], nilpotent blocks at slot 0 (the
+# eigenvalue 0) and distinct simple eigenvalues
+WEYR_ASSEMBLIES = [
+    [(0, [3, 1]), (1, [1])],
+    [(1, [2, 2]), (0, [1]), (2, [3])],
+    [(1, [3, 2]), (2, [1])],
+    [(1, [4, 2]), (0, [2])],
+    [(1, [2, 2, 2])],
+    [(0, [2, 1, 1]), (1, [4])],
+    [(0, [5])],
+    [(1, [1]), (2, [1]), (3, [1]), (0, [1])],
+]
+WEYR_SLOTS = {QQ: ["0", "1", "-2", "1/2"], QI: ["0", "i", "1-i", "-1/2"]}
+
+
+@pytest.mark.parametrize("field", [QQ, QI] + [
+    FiniteField(p, k) for p, k in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))
+], ids=lambda f: f.name)
+def test_weyr_sizes_match_full_power_reference(field):
+    from orbitref.spectra import _sizes_from_rank_sequence
+
+    rng = random.Random(f"weyr:{field.name}")
+    slots = (WEYR_SLOTS[field] if field in WEYR_SLOTS
+             else [str(x) for x in field.elements()])
+    for assembly in WEYR_ASSEMBLIES:
+        mult: dict = {}
+        blocks = []
+        for slot, sizes in assembly:
+            lam = field.parse(slots[slot % len(slots)])
+            mult[lam] = mult.get(lam, 0) + sum(sizes)
+            blocks += [Matrix.jordan_block(field, lam, size) for size in sizes]
+        J = Matrix.block_diag(blocks)
+        P = Matrix.identity(field, J.n)
+        for _ in range(2 * J.n):
+            i, j = rng.sample(range(J.n), 2)
+            rows = [list(r) for r in Matrix.identity(field, J.n).rows]
+            rows[i][j] = field.from_int(rng.choice([-2, -1, 1, 2, 3]))
+            P = P @ Matrix(field, rows)
+        M = conjugate(J, P)
+        for lam, m in mult.items():
+            assert _sizes_from_rank_sequence(M, lam, m) == _reference_sizes(M, lam), (
+                field.name, assembly, str(lam))
+
+
+@pytest.mark.parametrize("field", [QQ, QI, FiniteField(5)], ids=lambda f: f.name)
+def test_weyr_elimination_counts(field, monkeypatch):
+    # the counts force the sizes early: a lone chain takes one elimination,
+    # a simple eigenvalue none
+    from orbitref import linalg
+    from orbitref.spectra import _sizes_from_rank_sequence
+
+    calls = []
+    kernel = linalg._bareiss
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+    monkeypatch.setattr(linalg, "_bareiss", counted)
+    for m in (2, 3, 6):
+        for lam in ("0", "2"):
+            calls.clear()
+            J = Matrix.jordan_block(field, field.parse(lam), m)
+            assert _sizes_from_rank_sequence(J, field.parse(lam), m) == (m,)
+            assert len(calls) == 1
+    calls.clear()
+    D = conjugate(Matrix.from_values(field, [[1, 0, 0], [0, 2, 0], [0, 0, 3]]),
+                  Matrix.from_values(field, [[1, 1, 0], [0, 1, 2], [1, 0, 1]]))
+    for lam in ("1", "2", "3"):
+        assert _sizes_from_rank_sequence(D, field.parse(lam), 1) == (1,)
+    assert calls == []
+
+
 # -- spectral radius -------------------------------------------------------------
 
 def test_radius_entries_simple():
