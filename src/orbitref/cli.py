@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rigidity", action="store_true",
                    help="also check scaled-power rigidity per matrix")
     p.add_argument("--no-dedup", action="store_true",
-                   help="disable the similarity-class memoisation")
+                   help="enumerate every matrix, not one per scaling class")
     p.add_argument("--limit", type=int)
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("--out")

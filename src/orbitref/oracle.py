@@ -59,8 +59,9 @@ indices.
 
 `scan_space` sweeps every d x d matrix over GF(q) and classifies each by
 its characteristic polynomial cp and minimal polynomial.  cp is
-`linalg._berkowitz`, the loop behind `char_poly`, run on the scalar
-tables over the scan index's digits.  What depends on cp alone -- whether
+`linalg._berkowitz`, the loop behind `char_poly`, run once per block of
+scan indices on numpy arrays of the block's digits, with products and
+sums gathered from the scalar tables.  What depends on cp alone -- whether
 it splits (`linalg._split_roots`, as in `eigenvalues`), whether it is
 nilpotent and whether it is square-free -- is worked out once per distinct
 cp of a chunk.  cp counts as square-free when its roots are simple and
@@ -73,11 +74,15 @@ I, T, T^2, ..., found by elimination with the vector tables.  A matrix's
 row-major scan digits give its coded columns (`_scan_cols`), so
 `_space(field, d).decode` rebuilds the matrix of any scan row.  Then the
 scan checks OrbRef0 = scaled-power-orbit per matrix.
-Verdicts are similarity invariants, so by default the scan memoises the
-expensive enumeration per (characteristic, minimal polynomial) class,
-and a flag forces the plain per-matrix scan.  That key fixes the
-similarity class only for d <= 3 (at d = 4 the nilpotent [2,2] and
-[2,1,1] share both polynomials), so the scan stops at d = 3.  With
+Verdicts are similarity invariants, and they are scaling invariants too:
+for lam != 0 and n >= 1, mu -> mu lam^n is a bijection of GF(q), so
+{mu (lam T)^n x} = {mu T^n x} for every x, and lam T has the orbit sets,
+OrbRef0, scaled power orbit and rigidity verdict of T.  So by default
+the scan runs the expensive enumeration once per scaling class, keyed by
+the least lam-scaling of (characteristic, minimal polynomial), and a flag
+forces the plain per-matrix scan.  (cp, mp) fixes the similarity class
+only for d <= 3 (at d = 4 the nilpotent [2,2] and [2,1,1] share both
+polynomials), so the scan stops at d = 3.  With
 several workers one fork pool serves both passes, and a scan with
 nothing pending starts none.  Results persist to a JSON-lines cache keyed
 by the field (p, k, modulus), d and the matrix index; re-runs skip
@@ -95,10 +100,12 @@ import os
 from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, islice, product
 from math import prod
 from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from .errors import (
     BudgetExceeded,
@@ -583,16 +590,6 @@ def _scan_cols(digits, q: int, d: int) -> tuple[int, ...]:
     return tuple(from_digits(digits[j::d], q) for j in range(d))
 
 
-def _char_poly_int(sp: _Space, digits) -> tuple[int, ...]:
-    """Characteristic polynomial coefficients (constant first, monic) of the
-    matrix with row-major element indices `digits`: `linalg._berkowitz` on
-    the table ints, any d and characteristic."""
-    d = sp.d
-    rows = [digits[i * d:(i + 1) * d] for i in range(d)]
-    poly = _berkowitz(rows, partial(_dot, sp.add, sp.mul), sp.neg.__getitem__, 1)
-    return tuple(reversed(poly))
-
-
 def _min_poly_int(sp: _Space, cols) -> tuple[int, ...]:
     """Least monic dependence among T^0, T^1, ... by elimination on their
     coded columns; a pivot is one digit of one column."""
@@ -644,16 +641,32 @@ def _cp_facts(sp: _Space, cp: tuple[int, ...]) -> tuple[bool, bool, bool]:
 
 def _classify_chunk(payload) -> list[tuple]:
     """Cheap per-matrix classification: (idx, hash, key, split, nilpotent).
-    The facts that depend only on the characteristic polynomial cp come
-    from `_cp_facts` once per distinct cp of the chunk."""
+    Berkowitz's recursion has no divisions and no branches, so one
+    `linalg._berkowitz` call runs it on every matrix of the block at once:
+    each entry is the array of its scan digits over the block, and a dot
+    product is a gather from the scalar tables.  The facts that depend
+    only on the characteristic polynomial cp come from `_cp_facts` once
+    per distinct cp of the chunk."""
     (p, k, modulus, d, start, stop, nilpotent_only) = payload
     sp = _space(FiniteField(p, k, modulus), d)
     q = sp.q
+    add, mul = np.array(sp.add), np.array(sp.mul)
+
+    def dot(r, c):
+        acc = 0
+        for a, b in zip(r, c):
+            acc = add[acc, mul[a, b]]
+        return acc
+
+    idx = np.arange(start, stop)
+    entries = [idx // q ** pos % q for pos in range(d * d)]
+    poly = _berkowitz([entries[i * d:(i + 1) * d] for i in range(d)],
+                      dot, np.array(sp.neg).__getitem__, 1)
+    cps = np.stack(np.broadcast_arrays(*reversed(poly)), axis=1).tolist()
     facts: dict[tuple, tuple[bool, bool, bool]] = {}
     out = []
-    for idx in range(start, stop):
-        digits = to_digits(idx, q, d * d)
-        cp = _char_poly_int(sp, digits)
+    for i, digits, cp in zip(range(start, stop), np.stack(entries, axis=1).tolist(),
+                             map(tuple, cps)):
         if cp not in facts:
             facts[cp] = _cp_facts(sp, cp)
         split, nil, squarefree = facts[cp]
@@ -662,7 +675,7 @@ def _classify_chunk(payload) -> list[tuple]:
         # the minimal polynomial divides cp and has each irreducible factor
         # of cp, so a square-free cp is its own minimal polynomial
         mp = cp if squarefree else _min_poly_int(sp, _scan_cols(digits, q, d))
-        out.append((idx, matrix_hash(q, d, digits), (cp, mp), split, nil))
+        out.append((i, matrix_hash(q, d, digits), (cp, mp), split, nil))
     return out
 
 
@@ -675,6 +688,23 @@ def _enumerate_one(payload) -> tuple:
     # forb lies inside OrbRef0, so no member outside it means size == |forb|
     rig_ok = size == len(forb) and not _clashing(sp, forb) if rigidity else None
     return (size == len(forb), size, len(forb), rig_ok)
+
+
+def _scaling_class(mul, key) -> tuple:
+    """The least of the lam-scalings of key = (cp, mp) over lam in GF(q)*,
+    on the scalar multiplication table mul.  det(tI - lam T) is
+    lam^m cp(t / lam), so scaling T by lam multiplies coefficient i of a
+    degree-m polynomial (constant first) by lam^(m-i), and the minimal
+    polynomial the same way."""
+    scalings = []
+    for lam in range(1, len(mul)):
+        powers = [1]  # lam^0, lam^1, ... as element indices
+        for _ in key[0][1:]:
+            powers.append(mul[powers[-1]][lam])
+        scalings.append(tuple(
+            tuple(mul[powers[len(poly) - 1 - i]][c] for i, c in enumerate(poly))
+            for poly in key))
+    return min(scalings)
 
 
 def _blocks(pending: list[int], workers: int) -> list[list[int]]:
@@ -746,7 +776,7 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
     power orbit, and does the minimal polynomial split?
 
     Two phases: a cheap classification pass over all matrices, then the
-    expensive enumeration -- once per (char poly, min poly) similarity class
+    expensive enumeration -- once per scaling class of (char poly, min poly)
     under dedup, or once per matrix without it.  Both phases fan out across
     the workers of one pool; results are identical for any worker count.
     """
@@ -773,12 +803,16 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
         info = [item for part in classification for item in part
                 if item[0] < scan_total and item[0] not in cached]
 
-        # enumeration targets: the first representative per class, or every matrix
+        # enumeration targets: the first matrix of each scaling class, or
+        # every matrix
         reps: dict[tuple, int] = {}
         if dedup:
+            mul = _space(field, 1).mul
+            first: dict[tuple, int] = {}
             for idx, _, key, _, _ in info:
-                reps.setdefault(key, idx)
-            targets = sorted(set(reps.values()))
+                if key not in reps:
+                    reps[key] = first.setdefault(_scaling_class(mul, key), idx)
+            targets = sorted(first.values())
         else:
             targets = [idx for idx, *_ in info]
         enum_results = fan_out(_enumerate_one,

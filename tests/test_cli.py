@@ -70,6 +70,9 @@ def test_parse_error_exit_2(tmp_path, capsys):
     zig = _write(tmp_path, "zig.json", {"field": "gf", "p": 4,
                                         "rows": [["1", "0"], ["0", "1"]]})
     assert main(["jordan", "--input", zig]) == 2
+    for field, entry in (("q", "3/0"), ("qi", "1/2+3/0i")):
+        zero = _write(tmp_path, "zero.json", {"field": field, "rows": [[entry]]})
+        assert main(["jordan", "--input", zero]) == 2
     capsys.readouterr()
 
 

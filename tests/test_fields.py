@@ -208,9 +208,9 @@ def test_parse_errors():
         ComplexFloats().parse("1.2.3")
 
 
-# (text, then the Q, Q(i) and c64 values, None for a ParseError); "1_0" and
-# "٣" read as Fraction and float read them, since only ASCII digits take
-# the int path of Q and Q(i)
+# (text, then the Q, Q(i) and c64 values, None for a ParseError); "1_0",
+# "٣", "+3/4" and "٣/٤" read as Fraction and float read them, since only
+# ASCII integers and ratios take the int path of Q and Q(i)
 PARSE_TABLE = [
     ("1_0", Fraction("1_0"), (Fraction("1_0"), 0), float("1_0")),
     ("+5", 5, (5, 0), 5),
@@ -222,6 +222,14 @@ PARSE_TABLE = [
     ("2i", None, (0, 2), 2j),
     ("-7+5i", None, (-7, 5), -7 + 5j),
     ("-0042", -42, (-42, 0), -42),
+    ("3/4", Fraction(3, 4), (Fraction(3, 4), 0), None),
+    ("-3/4", Fraction(-3, 4), (Fraction(-3, 4), 0), None),
+    ("+3/4", Fraction(3, 4), (Fraction(3, 4), 0), None),
+    ("3/-4", None, None, None),
+    ("03/04", Fraction(3, 4), (Fraction(3, 4), 0), None),
+    ("1/2+3/4i", None, (Fraction(1, 2), Fraction(3, 4)), None),
+    ("-1/2-3/4i", None, (Fraction(-1, 2), Fraction(-3, 4)), None),
+    ("٣/٤", Fraction(3, 4), (Fraction(3, 4), 0), None),
 ]
 
 

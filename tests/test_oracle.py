@@ -18,12 +18,24 @@ from orbitref import (
     rigidity_violations,
 )
 from orbitref.fields import to_digits
-from orbitref.oracle import _scan_cols, _space, scan_space
+from orbitref.linalg import _berkowitz
+from orbitref.oracle import _dot, _scan_cols, _space, scan_space
 
 
 def _scan_matrix(field, d, idx):
     """The matrix of scan index idx: row-major digits, decoded by columns."""
     return _space(field, d).decode(_scan_cols(to_digits(idx, field.q, d * d), field.q, d))
+
+
+def _char_poly_int(sp, digits):
+    """Characteristic polynomial coefficients (constant first, monic) of the
+    matrix with row-major element indices `digits`: `linalg._berkowitz` on
+    the table ints of one matrix, the reference for the classify pass,
+    which runs it on a whole block at once."""
+    d = sp.d
+    rows = [digits[i * d:(i + 1) * d] for i in range(d)]
+    poly = _berkowitz(rows, lambda r, c: _dot(sp.add, sp.mul, r, c), sp.neg.__getitem__, 1)
+    return tuple(reversed(poly))
 
 
 # -- power orbits ---------------------------------------------------------------
@@ -491,11 +503,27 @@ def test_scan_counts_gf2_d2():
 
 
 def test_scan_dedup_matches_flat_scan():
-    g3 = FiniteField(3)
-    fast = scan_space(g3, 2, cache_path=None, dedup=True)
-    slow = scan_space(g3, 2, cache_path=None, dedup=False)
-    assert fast.counts == slow.counts
-    assert fast.violations == slow.violations
+    # one enumeration per scaling class gives every row the verdict of its
+    # own enumeration
+    for field, d in ((FiniteField(3), 2), (FiniteField(2, 2), 2),
+                     (FiniteField(5), 2), (FiniteField(2), 3)):
+        fast = scan_space(field, d, rigidity=True, cache_path=None, dedup=True)
+        slow = scan_space(field, d, rigidity=True, cache_path=None, dedup=False)
+        assert fast.as_dict() == slow.as_dict(), (field.q, d)
+
+
+@pytest.mark.parametrize("field,d,enumerations", [(FiniteField(7), 2, 12),
+                                                  (FiniteField(3), 3, 22)],
+                         ids=["gf7-d2", "gf3-d3"])
+def test_scan_enumerates_once_per_scaling_class(monkeypatch, field, d, enumerations):
+    from orbitref import oracle
+
+    calls = []
+    enumerate_one = oracle._enumerate_one
+    monkeypatch.setattr(oracle, "_enumerate_one",
+                        lambda payload: calls.append(payload) or enumerate_one(payload))
+    scan_space(field, d, workers=1, cache_path=None)
+    assert len(calls) == enumerations
 
 
 def test_scan_workers_deterministic():
@@ -668,8 +696,6 @@ def test_int_kernel_polynomials_match_matrix_level():
     import random
 
     from orbitref import char_poly
-    from orbitref.oracle import _char_poly_int
-
     rng = random.Random(9)
     for field in (FiniteField(2), FiniteField(3), FiniteField(2, 2)):
         els = field.elements()
@@ -716,7 +742,7 @@ def test_classify_square_free_shortcut_keeps_every_key(field, d):
     # the classify pass takes a square-free char poly as its own minimal
     # polynomial without computing it; every key must still be the pair of
     # the char poly and the computed minimal polynomial
-    from orbitref.oracle import _char_poly_int, _classify_chunk, _min_poly_int
+    from orbitref.oracle import _classify_chunk, _min_poly_int
 
     sp, q = _space(field, d), field.q
     total = q ** (d * d)
@@ -726,6 +752,59 @@ def test_classify_square_free_shortcut_keeps_every_key(field, d):
         digits = to_digits(idx, q, d * d)
         assert key == (_char_poly_int(sp, digits),
                        _min_poly_int(sp, _scan_cols(digits, q, d))), idx
+
+
+@pytest.mark.parametrize("field,d,start,stop,nilpotent_only", [
+    (FiniteField(3), 2, 17, 60, False),
+    (FiniteField(2, 2), 2, 100, 101, False),    # one index
+    (FiniteField(5), 1, 0, 5, False),
+    (FiniteField(3, 2), 1, 0, 9, True),
+    (FiniteField(2, 3), 2, 3000, 4096, True),
+    (FiniteField(2), 3, 200, 512, True),
+    (FiniteField(3), 3, 19000, 19683, False),
+    (FiniteField(3, 2), 3, 9 ** 9 - 40, 9 ** 9, False),   # the highest digits
+], ids=["gf3-d2", "gf4-d2-one", "gf5-d1", "gf9-d1-nil", "gf8-d2-nil", "gf2-d3-nil",
+        "gf3-d3", "gf9-d3-top"])
+def test_classify_block_matches_per_matrix_reference(field, d, start, stop, nilpotent_only):
+    # the block Berkowitz gives each matrix the row of the per-matrix path
+    from orbitref.oracle import _classify_chunk, _cp_facts, _min_poly_int, matrix_hash
+
+    sp, q = _space(field, d), field.q
+    expect = []
+    for idx in range(start, stop):
+        digits = to_digits(idx, q, d * d)
+        cp = _char_poly_int(sp, digits)
+        split, nil, _ = _cp_facts(sp, cp)
+        if nil or not nilpotent_only:
+            expect.append((idx, matrix_hash(q, d, digits),
+                           (cp, _min_poly_int(sp, _scan_cols(digits, q, d))), split, nil))
+    assert expect
+    assert _classify_chunk((field.p, field.k, field.modulus, d, start, stop,
+                            nilpotent_only)) == expect
+
+
+@pytest.mark.parametrize("field,d", [(FiniteField(p, k), 2) for p, k in
+                                     ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))]
+                         + [(FiniteField(2), 3), (FiniteField(3), 3)],
+                         ids=["gf2-d2", "gf3-d2", "gf4-d2", "gf5-d2", "gf7-d2", "gf8-d2",
+                              "gf9-d2", "gf2-d3", "gf3-d3"])
+def test_enumeration_is_constant_on_scaling_classes(field, d):
+    # lam T has the OrbRef0, scaled orbit and rigidity verdict of T, so
+    # every (char poly, min poly) class of one scaling class enumerates alike
+    from orbitref.oracle import _classify_chunk, _enumerate_one, _scaling_class
+
+    mul = _space(field, 1).mul
+    reps = {}
+    for idx, _, key, _, _ in _classify_chunk(
+            (field.p, field.k, field.modulus, d, 0, field.q ** (d * d), False)):
+        reps.setdefault(key, idx)
+    verdicts = {}
+    for key, idx in reps.items():
+        verdicts.setdefault(_scaling_class(mul, key), set()).add(
+            _enumerate_one((field.p, field.k, field.modulus, d, idx, True)))
+    assert all(len(found) == 1 for found in verdicts.values())
+    if field.q > 2:
+        assert len(verdicts) < len(reps)
 
 
 @pytest.mark.slow
