@@ -132,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--cache", help="JSON-lines cache file "
+    p.add_argument("--cache", help="JSON-lines cache file; each scan appends one "
+                   "line of index and verdict columns "
                    "(default ORBITREF_CACHE or .orbitref/ffscan.jsonl)")
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--nilpotent-only", action="store_true")

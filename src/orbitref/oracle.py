@@ -82,13 +82,32 @@ the scan runs the expensive enumeration once per scaling class, keyed by
 the least lam-scaling of (characteristic, minimal polynomial), and a flag
 forces the plain per-matrix scan.  (cp, mp) fixes the similarity class
 only for d <= 3 (at d = 4 the nilpotent [2,2] and [2,1,1] share both
-polynomials), so the scan stops at d = 3.  With
-several workers one fork pool serves both passes, and a scan with
-nothing pending starts none.  Results persist to a JSON-lines cache keyed
-by the field (p, k, modulus), d and the matrix index; re-runs skip
-finished matrices.  The cache is read in one pass with one reused JSON
-decoder and written with one reused encoder; blank, malformed, truncated
-and non-object lines, and rows missing a key the scan reads, are skipped.
+polynomials), so the scan stops at d = 3.
+
+With several workers one fork pool serves both passes, but only when the
+pending work pays for it.  The work counts d^2 units per pending matrix
+(the entries its classification reads), times q^d without dedup, where
+every pending matrix is also enumerated by a search over GF(q)^d; the
+pool starts at 2^16 units.  Cold scans at two workers, in-process on a
+2-CPU Xeon host with Python 3.11, forked against one process: M2(GF(7))
+(9604 units) 51-64 against 28-41 ms, M2(GF(9)) (26 244) 96-112 against
+60-98 ms, M3(GF(3)) (177 147) 281-296 against 487-523 ms, and the full
+M3(GF(4)) without cache 3.0-3.1 against 3.8-4.0 s.
+
+Results persist to a JSON-lines cache.  Each scan that finishes new
+matrices appends one line with one write.  The line names the field (q,
+p, k and the modulus) and d, and holds the list "i" of matrix indices and
+one list per row field in _COLUMNS order, all of one length.  Re-runs
+skip finished matrices, and rows of another field or modulus are never
+reused.  The cache is read in one pass with one JSON decoder.  Blank,
+malformed, torn and non-object lines are skipped, and so are lines with
+trailing text, lines of another field or dimension or naming none,
+lines whose columns are missing, are no lists or differ in length, and
+lines with an index that is no integer.  A
+line of the older one-row-per-line layout holds one index, not a list,
+so its matrix is scanned again once.  A row with no rigidity verdict is a
+miss for a scan that checks rigidity.  A write that finds the file's last
+line torn starts with a newline, so only the torn line is lost.
 """
 
 from __future__ import annotations
@@ -119,8 +138,9 @@ from .linalg import Matrix, _berkowitz, _split_roots
 
 DEFAULT_CONTAINS_BUDGET = 10 ** 6
 DEFAULT_ENUM_BUDGET = 2 ** 24
-_ROW_KEYS = frozenset(
-    {"i", "hash", "split", "nilpotent", "equal", "orbref0", "forb"})
+# the row fields of a scan, in row-tuple order; a cache line holds one list
+# of each beside the list "i" of matrix indices
+_COLUMNS = ("hash", "split", "nilpotent", "equal", "orbref0", "forb", "rigidity_ok")
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +684,7 @@ def _classify_chunk(payload) -> list[tuple]:
                       dot, np.array(sp.neg).__getitem__, 1)
     cps = np.stack(np.broadcast_arrays(*reversed(poly)), axis=1).tolist()
     facts: dict[tuple, tuple[bool, bool, bool]] = {}
+    keys: dict[tuple, tuple] = {}  # one object per key, shared by its rows
     out = []
     for i, digits, cp in zip(range(start, stop), np.stack(entries, axis=1).tolist(),
                              map(tuple, cps)):
@@ -675,7 +696,8 @@ def _classify_chunk(payload) -> list[tuple]:
         # the minimal polynomial divides cp and has each irreducible factor
         # of cp, so a square-free cp is its own minimal polynomial
         mp = cp if squarefree else _min_poly_int(sp, _scan_cols(digits, q, d))
-        out.append((i, matrix_hash(q, d, digits), (cp, mp), split, nil))
+        key = keys.setdefault((cp, mp), (cp, mp))
+        out.append((i, matrix_hash(q, d, digits), key, split, nil))
     return out
 
 
@@ -707,7 +729,13 @@ def _scaling_class(mul, key) -> tuple:
     return min(scalings)
 
 
-def _blocks(pending: list[int], workers: int) -> list[list[int]]:
+# The pending work, in d^2 units per matrix (times q^d without dedup), at
+# which a scan starts its fork pool; the module docstring has the rule and
+# its measurement.
+_FORK_MIN_WORK = 2 ** 16
+
+
+def _blocks(pending: Sequence[int], workers: int) -> list[Sequence[int]]:
     """Contiguous index blocks for the classification pass."""
     if not pending:
         return []
@@ -716,10 +744,10 @@ def _blocks(pending: list[int], workers: int) -> list[list[int]]:
     return [pending[pos:pos + size] for pos in range(0, len(pending), size)]
 
 
-def _pool(workers: int, pending: int):
+def _pool(workers: int, pending: int, work: int):
     """The fork pool of one scan, or no pool when one process does the
-    work or nothing is pending."""
-    if workers > 1 and pending:
+    work or the pending work is too small to pay for the pool."""
+    if workers > 1 and work >= _FORK_MIN_WORK:
         from multiprocessing import get_context
 
         return get_context("fork").Pool(min(workers, pending))
@@ -732,39 +760,63 @@ def default_cache_path() -> str:
 
 
 def _field_key(field: FiniteField) -> dict:
-    """The row fields naming the scanned field; JSON turns the modulus tuple
-    into a list, so it is stored as one."""
+    """The line fields naming the scanned field; JSON turns the modulus
+    tuple into a list, so it is stored as one."""
     modulus = list(field.modulus) if field.modulus is not None else None
     return {"p": field.p, "k": field.k, "modulus": modulus}
 
 
 def _load_cache(path: str, field: FiniteField, d: int,
-                need_rigidity: bool) -> dict[int, dict]:
-    """Rows of this field and dimension, read in one pass with one decoder.
-    Blank, malformed and non-object lines and rows lacking one of _ROW_KEYS
-    are skipped, and rows of another field or with none named are misses."""
+                need_rigidity: bool) -> dict[int, tuple]:
+    """Rows of this field and dimension, as index -> tuple in _COLUMNS
+    order, read in one pass with one decoder.  Blank, malformed and
+    non-object lines, lines of another field or with none named, lines
+    whose index or _COLUMNS lists are missing, are no lists or differ in
+    length, and lines with an index that is no integer are skipped.  A
+    line without rigidity_ok serves unrated rows, and under need_rigidity
+    an unrated row is a miss."""
     key = _field_key(field)
     want = (d, key["p"], key["k"], key["modulus"])
     decode = json.JSONDecoder().raw_decode
-    rows: dict[int, dict] = {}
+    rows: dict[int, tuple] = {}
     if not path or not os.path.exists(path):
         return rows
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             try:
-                row, end = decode(line)  # a blank line raises too
+                scan, end = decode(line)  # a blank line raises too
             except json.JSONDecodeError:
                 continue
-            if (end != len(line) or not isinstance(row, dict)
-                    or not _ROW_KEYS <= row.keys()):
+            if end != len(line) or not isinstance(scan, dict):
                 continue
-            if (row.get("d"), row.get("p"), row.get("k"), row.get("modulus")) != want:
+            if (scan.get("d"), scan.get("p"), scan.get("k"), scan.get("modulus")) != want:
                 continue
-            if need_rigidity and row.get("rigidity_ok") is None:
+            index = scan.get("i")
+            if not isinstance(index, list) or not set(map(type, index)) <= {int}:
                 continue
-            rows[row["i"]] = row
+            columns = [scan.get(name) for name in _COLUMNS[:-1]]
+            columns.append(scan.get("rigidity_ok", [None] * len(index)))
+            if not all(isinstance(c, list) and len(c) == len(index) for c in columns):
+                continue
+            served = zip(index, zip(*columns))
+            if need_rigidity:
+                served = ((i, row) for i, row in served if row[-1] is not None)
+            rows.update(served)
     return rows
+
+
+def _append_line(path: str, line: dict):
+    """Append one JSON line with one write.  A file whose last write was
+    torn gets a newline first, so the torn line alone is lost."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    text = json.dumps(line, separators=(",", ":")) + "\n"
+    with open(path, "ab+") as fh:
+        if fh.seek(0, os.SEEK_END):
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                text = "\n" + text
+        fh.write(text.encode("utf-8"))
 
 
 def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
@@ -777,8 +829,9 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
 
     Two phases: a cheap classification pass over all matrices, then the
     expensive enumeration -- once per scaling class of (char poly, min poly)
-    under dedup, or once per matrix without it.  Both phases fan out across
-    the workers of one pool; results are identical for any worker count.
+    under dedup, or once per matrix without it.  When the pending work pays
+    for a pool, both phases fan out across the workers of one pool; results
+    are identical for any worker count.
     """
     if d > 3:
         raise ValueError("scan_space supports d <= 3")
@@ -789,19 +842,19 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
     total = q ** (d * d)
     scan_total = min(total, limit) if limit else total
     cached = _load_cache(cache_path, field, d, rigidity) if cache_path else {}
-    pending = [i for i in range(scan_total) if i not in cached]
+    pending = ([i for i in range(scan_total) if i not in cached] if cached
+               else range(scan_total))
 
     params = (field.p, field.k, field.modulus, d)
+    work = len(pending) * d * d * (1 if dedup else q ** d)  # see _FORK_MIN_WORK
     # one fork pool serves both passes; map keeps payload order, so the
     # results are the same for any worker count
-    with _pool(workers, len(pending)) as pool:
+    with _pool(workers, len(pending), work) as pool:
         fan_out = pool.map if pool else lambda fn, payloads: list(map(fn, payloads))
-        classification = fan_out(
-            _classify_chunk,
-            [params + (block[0], block[-1] + 1, nilpotent_only)
-             for block in _blocks(pending, workers)])
-        info = [item for part in classification for item in part
-                if item[0] < scan_total and item[0] not in cached]
+        payloads = [params + (block[0], block[-1] + 1, nilpotent_only)
+                    for block in _blocks(pending, workers if pool else 1)]
+        info = [item for part in fan_out(_classify_chunk, payloads)
+                for item in part if item[0] not in cached]
 
         # enumeration targets: the first matrix of each scaling class, or
         # every matrix
@@ -819,20 +872,13 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
                                [params + (idx, rigidity) for idx in targets])
     by_target = dict(zip(targets, enum_results))
 
-    new_rows: dict[int, dict] = {}
-    for idx, mhash, key, split, nil in info:
-        equal, osize, fsize, rig_ok = by_target[reps[key] if dedup else idx]
-        new_rows[idx] = {
-            "q": q, **_field_key(field), "d": d, "i": idx, "hash": mhash,
-            "split": split, "nilpotent": nil, "equal": equal,
-            "orbref0": osize, "forb": fsize, "rigidity_ok": rig_ok,
-        }
-
+    # rows in _COLUMNS order, in index order like info
+    new_rows = {idx: (mhash, split, nil) + by_target[reps[key] if dedup else idx]
+                for idx, mhash, key, split, nil in info}
     if cache_path and new_rows:
-        os.makedirs(os.path.dirname(cache_path) or ".", exist_ok=True)
-        encode = json.JSONEncoder(sort_keys=True).encode
-        with open(cache_path, "a", encoding="utf-8") as fh:
-            fh.writelines(encode(new_rows[i]) + "\n" for i in sorted(new_rows))
+        columns = map(list, zip(*new_rows.values()))
+        _append_line(cache_path, {"q": q, **_field_key(field), "d": d,
+                                  "i": list(new_rows), **dict(zip(_COLUMNS, columns))})
 
     counts = {
         "split": 0, "split_equal": 0, "split_not_equal": 0,
@@ -845,35 +891,35 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
     used_cache = 0
     examined = 0
     for i in range(scan_total):
-        row = new_rows.get(i) or cached.get(i)
+        row = new_rows.get(i)
         if row is None:
-            continue  # filtered out by nilpotent_only
-        if nilpotent_only and not row["nilpotent"]:
-            continue  # cached rows from an unfiltered scan
-        if i in cached:
+            row = cached.get(i)
+            if row is None:
+                continue  # filtered out by nilpotent_only
+            if nilpotent_only and not row[2]:
+                continue  # cached rows from an unfiltered scan
             used_cache += 1
+        mhash, split, nil, equal, osize, fsize, rig_ok = row
         examined += 1
-        if row["split"]:
+        if split:
             counts["split"] += 1
-            counts["split_equal" if row["equal"] else "split_not_equal"] += 1
-            if not row["equal"]:
-                violations.append({"i": row["i"], "hash": row["hash"],
-                                   "orbref0": row["orbref0"], "forb": row["forb"]})
+            counts["split_equal" if equal else "split_not_equal"] += 1
+            if not equal:
+                violations.append({"i": i, "hash": mhash, "orbref0": osize, "forb": fsize})
         else:
             counts["nonsplit"] += 1
-            counts["nonsplit_equal" if row["equal"] else "nonsplit_not_equal"] += 1
-        if row["nilpotent"]:
+            counts["nonsplit_equal" if equal else "nonsplit_not_equal"] += 1
+        if nil:
             counts["nilpotent"] += 1
-            if row["equal"]:
+            if equal:
                 counts["nilpotent_equal"] += 1
-        if row.get("rigidity_ok") is not None:
+        if rig_ok is not None:
             counts["rigidity_checked"] += 1
-            if not row["rigidity_ok"]:
+            if not rig_ok:
                 counts["rigidity_violating"] += 1
-                rigidity_bad.append({"i": row["i"], "hash": row["hash"]})
+                rigidity_bad.append({"i": i, "hash": mhash})
     return ScanResult(
         q=q, d=d, total=scan_total, scanned=examined, from_cache=used_cache,
         counts=counts, violations=violations, rigidity_violations=rigidity_bad,
         cache_path=cache_path,
     )
-

@@ -533,6 +533,45 @@ def test_scan_workers_deterministic():
     assert results[0] == results[1] == results[2]
 
 
+def _spy_pools(monkeypatch):
+    """The pools the scans start, as True for a fork pool and False for
+    none."""
+    from contextlib import nullcontext
+
+    from orbitref import oracle
+
+    started = []
+    pool = oracle._pool
+
+    def spy(*args):
+        chosen = pool(*args)
+        started.append(not isinstance(chosen, nullcontext))
+        return chosen
+
+    monkeypatch.setattr(oracle, "_pool", spy)
+    return started
+
+
+def test_scan_fork_path_deterministic(monkeypatch):
+    # a lowered threshold makes a small space fork; every worker count
+    # gives the report of one process
+    from orbitref import oracle
+
+    monkeypatch.setattr(oracle, "_FORK_MIN_WORK", 1)
+    started = _spy_pools(monkeypatch)
+    results = [scan_space(FiniteField(3), 2, rigidity=True, cache_path=None,
+                          workers=w).as_dict() for w in (1, 2, 8)]
+    assert started == [False, True, True]
+    assert results[0] == results[1] == results[2]
+
+
+def test_scan_small_space_starts_no_pool(monkeypatch):
+    # M2(GF(7)) has 2401 matrices: the pool would cost more than it saves
+    started = _spy_pools(monkeypatch)
+    scan_space(FiniteField(7), 2, cache_path=None, workers=2)
+    assert started == [False]
+
+
 def test_scan_cache_resume(tmp_path):
     g2 = FiniteField(2)
     cache = str(tmp_path / "scan.jsonl")
@@ -558,41 +597,89 @@ def test_scan_cache_rows_carry_their_field(tmp_path):
 
 
 def test_load_cache_serves_only_valid_rows(tmp_path):
-    # a cache may hold partial writes, foreign rows and hand edits; the
-    # loader serves exactly the valid rows of its field and dimension
+    # a cache may hold partial writes, foreign lines, old layouts and hand
+    # edits; the loader serves exactly the valid rows of its field and
+    # dimension
     import json
 
-    from orbitref.oracle import _load_cache
+    from orbitref.oracle import _COLUMNS, _load_cache
 
     g3 = FiniteField(3)
     cache = tmp_path / "scan.jsonl"
     scan_space(g3, 2, limit=4, rigidity=True, cache_path=str(cache))
-    good = cache.read_text().splitlines()
-    rows = [json.loads(line) for line in good]
-    unrated = dict(rows[2], rigidity_ok=None)
-    unkeyed = {f: v for f, v in rows[3].items() if f != "rigidity_ok"}
-    # rows the scan could not read: no index, no verdict
-    unindexed = {f: v for f, v in rows[1].items() if f != "i"}
-    unjudged = {f: v for f, v in rows[1].items() if f != "equal"}
+    [good] = cache.read_text().splitlines()
+    scan = json.loads(good)
+    assert scan["i"] == [0, 1, 2, 3]
+
+    def part(positions, drop=(), **changes):
+        """The line of the rows at these positions, edited."""
+        line = {f: [v[n] for n in positions] if f in ("i",) + _COLUMNS else v
+                for f, v in scan.items() if f not in drop}
+        return json.dumps({**line, **changes})
+
+    def row(n, rigidity_ok):
+        return tuple(scan[f][n] for f in _COLUMNS[:-1]) + (rigidity_ok,)
+
+    one = part([1])
     lines = [
-        good[0],
+        part([0]),
         "",
         "not json",
         "[1]",                                          # JSON, but no object
-        good[1] + " 42",                                # trailing garbage
-        json.dumps(dict(rows[1], d=3)),                 # another dimension
-        json.dumps(dict(rows[1], p=5, q=5)),            # another field
-        json.dumps({f: v for f, v in rows[1].items()    # no field named
-                    if f not in ("p", "k", "modulus")}),
-        json.dumps(unrated),
-        json.dumps(unkeyed),
-        json.dumps(unindexed),
-        json.dumps(unjudged),
-        good[1][:len(good[1]) // 2],                    # a partial last write
+        one + " 42",                                    # trailing garbage
+        part([1], d=3),                                 # another dimension
+        part([1], p=5, q=5),                            # another field
+        part([1], drop=("p", "k", "modulus")),          # no field named
+        part([2], rigidity_ok=[None]),                  # unrated
+        part([3], drop=("rigidity_ok",)),               # no rigidity_ok column
+        part([1], drop=("i",)),                         # no index column
+        part([1], drop=("equal",)),                     # no verdict column
+        part([1], hash=scan["hash"][1:3]),              # columns of unequal length
+        part([1], split=True),                          # a column that is no list
+        part([1], i=[[1]]),                             # an index that is no integer
+        part([1], i=[True]),
+        json.dumps({**json.loads(one), "i": 1,          # the old per-matrix layout
+                    **{f: scan[f][1] for f in _COLUMNS}}),
+        one[:len(one) // 2],                            # a partial last write
     ]
     cache.write_text("\n".join(lines))
-    assert _load_cache(str(cache), g3, 2, False) == {0: rows[0], 2: unrated, 3: unkeyed}
-    assert _load_cache(str(cache), g3, 2, True) == {0: rows[0]}
+    assert _load_cache(str(cache), g3, 2, False) == {
+        0: row(0, scan["rigidity_ok"][0]), 2: row(2, None), 3: row(3, None)}
+    assert _load_cache(str(cache), g3, 2, True) == {0: row(0, scan["rigidity_ok"][0])}
+
+
+def test_scan_rescans_rows_of_the_per_matrix_layout(tmp_path):
+    # a cache written one line per matrix is a miss: the index is scanned
+    # again once, and the scan's own line serves the next re-query
+    import json
+
+    g3 = FiniteField(3)
+    cache = tmp_path / "scan.jsonl"
+    # the zero matrix, with a verdict the scan never gives: served, it
+    # would change the counts
+    cache.write_text(json.dumps({
+        "d": 2, "equal": False, "forb": 1, "hash": "0c1b0a8e0a3a3a43", "i": 0,
+        "k": 1, "modulus": None, "nilpotent": True, "orbref0": 2, "p": 3, "q": 3,
+        "rigidity_ok": None, "split": True}) + "\n")
+    first = scan_space(g3, 2, cache_path=str(cache))
+    assert first.from_cache == 0
+    assert first.as_dict() | {"cache": None} == scan_space(g3, 2, cache_path=None).as_dict()
+    again = scan_space(g3, 2, cache_path=str(cache))
+    assert again.from_cache == again.scanned == 81
+    assert again.counts == first.counts
+
+
+def test_scan_cache_survives_a_torn_last_write(tmp_path):
+    # a write cut short leaves a line with no newline; the next scan's line
+    # starts on a line of its own, so only the torn line is lost
+    g3 = FiniteField(3)
+    cache = tmp_path / "scan.jsonl"
+    scan_space(g3, 2, limit=20, cache_path=str(cache))
+    whole = cache.read_text()
+    cache.write_text(whole + whole[:len(whole) // 2])
+    assert scan_space(g3, 2, cache_path=str(cache)).from_cache == 20
+    again = scan_space(g3, 2, cache_path=str(cache))
+    assert again.from_cache == again.scanned == 81
 
 
 def test_scan_nilpotent_filter_and_rigidity():
