@@ -97,17 +97,6 @@ def _ptrim(c: list[int]) -> tuple[int, ...]:
     return tuple(c)
 
 
-def _pmul_modp(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
 def _prem_modp(a, m, p):
     """Remainder of a mod m over GF(p); m need not be monic."""
     a = list(a)
@@ -349,6 +338,15 @@ class FiniteField(Field):
         if not _is_irreducible_modp(m, self.p):
             raise ValueError(f"modulus {m} is reducible over GF({self.p})")
         object.__setattr__(self, "modulus", m)
+        # x^k, ..., x^(2k-2) reduced mod m: the high terms of a product
+        power = [(-c) % self.p for c in m[:-1]]
+        high = [tuple(power)]
+        for _ in range(self.k - 2):
+            top = power[-1]
+            power = [0] + power[:-1]
+            power = [(a + top * h) % self.p for a, h in zip(power, high[0])]
+            high.append(tuple(power))
+        object.__setattr__(self, "_high", tuple(high))
 
     @property
     def q(self) -> int:
@@ -375,24 +373,51 @@ class FiniteField(Field):
     def _from_int(self, n):
         return (n % self.p,) + (0,) * (self.k - 1)
 
+    # list comprehensions: tuple() over a generator is slower on k-tuples
     def _add(self, x, y):
         p = self.p
-        return tuple((a + b) % p for a, b in zip(x, y))
+        return tuple([(a + b) % p for a, b in zip(x, y)])
 
     def _sub(self, x, y):
         p = self.p
-        return tuple((a - b) % p for a, b in zip(x, y))
+        return tuple([(a - b) % p for a, b in zip(x, y)])
 
     def _neg(self, x):
         p = self.p
-        return tuple((-a) % p for a in x)
+        return tuple([(-a) % p for a in x])
 
     def _mul(self, x, y):
         if self.k == 1:
             return ((x[0] * y[0]) % self.p,)
-        prod = _pmul_modp(x, y, self.p)
-        red = _prem_modp(prod, self.modulus, self.p)
-        return red + (0,) * (self.k - len(red))
+        raw = [0] * (2 * self.k - 1)
+        for i, a in enumerate(x):
+            if a:
+                for j, b in enumerate(y, i):
+                    raw[j] += a * b
+        return self._reduce(raw)
+
+    def _dot(self, xs, ys):
+        """The sum of x * y over the pairs of xs and ys (k >= 2), its
+        coefficient products summed as integers and reduced once."""
+        raw = [0] * (2 * self.k - 1)
+        for x, y in zip(xs, ys):
+            for i, a in enumerate(x):
+                if a:
+                    for j, b in enumerate(y, i):
+                        raw[j] += a * b
+        return self._reduce(raw)
+
+    def _reduce(self, raw):
+        """The element of the integer coefficients raw (constant first,
+        degree < 2k - 1): mod m through the table of high powers, then mod
+        p."""
+        out = raw[:self.k]
+        for c, power in zip(raw[self.k:], self._high):
+            if c:
+                for i, h in enumerate(power):
+                    out[i] += c * h
+        p = self.p
+        return tuple([v % p for v in out])
 
     def _inv(self, x):
         # x^(q-2) = x^-1 since the multiplicative group has order q-1; the

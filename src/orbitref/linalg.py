@@ -1,25 +1,28 @@
 """Dense exact/numeric matrix arithmetic: rank, powers, characteristic
 polynomials, inverses, conjugation and commutators.
 
-A Q or Q(i) matrix M is cleared once to its integer form c M, with c the
-lcm of all entry denominators, and kept on the matrix.  Its characteristic
-polynomial and every exact rank then run on `int` or Gaussian-integer
-`(int, int)` entries through the ring operations `ZZ` and `ZI`; only the
-polynomial's coefficients are divided back, the t^(n-k) one by c^k.
-Three kernels, one loop each, run on any integral domain given by its
-operations: Berkowitz's division-free recursion `_berkowitz` for
+An exact matrix M is coded once to its integer form c M over a ring of
+plain Python values and kept on the matrix: a Q or Q(i) matrix is cleared
+to `int` or Gaussian-integer `(int, int)` entries, c the lcm of all entry
+denominators, with the ring operations `ZZ` and `ZI`; a GF(q) matrix takes
+c = 1 and the ring of its field, built once per field by `_finite_ring`:
+ints mod p over GF(p), the field's own payload tuples over GF(p^k).  Its
+characteristic polynomial, its eigenvalues and every exact rank run on
+that form; only the results are divided back, the t^(n-k) coefficient by
+c^k.  Three kernels, one loop each, run on any integral domain given by
+its operations: Berkowitz's division-free recursion `_berkowitz` for
 characteristic polynomials, fraction-free (Bareiss) elimination `_bareiss`
 for exact ranks and pivot rows, and synthetic division `_split_roots` for
-the roots among given candidates.  GF(q) runs them on its scalars, Q and
-Q(i) on Z and Z[i], and the oracle's scan runs Berkowitz and the root
-kernel on its integer-coded GF(q) tables.  `power_ranks` gives the ranks
-of the powers of M - lam I along a row chain: the pivot rows of one power
-times M - lam I span the next power's row space, so no full power is ever
-formed or eliminated.  Over Z and Z[i] the
-subresultant remainder sequence `_squarefree_part` gives the square-free
-part whose roots the sieve lifts.  Floating complex matrices route rank
-questions through an SVD whose threshold comes from the field descriptor,
-never from call sites.
+the roots among the ring's candidates.  Q, Q(i) and GF(q) run them on
+their rings, and the oracle's scan runs Berkowitz and the root kernel on
+its integer-coded GF(q) tables.  `power_ranks` gives the ranks of the
+powers of M - lam I along a row chain: the pivot rows of one power times
+M - lam I span the next power's row space, so no full power is ever
+formed or eliminated.  Over Z and Z[i] the subresultant remainder
+sequence `_squarefree_part` gives the square-free part whose roots the
+sieve lifts; over GF(q) every element is a candidate.  Floating complex
+matrices route rank questions through an SVD whose threshold comes from
+the field descriptor, never from call sites.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import product
 from math import lcm
 from typing import Any, Callable, NamedTuple
 
@@ -48,6 +52,7 @@ from .fields import (
     KIND_GAUSSIAN,
     KIND_RATIONALS,
     Field,
+    FiniteField,
     Scalar,
     embed,
 )
@@ -56,7 +61,8 @@ from .fields import (
 class Matrix:
     """Immutable dense square matrix of scalars over one field."""
 
-    __slots__ = ("field", "n", "rows", "_integer_form")
+    # the two memos: `integer_form` and `spectra.eigenvalues` fill them
+    __slots__ = ("field", "n", "rows", "_integer_form", "_eigenvalues")
 
     def __init__(self, field: Field, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -411,11 +417,29 @@ def _gint_fraction(z: gi.Gint, d: int) -> tuple[Fraction, Fraction]:
     return Fraction(z[0], d), Fraction(z[1], d)
 
 
+def _int_candidates(xs) -> list[int]:
+    """A superset of the roots in Z of the monic xs over Z (leading first),
+    ascending: the real Gaussian-integer roots of its square-free part that
+    `_gaussint.gaussian_roots` lifts."""
+    square_free = [(x, 0) for x in _squarefree_part(xs, ZZ)]
+    return sorted(re_part for re_part, im_part in gi.gaussian_roots(square_free)
+                  if not im_part)
+
+
+def _gint_candidates(xs) -> list[gi.Gint]:
+    """A superset of the roots in Z[i] of the monic xs over Z[i] (leading
+    first), by norm, real and imaginary part: the roots of its square-free
+    part that `_gaussint.gaussian_roots` lifts."""
+    return sorted(gi.gaussian_roots(_squarefree_part(xs, ZI)), key=gi.gkey)
+
+
 class Ring(NamedTuple):
-    """Z or Z[i]: the ring operations the exact kernels run on, and the
-    bridge to Q or Q(i).  `clear(payloads)` gives (c, elements), c the lcm
-    of the payloads' denominators and each element c times its payload;
-    `fraction(x, d)` is the field payload x / d."""
+    """Z, Z[i] or GF(q): the ring operations the exact kernels run on, and
+    the bridge to the matrix's field.  `clear(payloads)` gives
+    (c, elements), c the lcm of the payloads' denominators and each element
+    c times its payload (c = 1 over GF(q)); `fraction(x, d)` is the field
+    payload x / d; `candidates(xs)` is a superset of the ring's roots of
+    the monic xs (leading first), in the order the roots are reported."""
 
     dot: Callable       # sum of products over the shorter of row and column
     mul: Callable
@@ -428,35 +452,72 @@ class Ring(NamedTuple):
     scale: Callable     # (n, x) -> n x for an int n
     clear: Callable
     fraction: Callable
-    key: Callable       # the sort key of the root order
-    gint: Callable      # the element as a Gaussian-integer pair
-    from_gint: Callable  # a pair as an element, None outside the ring
+    candidates: Callable
 
 
 ZZ = Ring(_int_dot, operator.mul, operator.add, operator.sub, _int_divx,
           operator.neg, operator.not_, 1, operator.mul, _int_clear, Fraction,
-          operator.index, lambda x: (x, 0), lambda z: None if z[1] else z[0])
+          _int_candidates)
 ZI = Ring(_gint_dot, gi.gmul, gi.gadd, gi.gsub, _gint_divx, _gint_neg,
           (0, 0).__eq__, (1, 0), _gint_scale, _gint_clear, _gint_fraction,
-          gi.gkey, tuple, tuple)
+          _gint_candidates)
 _RINGS = {KIND_RATIONALS: ZZ, KIND_GAUSSIAN: ZI}
 
 
+@lru_cache(maxsize=None)
+def _finite_ring(field: FiniteField) -> Ring:
+    """The ring of GF(q), whose candidates are all q elements in index
+    order.  GF(p) runs on plain ints mod p, each product reduced once and a
+    dot product once per sum; GF(p^k) runs on the field's payload tuples
+    through its own operations, a dot product reduced once too.  An int n
+    scales an element coefficientwise, n lying in the prime field."""
+    p, k = field.p, field.k
+    if k == 1:
+        def mul(a, b):
+            return a * b % p
+
+        return Ring(
+            dot=lambda r, c: sum(map(operator.mul, r, c)) % p, mul=mul,
+            add=lambda a, b: (a + b) % p, sub=lambda a, b: (a - b) % p,
+            divx=lambda a, b: a * pow(b, -1, p) % p, neg=lambda a: -a % p,
+            is_zero=operator.not_, one=1, scale=mul,
+            clear=lambda values: (1, [v[0] for v in values]),
+            fraction=lambda x, d: (x * pow(d, -1, p) % p,),
+            candidates=lambda xs: range(p))
+
+    def scale(n, x):
+        return tuple([n * a % p for a in x])
+
+    return Ring(
+        dot=field._dot, mul=field._mul, add=field._add, sub=field._sub,
+        divx=field._div, neg=field._neg, is_zero=field._zero().__eq__,
+        one=field._one(), scale=scale, clear=lambda values: (1, list(values)),
+        fraction=lambda x, d: scale(pow(d, -1, p), x),
+        # little-endian digits: the first varies fastest
+        candidates=lambda xs: (digits[::-1] for digits in
+                               product(range(p), repeat=k)))
+
+
 class IntegerForm(NamedTuple):
-    c: int              # lcm of all entry denominators
+    c: int              # lcm of all entry denominators; 1 over GF(q)
     rows: tuple         # c M over the ring
     ring: Ring
 
 
 def integer_form(M: Matrix) -> IntegerForm:
     """c M over Z for a Q matrix, over Z[i] for a Q(i) one, where c clears
-    every entry denominator; computed once per matrix and kept on it."""
+    every entry denominator, and M itself, c = 1, over the ring of its
+    GF(q); computed once per matrix and kept on it."""
     try:
         return M._integer_form
     except AttributeError:
         pass
-    ring = _RINGS.get(M.field.kind)
-    if ring is None:
+    kind = M.field.kind
+    if kind == KIND_FINITE:
+        ring = _finite_ring(M.field)
+    elif kind in _RINGS:
+        ring = _RINGS[kind]
+    else:
         raise WrongField(f"{M.field.name} has no integer form")
     c, flat = ring.clear([s.value for r in M.rows for s in r])
     n = M.n
@@ -500,25 +561,19 @@ def rank(M: Matrix) -> int:
 
 def power_ranks(M: Matrix, lam: Scalar):
     """rank(A^k) for k = 1, 2, ... of A = M - lam I over an exact field,
-    lazily, by `_bareiss`.  The row space of A^k is that of A^(k-1) times A,
-    so step k eliminates the pivot rows of step k - 1 times A, an
-    r_(k-1) x n matrix, never a full power.  GF(q) runs on the scalars; over
-    Q and Q(i) A is cleared to h c A = h B - c g I on Z or Z[i], with
-    B = c M the integer form and lam = g/h."""
-    if M.field.kind == KIND_FINITE:
-        A = M.add_scalar_to_diagonal(-lam).rows
-        dot, mul, sub, divx = (_dot, Scalar.__mul__, Scalar.__sub__,
-                               Scalar.__truediv__)
-        is_zero = operator.attrgetter("is_zero")
-    else:
-        c, B, ring = integer_form(M)
-        h, (g,) = ring.clear([lam.value])
-        shift = ring.scale(c, g)
-        A = [[ring.scale(h, x) for x in r] for r in B]
-        for i in range(M.n):
-            A[i][i] = ring.sub(A[i][i], shift)
-        dot, mul, sub, divx, is_zero = (ring.dot, ring.mul, ring.sub,
-                                        ring.divx, ring.is_zero)
+    lazily, by `_bareiss` on the ring of M's integer form.  The row space of
+    A^k is that of A^(k-1) times A, so step k eliminates the pivot rows of
+    step k - 1 times A, an r_(k-1) x n matrix, never a full power.  A is
+    cleared to h c A = h B - c g I, with B = c M the integer form and
+    lam = g/h; over GF(q), c = h = 1 and B is M on its field's ring."""
+    c, B, ring = integer_form(M)
+    h, (g,) = ring.clear([lam.value])
+    shift = ring.scale(c, g)
+    A = [[ring.scale(h, x) for x in r] for r in B]
+    for i in range(M.n):
+        A[i][i] = ring.sub(A[i][i], shift)
+    dot, mul, sub, divx, is_zero = (ring.dot, ring.mul, ring.sub, ring.divx,
+                                    ring.is_zero)
     cols = list(zip(*A))
     rows = A
     while True:
@@ -576,6 +631,8 @@ def _split_roots(poly, candidates, mul, add, is_zero) -> tuple[list, list]:
     roots = []
     rest = list(poly)
     for x in candidates:
+        if len(rest) == 1:
+            break  # split: no candidate is left to divide out
         mult = 0
         while len(rest) > 1:
             acc = rest[0]
@@ -642,8 +699,8 @@ def _squarefree_part(poly, ring: Ring) -> list:
 
 
 def _divide_back(field: Field, ring: Ring, xs, c: int) -> Polynomial:
-    """The polynomial x(c t) / c^m over Q or Q(i), for the coefficients xs
-    (leading first, degree m) of x(t) over Z or Z[i]: its t^(m-k)
+    """The polynomial x(c t) / c^m over the field, for the coefficients xs
+    (leading first, degree m) of x(t) over its ring: its t^(m-k)
     coefficient is xs[k] / c^k.  Applied to det(tI - c M) it gives
     det(tI - M), and to a factor of it the matching factor."""
     coeffs = [Scalar(field, ring.fraction(x, c ** k)) for k, x in enumerate(xs)]
@@ -654,14 +711,11 @@ def char_poly(M: Matrix) -> Polynomial:
     """Monic characteristic polynomial det(tI - M), exactly.
 
     Berkowitz's recursion uses ring operations only: it runs on the
-    scalars over GF(q), and on the integer form c M over Q and Q(i).
+    integer form c M, over Z or Z[i] for Q and Q(i) and over the field's
+    ring for GF(q), where c = 1.
     """
-    kind = M.field.kind
-    if kind == KIND_COMPLEX:
+    if M.field.kind == KIND_COMPLEX:
         raise NumericKindUnsupported("char_poly needs an exact matrix")
-    if kind == KIND_FINITE:
-        poly = _berkowitz(M.rows, _dot, Scalar.__neg__, M.field.one())
-        return Polynomial.from_scalars(M.field, reversed(poly))
     c, rows, ring = integer_form(M)
     # det(tI - cM) = c^n det((t/c)I - M)
     return _divide_back(M.field, ring, _berkowitz(rows, ring.dot, ring.neg,

@@ -97,7 +97,9 @@ M3(GF(4)) without cache 3.0-3.1 against 3.8-4.0 s.
 Results persist to a JSON-lines cache.  Each scan that finishes new
 matrices appends one line with one write.  The line names the field (q,
 p, k and the modulus) and d, and holds the list "i" of matrix indices and
-one list per row field in _COLUMNS order, all of one length.  Re-runs
+one list per row field in _COLUMNS order, all of one length.  Only a
+scan that writes a line hashes every new matrix; without one, a scan
+hashes just the rows its report prints, the violations.  Re-runs
 skip finished matrices, and rows of another field or modulus are never
 reused.  The cache is read in one pass with one JSON decoder.  Blank,
 malformed, torn and non-object lines are skipped, and so are lines with
@@ -660,14 +662,15 @@ def _cp_facts(sp: _Space, cp: tuple[int, ...]) -> tuple[bool, bool, bool]:
 
 
 def _classify_chunk(payload) -> list[tuple]:
-    """Cheap per-matrix classification: (idx, hash, key, split, nilpotent).
-    Berkowitz's recursion has no divisions and no branches, so one
-    `linalg._berkowitz` call runs it on every matrix of the block at once:
-    each entry is the array of its scan digits over the block, and a dot
-    product is a gather from the scalar tables.  The facts that depend
+    """Cheap per-matrix classification: (idx, hash, key, split, nilpotent),
+    the hash None unless `hashes` is set (only a cache line stores every
+    row's hash).  Berkowitz's recursion has no divisions and no branches,
+    so one `linalg._berkowitz` call runs it on every matrix of the block at
+    once: each entry is the array of its scan digits over the block, and a
+    dot product is a gather from the scalar tables.  The facts that depend
     only on the characteristic polynomial cp come from `_cp_facts` once
     per distinct cp of the chunk."""
-    (p, k, modulus, d, start, stop, nilpotent_only) = payload
+    (p, k, modulus, d, start, stop, nilpotent_only, hashes) = payload
     sp = _space(FiniteField(p, k, modulus), d)
     q = sp.q
     add, mul = np.array(sp.add), np.array(sp.mul)
@@ -697,7 +700,8 @@ def _classify_chunk(payload) -> list[tuple]:
         # of cp, so a square-free cp is its own minimal polynomial
         mp = cp if squarefree else _min_poly_int(sp, _scan_cols(digits, q, d))
         key = keys.setdefault((cp, mp), (cp, mp))
-        out.append((i, matrix_hash(q, d, digits), key, split, nil))
+        out.append((i, matrix_hash(q, d, digits) if hashes else None, key,
+                    split, nil))
     return out
 
 
@@ -851,7 +855,8 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
     # results are the same for any worker count
     with _pool(workers, len(pending), work) as pool:
         fan_out = pool.map if pool else lambda fn, payloads: list(map(fn, payloads))
-        payloads = [params + (block[0], block[-1] + 1, nilpotent_only)
+        payloads = [params + (block[0], block[-1] + 1, nilpotent_only,
+                              bool(cache_path))
                     for block in _blocks(pending, workers if pool else 1)]
         info = [item for part in fan_out(_classify_chunk, payloads)
                 for item in part if item[0] not in cached]
@@ -900,6 +905,9 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
                 continue  # cached rows from an unfiltered scan
             used_cache += 1
         mhash, split, nil, equal, osize, fsize, rig_ok = row
+        if mhash is None and (split and not equal or rig_ok is False):
+            # a scan that writes no cache line hashes the rows it prints only
+            mhash = matrix_hash(q, d, to_digits(i, q, d * d))
         examined += 1
         if split:
             counts["split"] += 1

@@ -5,19 +5,21 @@ count of blocks of size >= k at lam is rank((M-lam I)^{k-1}) - rank((M-lam I)^k)
 -- never from eigenvector chains, so no Jordan basis is ever required.  One
 loop serves every kind; only the ranks differ.  The exact kinds take
 `linalg.power_ranks`: Bareiss ranks along a shrinking row basis, the pivot
-rows of (M - lam I)^(k-1) times M - lam I, on Z or Z[i] over Q and Q(i)
-(the powers of h c (M - lam I) = h B - c g I, where B = c M is the integer
-form that the characteristic polynomial already cleared and lam = g/h) and
-on the scalars over GF(q).  They stop as soon as the counts force the
-sizes, so a simple eigenvalue takes no elimination and a lone chain one.
+rows of (M - lam I)^(k-1) times M - lam I, on the ring of the integer
+form (the powers of h c (M - lam I) = h B - c g I, where B = c M is the
+form that the characteristic polynomial already cleared and lam = g/h):
+Z or Z[i] over Q and Q(i), and over GF(q), where c = h = 1, the field's
+own ring.  They stop as soon as the counts force the sizes, so a simple
+eigenvalue takes no elimination and a lone chain one.
 Complex input takes SVD ranks of every full ndarray power.
 
 Exact eigenvalues come from one synthetic-division sieve,
-`linalg._split_roots`.  Over Q and Q(i) it divides det(tI - B) on Z or Z[i]
-by t - r for the candidates r = c lam of `_root_candidates`: the roots of
-the monic square-free part, lifted p-adically from GF(p^2) (`_gaussint`),
-so nothing is factored.  Over GF(p^k) it divides by t - x for every
-element x.  If the polynomial does not fully factor the caller gets
+`linalg._split_roots`, on the same ring: it divides det(tI - B) by t - r
+for the ring's candidates r = c lam.  Over Q and Q(i) they are the roots
+of the monic square-free part, lifted p-adically from GF(p^2)
+(`_gaussint`), so nothing is factored; over GF(p^k) they are all q
+elements.  The result is kept on the matrix, so one matrix is sieved
+once.  If the polynomial does not fully factor the caller gets
 NotSplit with the residual factor; escalating the field (q -> qi -> c64)
 is an explicit caller decision, never silent.
 
@@ -41,7 +43,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import _gaussint as gi
 from .errors import FiniteFieldUnsupported, NotSplit, OrbitrefError
 from .fields import (
     KIND_COMPLEX,
@@ -52,9 +53,8 @@ from .fields import (
     Scalar,
     as_gaussian_pair,
 )
-from .linalg import (Matrix, Polynomial, Ring, _berkowitz, _divide_back,
-                     _split_roots, _squarefree_part, char_poly, integer_form,
-                     power_ranks, to_ndarray)
+from .linalg import (Matrix, Polynomial, _berkowitz, _divide_back, _split_roots,
+                     integer_form, power_ranks, to_ndarray)
 
 _MACH_EPS = float(np.finfo(float).eps)
 
@@ -189,41 +189,31 @@ class EigenResult:
 def eigenvalues(M: Matrix) -> EigenResult:
     """Exact roots with multiplicities over Q, Q(i) and GF(q) by one
     synthetic-division sieve, `linalg._split_roots`; numeric clusters over
-    C.  GF(q) divides the characteristic polynomial by t - x for every
-    element x.  Q and Q(i) divide det(tI - B) of the integer form B = c M
-    by t - r for the (Gaussian) integer candidates r = c lam of
-    `_root_candidates`, and divide the roots and the residual back.  Over
-    C, `fragile` is set when a 10x wider band would merge clusters."""
+    C.  The exact kinds divide det(tI - B) of the integer form B = c M by
+    t - r for each of its ring's candidates r = c lam, and divide the roots
+    and the residual back: over Q and Q(i) the (Gaussian) integer roots of
+    the square-free part lifted p-adically, over GF(q), where c = 1, every
+    element in index order.  Over C, `fragile` is set when a 10x wider band
+    would merge clusters.  The result is kept on M, so a matrix is sieved
+    once however many callers ask."""
+    try:
+        return M._eigenvalues
+    except AttributeError:
+        pass
     field = M.field
     if field.kind == KIND_COMPLEX:
-        return _eigenvalues_numeric(M)
-    if field.kind == KIND_FINITE:
-        poly = char_poly(M)
-        roots, rest = _split_roots(poly.coeffs[::-1], field.elements(),
-                                   Scalar.__mul__, Scalar.__add__,
-                                   lambda s: s.is_zero)
-        residual = Polynomial.from_scalars(field, rest[::-1])
+        result = _eigenvalues_numeric(M)
     else:
         c, rows, ring = integer_form(M)
         xs = _berkowitz(rows, ring.dot, ring.neg, ring.one)
-        candidates = _root_candidates(ring, xs)
-        found, rest = _split_roots(xs, candidates, ring.mul, ring.add,
+        found, rest = _split_roots(xs, ring.candidates(xs), ring.mul, ring.add,
                                    ring.is_zero)
-        roots = [(Scalar(field, ring.fraction(r, c)), m) for r, m in found]
-        residual = _divide_back(field, ring, rest, c)
-    split = len(rest) == 1
-    return EigenResult(tuple(roots), split, None if split else residual)
-
-
-def _root_candidates(ring: Ring, xs) -> list:
-    """A superset of the roots in Z or Z[i] of the monic xs over that ring
-    (leading first), in `ring.key` order: ascending over Z, by norm, real
-    and imaginary part over Z[i].  They are the Gaussian-integer roots of
-    its square-free part that `_gaussint.gaussian_roots` lifts, the real
-    ones only over Z; `_split_roots` checks each on xs."""
-    square_free = [ring.gint(x) for x in _squarefree_part(xs, ring)]
-    found = map(ring.from_gint, gi.gaussian_roots(square_free))
-    return sorted((r for r in found if r is not None), key=ring.key)
+        roots = tuple((Scalar(field, ring.fraction(r, c)), m) for r, m in found)
+        split = len(rest) == 1
+        result = EigenResult(roots, split,
+                             None if split else _divide_back(field, ring, rest, c))
+    object.__setattr__(M, "_eigenvalues", result)
+    return result
 
 
 def _cluster_band(dim: int, tol: float, magnitude: float) -> float:

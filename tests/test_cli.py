@@ -270,8 +270,15 @@ def test_ffscan_rejects_non_prime_power(capsys):
     (["ffscan", "--q", "1000000007", "--d", "1", "--no-cache"], None, 4),
     (["ffscan", "--q", str(2 ** 61 - 1), "--d", "1", "--no-cache"], None, 4),
     (["ffscan", "--q", "3317044064679887385961981", "--d", "1", "--no-cache"], None, 2),
+    # companions of (t - 5)^2 (t - 7) and of t^3 - 2, which has no root:
+    # 2 is no cube mod 1000003
+    (["jordan"], {"field": "gf", "p": 1000003,
+                  "rows": [["0", "0", "175"], ["1", "0", "999908"], ["0", "1", "17"]]}, 0),
+    (["jordan"], {"field": "gf", "p": 1000003,
+                  "rows": [["0", "0", "2"], ["1", "0", "0"], ["0", "1", "0"]]}, 3),
 ], ids=["jordan-mersenne-square", "gf-above-primality-bound", "ffscan-large-prime",
-        "ffscan-mersenne-prime", "ffscan-above-primality-bound"])
+        "ffscan-mersenne-prime", "ffscan-above-primality-bound", "jordan-gf-large-prime-split",
+        "jordan-gf-large-prime-irreducible-cubic"])
 def test_cli_answers_within_10_s(tmp_path, argv, data, code):
     # each of these hung before: a subprocess with a timeout makes a
     # regression fail instead of stalling the suite
@@ -480,6 +487,30 @@ def test_decide_builds_the_witness_once(capsys, monkeypatch):
         monkeypatch.setattr(cli, name, counted)
     _assert_golden(capsys, GOLDEN_CASES[0][0], GOLDEN_CASES[0][1])
     assert calls == {"canonical_jordan": 1, "build_c_orbit_witness": 1}
+
+
+@pytest.mark.parametrize("data", [
+    SHEAR_GF3, {"field": "gf", "p": 2, "k": 2, "rows": [["x", "1"], ["0", "x"]]}],
+    ids=["gf3", "gf4"])
+def test_gf_decide_sieves_once(tmp_path, capsys, monkeypatch, data):
+    # the profile and the algebraic verdict read one eigenvalue sieve, kept
+    # on the matrix
+    from orbitref import linalg, spectra
+
+    calls = []
+    original = linalg._split_roots
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(linalg, "_split_roots", counted)
+    monkeypatch.setattr(spectra, "_split_roots", counted)  # its own reference
+    code, out = _run(capsys, ["decide", "--input", _write(tmp_path, "m.json", data)])
+    assert code == 0
+    report = json.loads(out)
+    assert report["profile"]["entries"][0]["block_sizes"] == [2]
+    assert [v["property"] for v in report["verdicts"]] == ["algebraic_orbit_reflexive"]
+    assert len(calls) == 1
 
 
 def test_jordan_large_prime_denominator(tmp_path, capsys):

@@ -383,7 +383,7 @@ def _class_inputs(field, d):
 
     reps = {}
     for idx, _, key, _, _ in _classify_chunk(
-            (field.p, field.k, field.modulus, d, 0, field.q ** (d * d), False)):
+            (field.p, field.k, field.modulus, d, 0, field.q ** (d * d), False, False)):
         reps.setdefault(key, idx)
     return [_scan_matrix(field, d, idx) for idx in reps.values()]
 
@@ -776,6 +776,38 @@ def _assert_min_poly(sp, M, expect=None):
     assert rank(Matrix(M.field, vecs)) == deg
 
 
+@pytest.mark.parametrize("field,d", [(FiniteField(p, k), 2) for p, k in
+                                     ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))]
+                         + [(FiniteField(2), 3),
+                            pytest.param(FiniteField(3), 3, marks=pytest.mark.slow)],
+                         ids=["gf2-d2", "gf3-d2", "gf4-d2", "gf5-d2", "gf7-d2", "gf8-d2",
+                              "gf9-d2", "gf2-d3", "gf3-d3"])
+def test_gf_ring_kernels_match_brute_force(field, d):
+    # on every matrix of the space, char_poly on the GF(q) ring equals the
+    # scan's table Berkowitz, and each power_ranks value rank(A^k) of
+    # A = M - lam I, for lam = 0 and each eigenvalue, is d - log_q |ker A^k|
+    # with the kernel counted over all q^d vectors
+    from orbitref import char_poly, eigenvalues
+    from orbitref.linalg import power_ranks
+
+    sp, q = _space(field, d), field.q
+    for idx in range(q ** (d * d)):
+        digits = to_digits(idx, q, d * d)
+        M = _scan_matrix(field, d, idx)
+        cp = tuple(field.element_index(c.value) for c in char_poly(M).coeffs)
+        assert cp == _char_poly_int(sp, digits)
+        roots = [lam for lam, _ in eigenvalues(M).roots]
+        for lam in [field.zero()] + roots:
+            img = sp.vector_map(sp.encode(M.add_scalar_to_diagonal(-lam)))
+            ranks = power_ranks(M, lam)
+            vec = range(sp.n)  # A^k x for every x, from k = 0
+            for _ in range(d):
+                vec = [img[v] for v in vec]
+                kernel = vec.count(0)
+                assert q ** (d - next(ranks)) == kernel
+            assert lam not in roots or kernel > 1  # an eigenvalue has eigenvectors
+
+
 def test_int_kernel_polynomials_match_matrix_level():
     # the scan's table-encoded char poly agrees with char_poly and
     # annihilates M, and its minimal polynomial annihilates M with
@@ -812,7 +844,7 @@ def test_classify_split_matches_eigenvalues(field, d):
     from orbitref.oracle import _classify_chunk
 
     total = field.q ** (d * d)
-    rows = _classify_chunk((field.p, field.k, field.modulus, d, 0, total, False))
+    rows = _classify_chunk((field.p, field.k, field.modulus, d, 0, total, False, False))
     assert [row[0] for row in rows] == list(range(total))
     flags = [row[3] for row in rows]
     assert flags == [eigenvalues(_scan_matrix(field, d, idx)).split
@@ -833,7 +865,7 @@ def test_classify_square_free_shortcut_keeps_every_key(field, d):
 
     sp, q = _space(field, d), field.q
     total = q ** (d * d)
-    rows = _classify_chunk((field.p, field.k, field.modulus, d, 0, total, False))
+    rows = _classify_chunk((field.p, field.k, field.modulus, d, 0, total, False, False))
     assert [row[0] for row in rows] == list(range(total))
     for idx, _, key, _, _ in rows:
         digits = to_digits(idx, q, d * d)
@@ -853,7 +885,8 @@ def test_classify_square_free_shortcut_keeps_every_key(field, d):
 ], ids=["gf3-d2", "gf4-d2-one", "gf5-d1", "gf9-d1-nil", "gf8-d2-nil", "gf2-d3-nil",
         "gf3-d3", "gf9-d3-top"])
 def test_classify_block_matches_per_matrix_reference(field, d, start, stop, nilpotent_only):
-    # the block Berkowitz gives each matrix the row of the per-matrix path
+    # the block Berkowitz gives each matrix the row of the per-matrix path;
+    # a row carries its hash only when the scan writes a cache line
     from orbitref.oracle import _classify_chunk, _cp_facts, _min_poly_int, matrix_hash
 
     sp, q = _space(field, d), field.q
@@ -866,8 +899,10 @@ def test_classify_block_matches_per_matrix_reference(field, d, start, stop, nilp
             expect.append((idx, matrix_hash(q, d, digits),
                            (cp, _min_poly_int(sp, _scan_cols(digits, q, d))), split, nil))
     assert expect
-    assert _classify_chunk((field.p, field.k, field.modulus, d, start, stop,
-                            nilpotent_only)) == expect
+    params = (field.p, field.k, field.modulus, d, start, stop, nilpotent_only)
+    assert _classify_chunk(params + (True,)) == expect
+    assert _classify_chunk(params + (False,)) == [(idx, None, *rest)
+                                                  for idx, _, *rest in expect]
 
 
 @pytest.mark.parametrize("field,d", [(FiniteField(p, k), 2) for p, k in
@@ -883,7 +918,7 @@ def test_enumeration_is_constant_on_scaling_classes(field, d):
     mul = _space(field, 1).mul
     reps = {}
     for idx, _, key, _, _ in _classify_chunk(
-            (field.p, field.k, field.modulus, d, 0, field.q ** (d * d), False)):
+            (field.p, field.k, field.modulus, d, 0, field.q ** (d * d), False, False)):
         reps.setdefault(key, idx)
     verdicts = {}
     for key, idx in reps.items():

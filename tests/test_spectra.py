@@ -138,6 +138,16 @@ def test_sieve_finds_roots_of_known_products(field, case, residual):
     assert str(eig.residual) == ("t^2+1/3" if residual else "None")
 
 
+@pytest.mark.parametrize("field,rows", [
+    (FiniteField(3), [[1, 1], [0, 1]]), (FiniteField(2, 2), [["x", "1"], ["0", "x"]]),
+    (QQ, [["1/2", "1"], ["0", "1/2"]])], ids=["gf3", "gf4", "q"])
+def test_eigenvalues_kept_on_the_matrix(field, rows):
+    M = Matrix.from_values(field, rows)
+    assert eigenvalues(M) is eigenvalues(M)
+    # an equal matrix built anew is sieved anew, to the same roots
+    assert eigenvalues(Matrix.from_values(field, rows)) == eigenvalues(M)
+
+
 def test_sieve_prime_skips_colliding_roots():
     # t (t - 4389): 0 and 3 7 11 19 coincide modulo each of those primes
     assert simple_roots_mod_p([(1, 0), (-4389, 0), (0, 0)]) == (
