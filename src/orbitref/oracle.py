@@ -58,41 +58,42 @@ to the first repeat for one vector at a time, on tuples of element
 indices.
 
 `scan_space` sweeps every d x d matrix over GF(q) and classifies each by
-its characteristic polynomial cp and minimal polynomial.  cp is
-`linalg._berkowitz`, the loop behind `char_poly`, run once per block of
-scan indices on numpy arrays of the block's digits, with products and
-sums gathered from the scalar tables.  What depends on cp alone -- whether
-it splits (`linalg._split_roots`, as in `eigenvalues`), whether it is
-nilpotent and whether it is square-free -- is worked out once per distinct
-cp of a chunk.  cp counts as square-free when its roots are simple and
-its rootless part has degree < 4; the rule is exact for d <= 3, and from
-d = 4 on it can only send a square-free cp down the slower path.  A
-square-free cp is its own minimal polynomial, which divides cp and has
-each of its irreducible factors.  Otherwise the minimal polynomial, the
-package's only one, is the first dependence among the coded columns of
-I, T, T^2, ..., found by elimination with the vector tables.  A matrix's
-row-major scan digits give its coded columns (`_scan_cols`), so
-`_space(field, d).decode` rebuilds the matrix of any scan row.  Then the
-scan checks OrbRef0 = scaled-power-orbit per matrix.
+the key (cp, r): cp its characteristic polynomial, and r the rank of
+T - aI at the repeated root a of cp, or None when cp has no repeated
+root.  cp is `linalg._berkowitz`, the loop behind `char_poly`, run once
+per block of scan indices on numpy arrays of the block's digits, with
+products and sums gathered from the scalar tables.  What depends on cp
+alone -- whether it splits (`linalg._split_roots`, as in `eigenvalues`),
+whether it is nilpotent, and its repeated root -- is worked out once per
+distinct cp of a chunk.  r is `linalg._bareiss`, the package's one
+elimination, on the scalar tables.  At d <= 3 the key fixes the
+similarity class.  cp has at most one repeated root.  A cp with none is
+square-free, since a squared irreducible factor of degree >= 2 needs
+d >= 4, so T is cyclic and cp fixes its class.  Otherwise d - r is the
+number of Jordan blocks at a, and with a's multiplicity at most 3 that
+number fixes their sizes.  At d = 4 it does not: the nilpotent [3,1] and
+[2,2] both have rank 2, and over GF(3) (t^2 + 1)^2 has no root, yet the
+types [2] and [1,1] at t^2 + 1 are two classes.  So the scan stops at
+d = 3.  A matrix's row-major scan digits give its coded columns
+(`_scan_cols`), so `_space(field, d).decode` rebuilds the matrix of any
+scan row.  Then the scan checks OrbRef0 = scaled-power-orbit per matrix.
 Verdicts are similarity invariants, and they are scaling invariants too:
 for lam != 0 and n >= 1, mu -> mu lam^n is a bijection of GF(q), so
 {mu (lam T)^n x} = {mu T^n x} for every x, and lam T has the orbit sets,
 OrbRef0, scaled power orbit and rigidity verdict of T.  So by default
 the scan runs the expensive enumeration once per scaling class, keyed by
-the least lam-scaling of (characteristic, minimal polynomial), and a flag
-forces the plain per-matrix scan.  (cp, mp) fixes the similarity class
-only for d <= 3 (at d = 4 the nilpotent [2,2] and [2,1,1] share both
-polynomials), so the scan stops at d = 3.
+the least lam-scaling of cp with r (lam T - lam a I has the rank of
+T - aI), and a flag forces the plain per-matrix scan.
 
 With several workers one fork pool serves both passes, but only when the
 pending work pays for it.  The work counts d^2 units per pending matrix
 (the entries its classification reads), times q^d without dedup, where
 every pending matrix is also enumerated by a search over GF(q)^d; the
-pool starts at 2^16 units.  Cold scans at two workers, in-process on a
-2-CPU Xeon host with Python 3.11, forked against one process: M2(GF(7))
-(9604 units) 51-64 against 28-41 ms, M2(GF(9)) (26 244) 96-112 against
-60-98 ms, M3(GF(3)) (177 147) 281-296 against 487-523 ms, and the full
-M3(GF(4)) without cache 3.0-3.1 against 3.8-4.0 s.
+pool starts at 2^18 units.  Cold scans without cache, each in a fresh
+process on a 2-CPU Xeon host with Python 3.11, two workers against one
+over 5-11 alternating rounds: M3(GF(3)) (177 147 units) 0.24-0.33
+against 0.17-0.28 s, M2(GF(16)) (262 144) 0.40-0.50 against 0.50-0.66 s,
+and the full M3(GF(4)) (2 359 296) 1.4-1.8 against 1.8-2.3 s.
 
 Results persist to a JSON-lines cache.  Each scan that finishes new
 matrices appends one line with one write.  The line names the field (q,
@@ -136,7 +137,7 @@ from .errors import (
     WrongField,
 )
 from .fields import KIND_FINITE, FiniteField, Scalar, from_digits, to_digits
-from .linalg import Matrix, _berkowitz, _split_roots
+from .linalg import Matrix, _bareiss, _berkowitz, _split_roots
 
 DEFAULT_CONTAINS_BUDGET = 10 ** 6
 DEFAULT_ENUM_BUDGET = 2 ** 24
@@ -200,15 +201,6 @@ class _Space:
         q, d, els = self.q, self.d, self.scalars
         digits = [to_digits(c, q, d) for c in cols]
         return Matrix(self.field, [[els[col[i]] for col in digits] for i in range(d)])
-
-    def apply(self, cols, v: int) -> int:
-        """The index of M v for the matrix with coded columns cols."""
-        vadd, scale, q = self.vadd, self.scale, self.q
-        y = 0
-        for col in cols:
-            v, c = divmod(v, q)
-            y = vadd[y][scale[col][c]]
-        return y
 
     def vector_map(self, cols) -> list[int]:
         """img[x] = index of M x for the matrix with coded columns cols."""
@@ -612,53 +604,14 @@ def _scan_cols(digits, q: int, d: int) -> tuple[int, ...]:
     return tuple(from_digits(digits[j::d], q) for j in range(d))
 
 
-def _min_poly_int(sp: _Space, cols) -> tuple[int, ...]:
-    """Least monic dependence among T^0, T^1, ... by elimination on their
-    coded columns; a pivot is one digit of one column."""
-    q, d = sp.q, sp.d
-    add, mul, neg, inv = sp.add, sp.mul, sp.neg, sp.inv
-    vadd, scale = sp.vadd, sp.scale
-    basis: list[tuple[tuple[int, ...], list[int], int, int]] = []
-    power = tuple(q ** j for j in range(d))
-    for deg in range(d + 1):
-        vec = power
-        combo = [0] * (d + 2)
-        combo[deg] = 1
-        for bvec, bcombo, j, place in basis:
-            c = vec[j] // place % q
-            if c == 0:
-                continue
-            m = neg[c]
-            vec = tuple(vadd[x][scale[y][m]] for x, y in zip(vec, bvec))
-            combo = [add[x][mul[m][y]] for x, y in zip(combo, bcombo)]
-        j = next((j for j, v in enumerate(vec) if v), None)
-        if j is None:
-            lead = inv[combo[deg]]
-            return tuple(mul[lead][c] for c in combo[:deg + 1])
-        place = 1
-        while vec[j] // place % q == 0:
-            place *= q
-        lead = inv[vec[j] // place % q]
-        vec = tuple(scale[x][lead] for x in vec)
-        combo = [mul[lead][x] for x in combo]
-        basis.append((vec, combo, j, place))
-        power = tuple(sp.apply(cols, v) for v in power)
-    raise AssertionError("dependence must occur by degree d")
-
-
-def _cp_facts(sp: _Space, cp: tuple[int, ...]) -> tuple[bool, bool, bool]:
-    """(split, nilpotent, square-free) for the characteristic polynomial cp
-    (constant first).  cp counts as square-free when each root is simple
-    and the part left without roots has degree < 4: a rootless polynomial
-    of degree 2 or 3 has no linear factor, so it is irreducible.  The rule
-    never calls a cp with a repeated factor square-free, and at d <= 3 it is
-    exact; from d = 4 on it misses square-free cps whose rootless part has
-    degree >= 4 (a product of two distinct irreducible quadratics), which
-    then only take the slower minimal polynomial path."""
+def _cp_facts(sp: _Space, cp: tuple[int, ...]) -> tuple[bool, bool, Optional[int]]:
+    """(split, nilpotent, repeated root) for the characteristic polynomial cp
+    (constant first): the repeated root is the root of multiplicity >= 2,
+    or None.  At d <= 3 cp has at most one."""
     roots, rest = _split_roots(cp[::-1], range(sp.q), lambda a, b: sp.mul[a][b],
                                lambda a, b: sp.add[a][b], operator.not_)
     return (len(rest) == 1, not any(cp[:-1]),
-            all(mult == 1 for _, mult in roots) and len(rest) <= 4)
+            next((a for a, mult in roots if mult > 1), None))
 
 
 def _classify_chunk(payload) -> list[tuple]:
@@ -669,7 +622,8 @@ def _classify_chunk(payload) -> list[tuple]:
     once: each entry is the array of its scan digits over the block, and a
     dot product is a gather from the scalar tables.  The facts that depend
     only on the characteristic polynomial cp come from `_cp_facts` once
-    per distinct cp of the chunk."""
+    per distinct cp of the chunk.  The key is the module docstring's
+    (cp, r), with r by `linalg._bareiss` on the scalar tables."""
     (p, k, modulus, d, start, stop, nilpotent_only, hashes) = payload
     sp = _space(FiniteField(p, k, modulus), d)
     q = sp.q
@@ -686,20 +640,27 @@ def _classify_chunk(payload) -> list[tuple]:
     poly = _berkowitz([entries[i * d:(i + 1) * d] for i in range(d)],
                       dot, np.array(sp.neg).__getitem__, 1)
     cps = np.stack(np.broadcast_arrays(*reversed(poly)), axis=1).tolist()
-    facts: dict[tuple, tuple[bool, bool, bool]] = {}
+    # GF(q) as a ring on the scalar tables, for the elimination of T - aI
+    tadd, tmul, neg, inv = sp.add, sp.mul, sp.neg, sp.inv
+    field_ops = (lambda x, y: tmul[x][y], lambda x, y: tadd[x][neg[y]],
+                 lambda x, y: tmul[x][inv[y]], operator.not_)
+    facts: dict[tuple, tuple[bool, bool, Optional[int]]] = {}
     keys: dict[tuple, tuple] = {}  # one object per key, shared by its rows
     out = []
     for i, digits, cp in zip(range(start, stop), np.stack(entries, axis=1).tolist(),
                              map(tuple, cps)):
         if cp not in facts:
             facts[cp] = _cp_facts(sp, cp)
-        split, nil, squarefree = facts[cp]
+        split, nil, root = facts[cp]
         if nilpotent_only and not nil:
             continue
-        # the minimal polynomial divides cp and has each irreducible factor
-        # of cp, so a square-free cp is its own minimal polynomial
-        mp = cp if squarefree else _min_poly_int(sp, _scan_cols(digits, q, d))
-        key = keys.setdefault((cp, mp), (cp, mp))
+        rank = None
+        if root is not None:
+            rows = [digits[pos:pos + d] for pos in range(0, d * d, d)]
+            for j, row in enumerate(rows):
+                row[j] = tadd[row[j]][neg[root]]
+            rank = _bareiss(rows, *field_ops)[0]
+        key = keys.setdefault((cp, rank), (cp, rank))
         out.append((i, matrix_hash(q, d, digits) if hashes else None, key,
                     split, nil))
     return out
@@ -717,26 +678,26 @@ def _enumerate_one(payload) -> tuple:
 
 
 def _scaling_class(mul, key) -> tuple:
-    """The least of the lam-scalings of key = (cp, mp) over lam in GF(q)*,
-    on the scalar multiplication table mul.  det(tI - lam T) is
-    lam^m cp(t / lam), so scaling T by lam multiplies coefficient i of a
-    degree-m polynomial (constant first) by lam^(m-i), and the minimal
-    polynomial the same way."""
+    """The least lam-scaling of cp over lam in GF(q)*, with the rank r of
+    key = (cp, r), on the scalar multiplication table mul.  det(tI - lam T)
+    is lam^m cp(t / lam), so scaling T by lam multiplies coefficient i of
+    the degree-m cp (constant first) by lam^(m-i), and it moves the
+    repeated root a to lam a, where lam T - lam a I has the rank of
+    T - aI."""
+    cp, rank = key
     scalings = []
     for lam in range(1, len(mul)):
         powers = [1]  # lam^0, lam^1, ... as element indices
-        for _ in key[0][1:]:
+        for _ in cp[1:]:
             powers.append(mul[powers[-1]][lam])
-        scalings.append(tuple(
-            tuple(mul[powers[len(poly) - 1 - i]][c] for i, c in enumerate(poly))
-            for poly in key))
-    return min(scalings)
+        scalings.append(tuple(mul[powers[len(cp) - 1 - i]][c] for i, c in enumerate(cp)))
+    return min(scalings), rank
 
 
 # The pending work, in d^2 units per matrix (times q^d without dedup), at
 # which a scan starts its fork pool; the module docstring has the rule and
 # its measurement.
-_FORK_MIN_WORK = 2 ** 16
+_FORK_MIN_WORK = 2 ** 18
 
 
 def _blocks(pending: Sequence[int], workers: int) -> list[Sequence[int]]:
@@ -829,13 +790,13 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
                limit: Optional[int] = None,
                cache_path: Optional[str] = None) -> ScanResult:
     """Classify every d x d matrix over GF(q): does OrbRef0 equal the scaled
-    power orbit, and does the minimal polynomial split?
+    power orbit, and does the characteristic polynomial split?
 
     Two phases: a cheap classification pass over all matrices, then the
-    expensive enumeration -- once per scaling class of (char poly, min poly)
-    under dedup, or once per matrix without it.  When the pending work pays
-    for a pool, both phases fan out across the workers of one pool; results
-    are identical for any worker count.
+    expensive enumeration -- once per scaling class of the key (char poly,
+    rank at its repeated root) under dedup, or once per matrix without it.
+    When the pending work pays for a pool, both phases fan out across the
+    workers of one pool; results are identical for any worker count.
     """
     if d > 3:
         raise ValueError("scan_space supports d <= 3")

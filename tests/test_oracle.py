@@ -1,6 +1,8 @@
 """Definition-level orbit oracle: power orbits, membership, enumeration,
 rigidity, numeric residuals, and the space scan."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,20 @@ def _char_poly_int(sp, digits):
     rows = [digits[i * d:(i + 1) * d] for i in range(d)]
     poly = _berkowitz(rows, lambda r, c: _dot(sp.add, sp.mul, r, c), sp.neg.__getitem__, 1)
     return tuple(reversed(poly))
+
+
+def _reference_key(field, d, idx):
+    """The classify key of scan matrix idx from the matrix-level lanes: the
+    char poly, with rank(M - aI) by `power_ranks` at the repeated eigenvalue
+    a of `eigenvalues`, or None when every eigenvalue is simple."""
+    from orbitref import eigenvalues
+    from orbitref.linalg import power_ranks
+
+    M = _scan_matrix(field, d, idx)
+    repeated = [lam for lam, mult in eigenvalues(M).roots if mult > 1]
+    assert len(repeated) <= 1
+    rank = next(power_ranks(M, repeated[0])) if repeated else None
+    return _char_poly_int(_space(field, d), to_digits(idx, field.q, d * d)), rank
 
 
 # -- power orbits ---------------------------------------------------------------
@@ -378,7 +394,7 @@ def _product_scan_reference(tbl, Tcols, d):
 
 
 def _class_inputs(field, d):
-    """One matrix per (char poly, min poly) class of M_d(GF(q))."""
+    """One matrix per similarity class of M_d(GF(q)), by the classify key."""
     from orbitref.oracle import _classify_chunk
 
     reps = {}
@@ -512,9 +528,10 @@ def test_scan_dedup_matches_flat_scan():
         assert fast.as_dict() == slow.as_dict(), (field.q, d)
 
 
-@pytest.mark.parametrize("field,d,enumerations", [(FiniteField(7), 2, 12),
-                                                  (FiniteField(3), 3, 22)],
-                         ids=["gf7-d2", "gf3-d3"])
+@pytest.mark.parametrize("field,d,enumerations", [
+    (FiniteField(7), 2, 12), (FiniteField(3), 3, 22),
+    pytest.param(FiniteField(2, 2), 3, 32, marks=pytest.mark.slow)],
+    ids=["gf7-d2", "gf3-d3", "gf4-d3"])
 def test_scan_enumerates_once_per_scaling_class(monkeypatch, field, d, enumerations):
     from orbitref import oracle
 
@@ -758,24 +775,6 @@ def _poly_at(coeffs, M):
     return acc
 
 
-def _assert_min_poly(sp, M, expect=None):
-    # mp(M) = 0, monic, and I, M, ..., M^(deg-1) are independent
-    from orbitref import rank
-    from orbitref.oracle import _min_poly_int
-
-    els, d = sp.scalars, M.n
-    mp = [els[c] for c in _min_poly_int(sp, sp.encode(M))]
-    if expect is not None:
-        assert mp == [M.field.parse(c) for c in expect]
-    assert mp[-1].is_one
-    assert _poly_at(mp, M).is_zero
-    deg = len(mp) - 1
-    # vec rows of the lower powers, padded with zero rows to a square
-    vecs = [[s for row in matpow(M, i).rows for s in row] for i in range(deg)]
-    vecs += [[els[0]] * (d * d)] * (d * d - deg)
-    assert rank(Matrix(M.field, vecs)) == deg
-
-
 @pytest.mark.parametrize("field,d", [(FiniteField(p, k), 2) for p, k in
                                      ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))]
                          + [(FiniteField(2), 3),
@@ -810,8 +809,7 @@ def test_gf_ring_kernels_match_brute_force(field, d):
 
 def test_int_kernel_polynomials_match_matrix_level():
     # the scan's table-encoded char poly agrees with char_poly and
-    # annihilates M, and its minimal polynomial annihilates M with
-    # independent lower powers
+    # annihilates M
     import random
 
     from orbitref import char_poly
@@ -828,11 +826,6 @@ def test_int_kernel_polynomials_match_matrix_level():
                 cp = char_poly(M)
                 assert [els[c] for c in cp_int] == list(cp.coeffs)
                 assert _poly_at(cp.coeffs, M).is_zero  # Cayley-Hamilton
-                _assert_min_poly(sp, M)
-    # the GF(2) shear: (t + 1)^2, so not t + 1
-    g2 = FiniteField(2)
-    _assert_min_poly(_space(g2, 2), Matrix.from_values(g2, [[1, 1], [0, 1]]),
-                     expect=["1", "0", "1"])
 
 
 @pytest.mark.parametrize("field,d", [(FiniteField(2, 2), 2), (FiniteField(2), 3)],
@@ -858,19 +851,83 @@ def test_classify_split_matches_eigenvalues(field, d):
                          ids=["gf2-d2", "gf3-d2", "gf4-d2", "gf5-d2", "gf7-d2", "gf8-d2",
                               "gf9-d2", "gf2-d3", "gf3-d3"])
 def test_classify_square_free_shortcut_keeps_every_key(field, d):
-    # the classify pass takes a square-free char poly as its own minimal
-    # polynomial without computing it; every key must still be the pair of
-    # the char poly and the computed minimal polynomial
-    from orbitref.oracle import _classify_chunk, _min_poly_int
+    # the classify pass runs no elimination for a char poly without a
+    # repeated root; every key must still be the pair of the char poly and
+    # the rank at its repeated root, or None, as the matrix-level lanes
+    # give them
+    from orbitref.oracle import _classify_chunk
 
-    sp, q = _space(field, d), field.q
-    total = q ** (d * d)
+    total = field.q ** (d * d)
     rows = _classify_chunk((field.p, field.k, field.modulus, d, 0, total, False, False))
     assert [row[0] for row in rows] == list(range(total))
     for idx, _, key, _, _ in rows:
-        digits = to_digits(idx, q, d * d)
-        assert key == (_char_poly_int(sp, digits),
-                       _min_poly_int(sp, _scan_cols(digits, q, d))), idx
+        assert key == _reference_key(field, d, idx), idx
+
+
+def _gl_generators(field, d):
+    """A generating set of GL_d(q) as (P, P^-1) pairs of element-index rows:
+    the transvections I + c E_ij for i != j and c over the GF(p)-basis
+    1, x, ..., x^(k-1) of GF(q), and diag(g, 1, ..., 1) for a primitive g.
+    Index 0 is the field's zero, index 1 its one, and x^e has index p^e."""
+    sc = _space(field, 1)
+
+    def order(g):
+        n, y = 1, g
+        while y != 1:
+            n, y = n + 1, sc.mul[y][g]
+        return n
+
+    def identity():
+        return [[int(r == s) for s in range(d)] for r in range(d)]
+
+    pairs = []
+    for c in (field.p ** e for e in range(field.k)):
+        for i, j in permutations(range(d), 2):
+            P, Pinv = identity(), identity()
+            P[i][j], Pinv[i][j] = c, sc.neg[c]
+            pairs.append((P, Pinv))
+    g = next(g for g in range(1, field.q) if order(g) == field.q - 1)
+    P, Pinv = identity(), identity()
+    P[0][0], Pinv[0][0] = g, sc.inv[g]
+    return pairs + [(P, Pinv)]
+
+
+@pytest.mark.parametrize("field,d", [(FiniteField(p, k), 2) for p, k in
+                                     ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))]
+                         + [(FiniteField(2), 3), (FiniteField(3), 3),
+                            pytest.param(FiniteField(2, 2), 3, marks=pytest.mark.slow)],
+                         ids=["gf2-d2", "gf3-d2", "gf4-d2", "gf5-d2", "gf7-d2", "gf8-d2",
+                              "gf9-d2", "gf2-d3", "gf3-d3", "gf4-d3"])
+def test_classify_key_fixes_similarity_class(field, d):
+    # the key (char poly, rank at its repeated root) is unchanged by
+    # conjugation with each generator of GL_d(q), so it is constant on
+    # similarity classes; and it takes q^d + ... + q values, the number of
+    # classes of M_d(GF(q)), so no two classes share a key
+    from orbitref.oracle import _classify_chunk
+
+    q = field.q
+    total = q ** (d * d)
+    ids: dict = {}
+    key_id = np.array([ids.setdefault(key, len(ids)) for _, _, key, _, _ in _classify_chunk(
+        (field.p, field.k, field.modulus, d, 0, total, False, False))])
+    assert len(ids) == sum(q ** e for e in range(1, d + 1))
+    sc = _space(field, 1)
+    add, mul = np.array(sc.add), np.array(sc.mul)
+
+    def matmul(A, B):
+        out = [[0] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(d):
+                for t in range(d):
+                    out[i][j] = add[out[i][j], mul[A[i][t], B[t][j]]]
+        return out
+
+    idx = np.arange(total)
+    T = [[idx // q ** (i * d + j) % q for j in range(d)] for i in range(d)]
+    for P, Pinv in _gl_generators(field, d):
+        conj = matmul(matmul(P, T), Pinv)
+        code = sum(conj[i][j] * q ** (i * d + j) for i in range(d) for j in range(d))
+        assert (key_id[code] == key_id).all(), (P, Pinv)
 
 
 @pytest.mark.parametrize("field,d,start,stop,nilpotent_only", [
@@ -887,7 +944,7 @@ def test_classify_square_free_shortcut_keeps_every_key(field, d):
 def test_classify_block_matches_per_matrix_reference(field, d, start, stop, nilpotent_only):
     # the block Berkowitz gives each matrix the row of the per-matrix path;
     # a row carries its hash only when the scan writes a cache line
-    from orbitref.oracle import _classify_chunk, _cp_facts, _min_poly_int, matrix_hash
+    from orbitref.oracle import _classify_chunk, _cp_facts, matrix_hash
 
     sp, q = _space(field, d), field.q
     expect = []
@@ -896,8 +953,8 @@ def test_classify_block_matches_per_matrix_reference(field, d, start, stop, nilp
         cp = _char_poly_int(sp, digits)
         split, nil, _ = _cp_facts(sp, cp)
         if nil or not nilpotent_only:
-            expect.append((idx, matrix_hash(q, d, digits),
-                           (cp, _min_poly_int(sp, _scan_cols(digits, q, d))), split, nil))
+            expect.append((idx, matrix_hash(q, d, digits), _reference_key(field, d, idx),
+                           split, nil))
     assert expect
     params = (field.p, field.k, field.modulus, d, start, stop, nilpotent_only)
     assert _classify_chunk(params + (True,)) == expect
@@ -912,7 +969,7 @@ def test_classify_block_matches_per_matrix_reference(field, d, start, stop, nilp
                               "gf9-d2", "gf2-d3", "gf3-d3"])
 def test_enumeration_is_constant_on_scaling_classes(field, d):
     # lam T has the OrbRef0, scaled orbit and rigidity verdict of T, so
-    # every (char poly, min poly) class of one scaling class enumerates alike
+    # every similarity class of one scaling class enumerates alike
     from orbitref.oracle import _classify_chunk, _enumerate_one, _scaling_class
 
     mul = _space(field, 1).mul
