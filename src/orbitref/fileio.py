@@ -68,7 +68,8 @@ def _build_field(code: str, p: Optional[int], k: Optional[int],
         if p is None:
             raise ParseError("finite-field input needs p")
         kk = k if k is not None else 1
-        if not (isinstance(p, int) and isinstance(kk, int)):
+        # JSON true and false are ints to Python
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (p, kk)):
             raise ParseError(f"p and k must be integers, not {p!r} and {kk!r}")
         if not isinstance(modulus, (str, type(None))):
             raise ParseError(f"modulus must be a polynomial string, not {modulus!r}")
@@ -93,6 +94,8 @@ def load_matrix_data(data: dict) -> MatrixFile:
     for r in rows:
         if not isinstance(r, list) or len(r) != n:
             raise ParseError("rows must form a square array")
+        if any(isinstance(v, bool) for v in r):
+            raise ParseError("matrix entries may not be true or false")
     tol = data.get("tol")
     if tol is not None:
         try:

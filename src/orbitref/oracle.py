@@ -51,11 +51,15 @@ reads them, and decodes Matrix objects only then.  The scaled orbit must
 pass the same checks as every candidate, or the module raises an
 internal error.
 
-`orbref0_contains` tests one candidate, and its budget counts the q^d
-vectors it checks.  The vector-addition table alone has q^(2d) entries,
-so it builds only the scalar tables and walks x -> Tx -> T^2 x -> ... up
-to the first repeat for one vector at a time, on tuples of element
-indices.
+`orbref0_contains` tests one candidate.  The vector-addition table alone
+has q^(2d) entries, so it builds only the scalar tables and walks
+x -> Tx -> T^2 x -> ... up to the first repeat for one vector at a time,
+on tuples of element indices.  Each budget counts the larger of the work
+and the tables built for it: q^d vectors checked or the q^2 entries of a
+scalar table for `orbref0_contains`, and q^(d^2) candidates or the q^(2d)
+entries of the vector tables for an enumeration or a scan.  The tables
+are the larger only at d = 1, where over GF(10007) they alone would hold
+10^8 entries.
 
 `scan_space` sweeps every d x d matrix over GF(q) and classifies each by
 the key (cp, r): cp its characteristic polynomial, and r the rank of
@@ -89,20 +93,25 @@ With several workers one fork pool serves both passes, but only when the
 pending work pays for it.  The work counts d^2 units per pending matrix
 (the entries its classification reads), times q^d without dedup, where
 every pending matrix is also enumerated by a search over GF(q)^d; the
-pool starts at 2^18 units.  Cold scans without cache, each in a fresh
-process on a 2-CPU Xeon host with Python 3.11, two workers against one
-over 5-11 alternating rounds: M3(GF(3)) (177 147 units) 0.24-0.33
-against 0.17-0.28 s, M2(GF(16)) (262 144) 0.40-0.50 against 0.50-0.66 s,
-and the full M3(GF(4)) (2 359 296) 1.4-1.8 against 1.8-2.3 s.
+pool starts at 2^18 units, with no more workers than the CPUs the
+process may use and 4 index blocks per worker.  Cold scans without
+cache, each in a fresh process on a 2-CPU Xeon host with Python 3.11, two
+workers against one over 5-11 alternating rounds: M3(GF(3)) (177 147
+units) 0.24-0.33 against 0.17-0.28 s, M2(GF(16)) (262 144) 0.40-0.50
+against 0.50-0.66 s, and the full M3(GF(4)) (2 359 296) 1.4-1.8 against
+1.8-2.3 s.
 
 Results persist to a JSON-lines cache.  Each scan that finishes new
-matrices appends one line with one write.  The line names the field (q,
-p, k and the modulus) and d, and holds the list "i" of matrix indices and
-one list per row field in _COLUMNS order, all of one length.  Only a
-scan that writes a line hashes every new matrix; without one, a scan
-hashes just the rows its report prints, the violations.  Re-runs
-skip finished matrices, and rows of another field or modulus are never
-reused.  The cache is read in one pass with one JSON decoder.  Blank,
+matrices appends one line with one write.  The line names the field (p, k
+and the modulus) and d, and holds the list "i" of matrix indices and one
+list per row field in _COLUMNS order, all of one length.  A row keeps
+only what the scan cannot derive: q is p^k, a row's equality verdict is
+orbref0 == forb, and a matrix hash follows from q, d and the index, so a
+scan hashes just the rows its report prints, whether they come from the
+cache or were just scanned.  Lines of the earlier layout also stored q,
+"hash" and "equal"; the loader ignores those keys and serves their rows.
+Re-runs skip finished matrices, and rows of another field or modulus are
+never reused.  The cache is read in one pass with one JSON decoder.  Blank,
 malformed, torn and non-object lines are skipped, and so are lines with
 trailing text, lines of another field or dimension or naming none,
 lines whose columns are missing, are no lists or differ in length, and
@@ -143,7 +152,7 @@ DEFAULT_CONTAINS_BUDGET = 10 ** 6
 DEFAULT_ENUM_BUDGET = 2 ** 24
 # the row fields of a scan, in row-tuple order; a cache line holds one list
 # of each beside the list "i" of matrix indices
-_COLUMNS = ("hash", "split", "nilpotent", "equal", "orbref0", "forb", "rigidity_ok")
+_COLUMNS = ("split", "nilpotent", "orbref0", "forb", "rigidity_ok")
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +233,14 @@ def _dot(add, mul, r, c) -> int:
     for a, b in zip(r, c):
         acc = add[acc][mul[a][b]]
     return acc
+
+
+def _charge(q: int, units: int, tables: int, what: str, budget: int):
+    """Refuse q^units units of work, or the q^tables table entries built
+    for it, past the budget; the message names the larger count."""
+    n, what = (units, what) if units >= tables else (tables, "table entries")
+    if q ** n > budget:
+        raise BudgetExceeded(f"{q}^{n} {what} exceed the budget of {budget}")
 
 
 def _positive_powers(powers, tail: int):
@@ -439,9 +456,7 @@ def orbref0_contains(T: Matrix, S: Matrix,
         raise ShapeMismatch(f"dims {S.n} vs {T.n}")
     q = T.field.q
     d = T.n
-    if q ** d > budget:
-        raise BudgetExceeded(
-            f"{q}^{d} vector checks exceed the budget of {budget}")
+    _charge(q, d, 2, "vector checks", budget)
     # only the scalar tables: those of GF(q)^d would hold q^(2d) entries
     sc = _space(T.field, 1)
     add, mul, inv = sc.add, sc.mul, sc.inv
@@ -527,9 +542,7 @@ def _column_search(T: Matrix, budget: int) -> _ColumnSearch:
     _require_finite(T)
     q = T.field.q
     d = T.n
-    if q ** (d * d) > budget:
-        raise BudgetExceeded(
-            f"{q}^{d * d} candidates exceed the budget of {budget}")
+    _charge(q, d * d, 2 * d, "candidates", budget)
     sp = _space(T.field, d)
     return _ColumnSearch(sp, sp.encode(T))
 
@@ -615,16 +628,15 @@ def _cp_facts(sp: _Space, cp: tuple[int, ...]) -> tuple[bool, bool, Optional[int
 
 
 def _classify_chunk(payload) -> list[tuple]:
-    """Cheap per-matrix classification: (idx, hash, key, split, nilpotent),
-    the hash None unless `hashes` is set (only a cache line stores every
-    row's hash).  Berkowitz's recursion has no divisions and no branches,
-    so one `linalg._berkowitz` call runs it on every matrix of the block at
-    once: each entry is the array of its scan digits over the block, and a
-    dot product is a gather from the scalar tables.  The facts that depend
-    only on the characteristic polynomial cp come from `_cp_facts` once
-    per distinct cp of the chunk.  The key is the module docstring's
-    (cp, r), with r by `linalg._bareiss` on the scalar tables."""
-    (p, k, modulus, d, start, stop, nilpotent_only, hashes) = payload
+    """Cheap per-matrix classification: (idx, key, split, nilpotent).
+    Berkowitz's recursion has no divisions and no branches, so one
+    `linalg._berkowitz` call runs it on every matrix of the block at once:
+    each entry is the array of its scan digits over the block, and a dot
+    product is a gather from the scalar tables.  The facts that depend only
+    on the characteristic polynomial cp come from `_cp_facts` once per
+    distinct cp of the chunk.  The key is the module docstring's (cp, r),
+    with r by `linalg._bareiss` on the scalar tables."""
+    (p, k, modulus, d, start, stop, nilpotent_only) = payload
     sp = _space(FiniteField(p, k, modulus), d)
     q = sp.q
     add, mul = np.array(sp.add), np.array(sp.mul)
@@ -661,20 +673,19 @@ def _classify_chunk(payload) -> list[tuple]:
                 row[j] = tadd[row[j]][neg[root]]
             rank = _bareiss(rows, *field_ops)[0]
         key = keys.setdefault((cp, rank), (cp, rank))
-        out.append((i, matrix_hash(q, d, digits) if hashes else None, key,
-                    split, nil))
+        out.append((i, key, split, nil))
     return out
 
 
 def _enumerate_one(payload) -> tuple:
-    """Full enumeration of one matrix: (equal, orbref0, forb, rigidity_ok)."""
+    """Full enumeration of one matrix: (orbref0, forb, rigidity_ok)."""
     (p, k, modulus, d, idx, rigidity) = payload
     sp = _space(FiniteField(p, k, modulus), d)
     search = _ColumnSearch(sp, _scan_cols(to_digits(idx, sp.q, d * d), sp.q, d))
     size, forb = search.count(), search.forb
     # forb lies inside OrbRef0, so no member outside it means size == |forb|
     rig_ok = size == len(forb) and not _clashing(sp, forb) if rigidity else None
-    return (size == len(forb), size, len(forb), rig_ok)
+    return (size, len(forb), rig_ok)
 
 
 def _scaling_class(mul, key) -> tuple:
@@ -801,9 +812,11 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
     if d > 3:
         raise ValueError("scan_space supports d <= 3")
     q = field.q
-    if q ** (d * d) > budget:
-        raise BudgetExceeded(
-            f"{q}^{d * d} candidates per matrix exceed the budget of {budget}")
+    _charge(q, d * d, 2 * d, "candidates per matrix", budget)
+    # results do not depend on the worker count, and processes past the
+    # CPUs this process may use would only add forks
+    workers = min(workers, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
     total = q ** (d * d)
     scan_total = min(total, limit) if limit else total
     cached = _load_cache(cache_path, field, d, rigidity) if cache_path else {}
@@ -816,8 +829,7 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
     # results are the same for any worker count
     with _pool(workers, len(pending), work) as pool:
         fan_out = pool.map if pool else lambda fn, payloads: list(map(fn, payloads))
-        payloads = [params + (block[0], block[-1] + 1, nilpotent_only,
-                              bool(cache_path))
+        payloads = [params + (block[0], block[-1] + 1, nilpotent_only)
                     for block in _blocks(pending, workers if pool else 1)]
         info = [item for part in fan_out(_classify_chunk, payloads)
                 for item in part if item[0] not in cached]
@@ -828,7 +840,7 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
         if dedup:
             mul = _space(field, 1).mul
             first: dict[tuple, int] = {}
-            for idx, _, key, _, _ in info:
+            for idx, key, _, _ in info:
                 if key not in reps:
                     reps[key] = first.setdefault(_scaling_class(mul, key), idx)
             targets = sorted(first.values())
@@ -839,11 +851,11 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
     by_target = dict(zip(targets, enum_results))
 
     # rows in _COLUMNS order, in index order like info
-    new_rows = {idx: (mhash, split, nil) + by_target[reps[key] if dedup else idx]
-                for idx, mhash, key, split, nil in info}
+    new_rows = {idx: (split, nil) + by_target[reps[key] if dedup else idx]
+                for idx, key, split, nil in info}
     if cache_path and new_rows:
         columns = map(list, zip(*new_rows.values()))
-        _append_line(cache_path, {"q": q, **_field_key(field), "d": d,
+        _append_line(cache_path, {**_field_key(field), "d": d,
                                   "i": list(new_rows), **dict(zip(_COLUMNS, columns))})
 
     counts = {
@@ -854,6 +866,11 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
     }
     violations: list[dict] = []
     rigidity_bad: list[dict] = []
+
+    def printed(i: int) -> dict:
+        """A printed row's index and hash; only these rows are hashed."""
+        return {"i": i, "hash": matrix_hash(q, d, to_digits(i, q, d * d))}
+
     used_cache = 0
     examined = 0
     for i in range(scan_total):
@@ -862,19 +879,17 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
             row = cached.get(i)
             if row is None:
                 continue  # filtered out by nilpotent_only
-            if nilpotent_only and not row[2]:
+            if nilpotent_only and not row[1]:
                 continue  # cached rows from an unfiltered scan
             used_cache += 1
-        mhash, split, nil, equal, osize, fsize, rig_ok = row
-        if mhash is None and (split and not equal or rig_ok is False):
-            # a scan that writes no cache line hashes the rows it prints only
-            mhash = matrix_hash(q, d, to_digits(i, q, d * d))
+        split, nil, osize, fsize, rig_ok = row
+        equal = osize == fsize
         examined += 1
         if split:
             counts["split"] += 1
             counts["split_equal" if equal else "split_not_equal"] += 1
             if not equal:
-                violations.append({"i": i, "hash": mhash, "orbref0": osize, "forb": fsize})
+                violations.append({**printed(i), "orbref0": osize, "forb": fsize})
         else:
             counts["nonsplit"] += 1
             counts["nonsplit_equal" if equal else "nonsplit_not_equal"] += 1
@@ -886,7 +901,7 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
             counts["rigidity_checked"] += 1
             if not rig_ok:
                 counts["rigidity_violating"] += 1
-                rigidity_bad.append({"i": i, "hash": mhash})
+                rigidity_bad.append(printed(i))
     return ScanResult(
         q=q, d=d, total=scan_total, scanned=examined, from_cache=used_cache,
         counts=counts, violations=violations, rigidity_violations=rigidity_bad,

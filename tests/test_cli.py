@@ -73,6 +73,9 @@ def test_parse_error_exit_2(tmp_path, capsys):
     for field, entry in (("q", "3/0"), ("qi", "1/2+3/0i")):
         zero = _write(tmp_path, "zero.json", {"field": field, "rows": [[entry]]})
         assert main(["jordan", "--input", zero]) == 2
+    # JSON true and false are no scalars, though Python reads them as 1 and 0
+    flags = _write(tmp_path, "flags.json", {"field": "q", "rows": [[True, False], [False, True]]})
+    assert main(["jordan", "--input", flags]) == 2
     capsys.readouterr()
 
 
@@ -83,6 +86,7 @@ def test_parse_error_exit_2(tmp_path, capsys):
     {"p": 3, "k": 2.0},
     {"p": 3, "k": 2, "modulus": 5},
     {"p": 3, "k": 2, "modulus": ["x^2+2x+2"]},
+    {"p": 3, "k": True},
 ])
 def test_bad_field_parameters_exit_2(tmp_path, capsys, params):
     path = _write(tmp_path, "bad.json", {"field": "gf", **params, "rows": [["1"]]})
@@ -276,9 +280,14 @@ def test_ffscan_rejects_non_prime_power(capsys):
                   "rows": [["0", "0", "175"], ["1", "0", "999908"], ["0", "1", "17"]]}, 0),
     (["jordan"], {"field": "gf", "p": 1000003,
                   "rows": [["0", "0", "2"], ["1", "0", "0"], ["0", "1", "0"]]}, 3),
+    # 1x1 over GF(10007): few candidates, but q^2 entries in each scalar table
+    (["decide"], {"field": "gf", "p": 10007, "rows": [["5"]]}, 4),
+    (["oracle", "--candidate", "m.json"], {"field": "gf", "p": 10007, "rows": [["5"]]}, 4),
+    (["ffscan", "--q", "10007", "--d", "1", "--no-cache"], None, 4),
 ], ids=["jordan-mersenne-square", "gf-above-primality-bound", "ffscan-large-prime",
         "ffscan-mersenne-prime", "ffscan-above-primality-bound", "jordan-gf-large-prime-split",
-        "jordan-gf-large-prime-irreducible-cubic"])
+        "jordan-gf-large-prime-irreducible-cubic", "decide-gf-table-budget",
+        "oracle-candidate-gf-table-budget", "ffscan-gf-table-budget"])
 def test_cli_answers_within_10_s(tmp_path, argv, data, code):
     # each of these hung before: a subprocess with a timeout makes a
     # regression fail instead of stalling the suite
@@ -287,7 +296,8 @@ def test_cli_answers_within_10_s(tmp_path, argv, data, code):
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "orbitref", *argv],
+    # run in tmp_path, where a relative path names the written matrix
+    proc = subprocess.run([sys.executable, "-m", "orbitref", *argv], cwd=tmp_path,
                           capture_output=True, text=True, env=env, timeout=10)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr

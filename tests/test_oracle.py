@@ -1,6 +1,8 @@
 """Definition-level orbit oracle: power orbits, membership, enumeration,
 rigidity, numeric residuals, and the space scan."""
 
+import json
+import os
 from itertools import permutations
 
 import numpy as np
@@ -398,8 +400,8 @@ def _class_inputs(field, d):
     from orbitref.oracle import _classify_chunk
 
     reps = {}
-    for idx, _, key, _, _ in _classify_chunk(
-            (field.p, field.k, field.modulus, d, 0, field.q ** (d * d), False, False)):
+    for idx, key, _, _ in _classify_chunk(
+            (field.p, field.k, field.modulus, d, 0, field.q ** (d * d), False)):
         reps.setdefault(key, idx)
     return [_scan_matrix(field, d, idx) for idx in reps.values()]
 
@@ -582,6 +584,45 @@ def test_scan_fork_path_deterministic(monkeypatch):
     assert results[0] == results[1] == results[2]
 
 
+def test_scan_pool_is_capped_at_usable_cpus(monkeypatch):
+    # a fake context records the pool a scan asks for and maps in-process,
+    # so a huge worker count starts no real pool; the scan may ask for no
+    # more processes than it has CPUs, nor cut more than 4 blocks per CPU
+    import multiprocessing
+    from types import SimpleNamespace
+
+    from orbitref import oracle
+
+    sizes = []
+
+    class Pool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return list(map(fn, payloads))
+
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: SimpleNamespace(Pool=Pool))
+    monkeypatch.setattr(oracle, "_FORK_MIN_WORK", 1)
+    blocks = []
+    classify_chunk = oracle._classify_chunk
+    monkeypatch.setattr(oracle, "_classify_chunk",
+                        lambda payload: blocks.append(payload) or classify_chunk(payload))
+    g3 = FiniteField(3)
+    wide = scan_space(g3, 2, rigidity=True, cache_path=None, workers=10 ** 6)
+    cpus = len(os.sched_getaffinity(0))
+    assert all(size <= cpus for size in sizes)
+    assert len(blocks) <= 4 * cpus
+    assert wide.as_dict() == scan_space(g3, 2, rigidity=True, cache_path=None).as_dict()
+
+
 def test_scan_small_space_starts_no_pool(monkeypatch):
     # M2(GF(7)) has 2401 matrices: the pool would cost more than it saves
     started = _spy_pools(monkeypatch)
@@ -613,12 +654,26 @@ def test_scan_cache_rows_carry_their_field(tmp_path):
     assert scan_space(other, 2, limit=20, cache_path=cache).from_cache == 20
 
 
+def _parent_layout(text: str) -> str:
+    """Cache lines rewritten in the earlier layout, which also stored q,
+    the hash of each row's matrix and whether orbref0 equals forb."""
+    from orbitref.oracle import matrix_hash
+
+    out = []
+    for line in text.splitlines():
+        scan = json.loads(line)
+        q, d = scan["p"] ** scan["k"], scan["d"]
+        out.append(json.dumps({
+            **scan, "q": q,
+            "hash": [matrix_hash(q, d, to_digits(i, q, d * d)) for i in scan["i"]],
+            "equal": [o == f for o, f in zip(scan["orbref0"], scan["forb"])]}))
+    return "\n".join(out) + "\n"
+
+
 def test_load_cache_serves_only_valid_rows(tmp_path):
     # a cache may hold partial writes, foreign lines, old layouts and hand
     # edits; the loader serves exactly the valid rows of its field and
     # dimension
-    import json
-
     from orbitref.oracle import _COLUMNS, _load_cache
 
     g3 = FiniteField(3)
@@ -645,13 +700,13 @@ def test_load_cache_serves_only_valid_rows(tmp_path):
         "[1]",                                          # JSON, but no object
         one + " 42",                                    # trailing garbage
         part([1], d=3),                                 # another dimension
-        part([1], p=5, q=5),                            # another field
+        part([1], p=5),                                 # another field
         part([1], drop=("p", "k", "modulus")),          # no field named
         part([2], rigidity_ok=[None]),                  # unrated
         part([3], drop=("rigidity_ok",)),               # no rigidity_ok column
         part([1], drop=("i",)),                         # no index column
-        part([1], drop=("equal",)),                     # no verdict column
-        part([1], hash=scan["hash"][1:3]),              # columns of unequal length
+        part([1], drop=("forb",)),                      # no scaled-orbit column
+        part([1], orbref0=scan["orbref0"][1:3]),        # columns of unequal length
         part([1], split=True),                          # a column that is no list
         part([1], i=[[1]]),                             # an index that is no integer
         part([1], i=[True]),
@@ -663,13 +718,62 @@ def test_load_cache_serves_only_valid_rows(tmp_path):
     assert _load_cache(str(cache), g3, 2, False) == {
         0: row(0, scan["rigidity_ok"][0]), 2: row(2, None), 3: row(3, None)}
     assert _load_cache(str(cache), g3, 2, True) == {0: row(0, scan["rigidity_ok"][0])}
+    # the earlier layout also stored q, each row's hash and equal; the
+    # loader ignores them and serves the same rows
+    cache.write_text(_parent_layout(good))
+    assert _load_cache(str(cache), g3, 2, True) == {n: row(n, scan["rigidity_ok"][n])
+                                                    for n in range(4)}
+
+
+def test_cache_line_holds_only_underived_fields_and_scan_hashes_printed_rows(
+        tmp_path, monkeypatch):
+    # a row's hash, its equal flag and the line's q follow from other
+    # fields, so the line leaves them out, and only the rows the report
+    # prints are hashed: on a cold scan with or without a cache line, and
+    # on a re-query
+    import sys
+
+    from orbitref import oracle
+
+    callers = []
+    matrix_hash = oracle.matrix_hash
+
+    def spy(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return matrix_hash(*args)
+
+    monkeypatch.setattr(oracle, "matrix_hash", spy)
+    cache = tmp_path / "scan.jsonl"
+    g7 = FiniteField(7)
+    for path, from_cache in ((None, 0), (str(cache), 0), (str(cache), 2401)):
+        callers.clear()
+        res = scan_space(g7, 2, cache_path=path)
+        assert res.from_cache == from_cache
+        assert len(res.violations) + len(res.rigidity_violations) == len(callers) == 288
+        assert "_classify_chunk" not in callers
+    [line] = cache.read_text().splitlines()
+    assert set(json.loads(line)) == {"p", "k", "modulus", "d", "i", "split", "nilpotent",
+                                     "orbref0", "forb", "rigidity_ok"}
+
+
+@pytest.mark.parametrize("rigidity", [False, True])
+def test_scan_serves_a_cache_of_the_earlier_layout(tmp_path, rigidity):
+    # a re-query served in full from lines that still carry q, hash and
+    # equal gives the report of a scan without cache
+    g5 = FiniteField(5)
+    cache = tmp_path / "scan.jsonl"
+    scan_space(g5, 2, rigidity=rigidity, cache_path=str(cache))
+    cache.write_text(_parent_layout(cache.read_text()))
+    again = scan_space(g5, 2, rigidity=rigidity, cache_path=str(cache))
+    assert again.from_cache == again.scanned == 625
+    fresh = scan_space(g5, 2, rigidity=rigidity, cache_path=None)
+    assert again.as_dict() | {"cache": None, "from_cache": 0} == fresh.as_dict()
+    assert fresh.violations and (fresh.rigidity_violations or not rigidity)
 
 
 def test_scan_rescans_rows_of_the_per_matrix_layout(tmp_path):
     # a cache written one line per matrix is a miss: the index is scanned
     # again once, and the scan's own line serves the next re-query
-    import json
-
     g3 = FiniteField(3)
     cache = tmp_path / "scan.jsonl"
     # the zero matrix, with a verdict the scan never gives: served, it
@@ -837,9 +941,9 @@ def test_classify_split_matches_eigenvalues(field, d):
     from orbitref.oracle import _classify_chunk
 
     total = field.q ** (d * d)
-    rows = _classify_chunk((field.p, field.k, field.modulus, d, 0, total, False, False))
+    rows = _classify_chunk((field.p, field.k, field.modulus, d, 0, total, False))
     assert [row[0] for row in rows] == list(range(total))
-    flags = [row[3] for row in rows]
+    flags = [row[2] for row in rows]
     assert flags == [eigenvalues(_scan_matrix(field, d, idx)).split
                      for idx in range(total)]
     assert True in flags and False in flags
@@ -858,9 +962,9 @@ def test_classify_square_free_shortcut_keeps_every_key(field, d):
     from orbitref.oracle import _classify_chunk
 
     total = field.q ** (d * d)
-    rows = _classify_chunk((field.p, field.k, field.modulus, d, 0, total, False, False))
+    rows = _classify_chunk((field.p, field.k, field.modulus, d, 0, total, False))
     assert [row[0] for row in rows] == list(range(total))
-    for idx, _, key, _, _ in rows:
+    for idx, key, _, _ in rows:
         assert key == _reference_key(field, d, idx), idx
 
 
@@ -908,8 +1012,8 @@ def test_classify_key_fixes_similarity_class(field, d):
     q = field.q
     total = q ** (d * d)
     ids: dict = {}
-    key_id = np.array([ids.setdefault(key, len(ids)) for _, _, key, _, _ in _classify_chunk(
-        (field.p, field.k, field.modulus, d, 0, total, False, False))])
+    key_id = np.array([ids.setdefault(key, len(ids)) for _, key, _, _ in _classify_chunk(
+        (field.p, field.k, field.modulus, d, 0, total, False))])
     assert len(ids) == sum(q ** e for e in range(1, d + 1))
     sc = _space(field, 1)
     add, mul = np.array(sc.add), np.array(sc.mul)
@@ -942,9 +1046,8 @@ def test_classify_key_fixes_similarity_class(field, d):
 ], ids=["gf3-d2", "gf4-d2-one", "gf5-d1", "gf9-d1-nil", "gf8-d2-nil", "gf2-d3-nil",
         "gf3-d3", "gf9-d3-top"])
 def test_classify_block_matches_per_matrix_reference(field, d, start, stop, nilpotent_only):
-    # the block Berkowitz gives each matrix the row of the per-matrix path;
-    # a row carries its hash only when the scan writes a cache line
-    from orbitref.oracle import _classify_chunk, _cp_facts, matrix_hash
+    # the block Berkowitz gives each matrix the row of the per-matrix path
+    from orbitref.oracle import _classify_chunk, _cp_facts
 
     sp, q = _space(field, d), field.q
     expect = []
@@ -953,13 +1056,10 @@ def test_classify_block_matches_per_matrix_reference(field, d, start, stop, nilp
         cp = _char_poly_int(sp, digits)
         split, nil, _ = _cp_facts(sp, cp)
         if nil or not nilpotent_only:
-            expect.append((idx, matrix_hash(q, d, digits), _reference_key(field, d, idx),
-                           split, nil))
+            expect.append((idx, _reference_key(field, d, idx), split, nil))
     assert expect
-    params = (field.p, field.k, field.modulus, d, start, stop, nilpotent_only)
-    assert _classify_chunk(params + (True,)) == expect
-    assert _classify_chunk(params + (False,)) == [(idx, None, *rest)
-                                                  for idx, _, *rest in expect]
+    assert _classify_chunk((field.p, field.k, field.modulus, d, start, stop,
+                            nilpotent_only)) == expect
 
 
 @pytest.mark.parametrize("field,d", [(FiniteField(p, k), 2) for p, k in
@@ -974,8 +1074,8 @@ def test_enumeration_is_constant_on_scaling_classes(field, d):
 
     mul = _space(field, 1).mul
     reps = {}
-    for idx, _, key, _, _ in _classify_chunk(
-            (field.p, field.k, field.modulus, d, 0, field.q ** (d * d), False, False)):
+    for idx, key, _, _ in _classify_chunk(
+            (field.p, field.k, field.modulus, d, 0, field.q ** (d * d), False)):
         reps.setdefault(key, idx)
     verdicts = {}
     for key, idx in reps.items():
