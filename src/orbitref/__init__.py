@@ -18,7 +18,6 @@ from .errors import (  # noqa: F401
     OrbitrefError,
     ParseError,
     ShapeMismatch,
-    Singular,
     WrongField,
 )
 from .fields import (  # noqa: F401
@@ -37,9 +36,7 @@ from .linalg import (  # noqa: F401
     Polynomial,
     char_poly,
     commutator_is_zero,
-    conjugate,
     embed_matrix,
-    inverse,
     matpow,
     rank,
 )
@@ -60,11 +57,9 @@ from .deciders import (  # noqa: F401
     upgrade_algebraic_verdict,
 )
 from .witness import (  # noqa: F401
-    ResidualTrace,
     WitnessReport,
     build_c_orbit_witness,
     build_prime_field_counterexample,
-    c_orbit_membership_residual,
     canonical_jordan,
     validate_witness,
 )
@@ -80,7 +75,6 @@ from .oracle import (  # noqa: F401
 from .counterexample import (  # noqa: F401
     CounterexampleVector,
     apply_S,
-    apply_T_factorial,
     apply_T_power,
     factorial_truncation_holds,
     verify_no_single_power,

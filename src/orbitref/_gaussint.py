@@ -1,5 +1,7 @@
 """Exact Gaussian-integer arithmetic, primality, and the p-adic root lift
-behind the exact root sieve over Q and Q(i).
+behind the exact root sieve over Q and Q(i).  The ring formulas `gadd`,
+`gsub`, `gmul` and `gneg` hold for pairs of Fractions too, and are the
+arithmetic of Q(i) scalars as well.
 
 The roots in Q(i) of a monic polynomial g over Z[i] are Gaussian integers.
 When g is square-free, only the finitely many primes that divide its
@@ -38,6 +40,10 @@ def gadd(z: Gint, w: Gint) -> Gint:
 
 def gsub(z: Gint, w: Gint) -> Gint:
     return (z[0] - w[0], z[1] - w[1])
+
+
+def gneg(z: Gint) -> Gint:
+    return (-z[0], -z[1])
 
 
 def gconj(z: Gint) -> Gint:

@@ -38,7 +38,6 @@ from .deciders import (
 )
 from .errors import (
     BudgetExceeded,
-    NotPrime,
     NotSplit,
     OrbitrefError,
     ParseError,
@@ -126,9 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("ffscan", help="exhaustive scan of M_d(GF(q))")
-    p.add_argument("--q", type=int, help="field order p^k")
-    p.add_argument("--p", type=int, help="field characteristic (with --k)")
-    p.add_argument("--k", type=int, default=1, help="extension degree")
+    p.add_argument("--q", type=int, help="field order p^k, p prime")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
     p.add_argument("--workers", type=int, default=1)
@@ -423,12 +420,9 @@ def _prime_power(q: int) -> tuple[int, int]:
 
 
 def cmd_ffscan(args) -> int:
-    if args.q is not None:
-        p, k = _prime_power(args.q)
-    elif args.p is not None:
-        p, k = args.p, args.k
-    else:
-        raise ParseError("ffscan needs --q or --p (with optional --k)")
+    if args.q is None:
+        raise ParseError("ffscan needs --q")
+    p, k = _prime_power(args.q)
     if not 1 <= args.d <= 3:
         raise ParseError("ffscan supports --d 1, 2 or 3")
     if args.limit is not None and args.limit < 1:
@@ -438,7 +432,7 @@ def cmd_ffscan(args) -> int:
     _check_budget(args)
     try:
         field = FiniteField(p, k)
-    except (NotPrime, ValueError) as exc:
+    except ValueError as exc:  # no stock modulus for this q
         raise ParseError(str(exc)) from exc
     cache = None
     if not args.no_cache:

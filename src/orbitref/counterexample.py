@@ -12,7 +12,8 @@ e_1 alive while S kills it.
 
 Everything here is exact.  A power of w_k is represented as the pair
 (k, e mod k) -- w_k^e = 1 iff k | e -- so correctness reduces to
-divisibility and no floating point ever enters.
+divisibility and no floating point ever enters.  T^{n!} is `apply_T_power`
+at e = n!, formed as an exact int.
 """
 
 from __future__ import annotations
@@ -106,35 +107,11 @@ def apply_S(x: CounterexampleVector) -> CounterexampleVector:
     return CounterexampleVector(x.field, (), _trim_diag(list(x.diag)))
 
 
-def factorial_phase(n: int, k: int) -> int:
-    """n! mod k by running-residue accumulation; n! itself is never formed."""
-    r = 1 % k
-    for i in range(2, n + 1):
-        r = (r * i) % k
-    return r
-
-
-def apply_T_factorial(x: CounterexampleVector, n: int) -> CounterexampleVector:
-    """T^{n!} using only residues of n! (phases) and the bound n! >= n
-    (shift coefficients at index <= n! vanish)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    # n! >= n, so n! is only formed when n is below the shift support; a
-    # slice past the end is empty
-    shift = x.shift[factorial(n):] if n < len(x.shift) else ()
-    diag = []
-    for k0, (c, phase) in enumerate(x.diag):
-        k = k0 + 1
-        diag.append((c, (phase + factorial_phase(n, k)) % k))
-    return CounterexampleVector(x.field, _trim_shift(list(shift)),
-                                _trim_diag(diag))
-
-
 def factorial_truncation_holds(x: CounterexampleVector, n: int) -> bool:
     """T^{n!} x = S x, exactly, whenever the support of x is <= n."""
     if x.support > n:
         raise ValueError("vector support exceeds the truncation level")
-    return apply_T_factorial(x, n) == apply_S(x)
+    return apply_T_power(x, factorial(n)) == apply_S(x)
 
 
 def verify_no_single_power(max_support: int, max_k: int

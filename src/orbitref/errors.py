@@ -21,10 +21,6 @@ class ShapeMismatch(OrbitrefError):
     """Matrix/vector dimensions are incompatible."""
 
 
-class Singular(OrbitrefError):
-    """A matrix that had to be invertible is not."""
-
-
 class NumericKindUnsupported(OrbitrefError):
     """Exact-only operation applied to a floating complex matrix."""
 

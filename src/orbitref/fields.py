@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, ClassVar, Optional
 
-from ._gaussint import is_prime
+from ._gaussint import gadd, gmul, gneg, gsub, is_prime
 from .errors import DivisionByZero, MixedFields, NotPrime, ParseError, WrongField
 
 KIND_RATIONALS = "q"
@@ -233,16 +233,10 @@ class GaussianRationals(Field):
     def _from_int(self, n):
         return (Fraction(n), Fraction(0))
 
-    def _add(self, x, y):
-        return (x[0] + y[0], x[1] + y[1])
-
-    def _sub(self, x, y):
-        return (x[0] - y[0], x[1] - y[1])
-
-    def _mul(self, x, y):
-        a, b = x
-        c, d = y
-        return (a * c - b * d, a * d + b * c)
+    _add = staticmethod(gadd)
+    _sub = staticmethod(gsub)
+    _mul = staticmethod(gmul)
+    _neg = staticmethod(gneg)
 
     def _div(self, x, y):
         c, d = y
@@ -251,9 +245,6 @@ class GaussianRationals(Field):
             raise DivisionByZero("division by zero in Q(i)")
         a, b = x
         return ((a * c + b * d) / n, (b * c - a * d) / n)
-
-    def _neg(self, x):
-        return (-x[0], -x[1])
 
     def _is_zero(self, x):
         return x[0] == 0 and x[1] == 0

@@ -1,5 +1,5 @@
-"""Dense exact/numeric matrix arithmetic: rank, powers, characteristic
-polynomials, inverses, conjugation and commutators.
+"""Dense exact/numeric matrix arithmetic: ranks, powers, characteristic
+polynomials and commutators.
 
 An exact matrix M is coded once to its integer form c M over a ring of
 plain Python values and kept on the matrix: a Q or Q(i) matrix is cleared
@@ -31,7 +31,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import count, product
 from math import lcm
 from typing import Any, Callable, NamedTuple
 
@@ -43,7 +43,6 @@ from .errors import (
     NumericKindUnsupported,
     OrbitrefError,
     ShapeMismatch,
-    Singular,
     WrongField,
 )
 from .fields import (
@@ -148,21 +147,6 @@ class Matrix:
             off += b.n
         return cls(field, rows)
 
-    @classmethod
-    def companion(cls, poly: "Polynomial") -> "Matrix":
-        """Companion matrix of a monic polynomial (ones on the subdiagonal)."""
-        if not poly.is_monic:
-            raise ValueError("companion matrix needs a monic polynomial")
-        field = poly.field
-        d = poly.degree
-        one, zero = field.one(), field.zero()
-        rows = [[zero] * d for _ in range(d)]
-        for i in range(1, d):
-            rows[i][i - 1] = one
-        for i in range(d):
-            rows[i][d - 1] = -poly.coeffs[i]
-        return cls(field, rows)
-
     # -- access ------------------------------------------------------------
 
     def __getitem__(self, key) -> Scalar:
@@ -212,15 +196,6 @@ class Matrix:
         c = c if isinstance(c, Scalar) else self.field.from_int(c)
         return Matrix(self.field, [[a if a.is_zero else c * a for a in r]
                                    for r in self.rows])
-
-    def add_scalar_to_diagonal(self, c: Scalar) -> "Matrix":
-        rows = [list(r) for r in self.rows]
-        for i in range(self.n):
-            rows[i][i] = rows[i][i] + c
-        return Matrix(self.field, rows)
-
-    def __pow__(self, k: int) -> "Matrix":
-        return matpow(self, k)
 
     def apply(self, vec):
         """Matrix-vector product on a tuple of scalars."""
@@ -276,10 +251,6 @@ class Polynomial:
             coeffs.pop()
         return cls(field, tuple(coeffs))
 
-    @classmethod
-    def from_ints(cls, field: Field, coeffs) -> "Polynomial":
-        return cls.from_scalars(field, [field.from_int(c) for c in coeffs])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -287,10 +258,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1].is_one
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -398,10 +365,6 @@ def _gint_divx(z: gi.Gint, w: gi.Gint) -> gi.Gint:
     return re_part, im_part
 
 
-def _gint_neg(z: gi.Gint) -> gi.Gint:
-    return -z[0], -z[1]
-
-
 def _gint_scale(n: int, z: gi.Gint) -> gi.Gint:
     return n * z[0], n * z[1]
 
@@ -458,7 +421,7 @@ class Ring(NamedTuple):
 ZZ = Ring(_int_dot, operator.mul, operator.add, operator.sub, _int_divx,
           operator.neg, operator.not_, 1, operator.mul, _int_clear, Fraction,
           _int_candidates)
-ZI = Ring(_gint_dot, gi.gmul, gi.gadd, gi.gsub, _gint_divx, _gint_neg,
+ZI = Ring(_gint_dot, gi.gmul, gi.gadd, gi.gsub, _gint_divx, gi.gneg,
           (0, 0).__eq__, (1, 0), _gint_scale, _gint_clear, _gint_fraction,
           _gint_candidates)
 _RINGS = {KIND_RATIONALS: ZZ, KIND_GAUSSIAN: ZI}
@@ -551,21 +514,32 @@ def to_ndarray(M: Matrix) -> np.ndarray:
 def rank(M: Matrix) -> int:
     """Exact rank via fraction-free elimination over every exact field;
     numeric rank by SVD with the descriptor tolerance for complex matrices."""
-    if M.field.kind == KIND_COMPLEX:
-        s = np.linalg.svd(to_ndarray(M), compute_uv=False)
-        if s.size == 0 or s[0] == 0.0:
-            return 0
-        return int(np.count_nonzero(s > M.field.tol * s[0]))
     return next(power_ranks(M, M.field.zero()))
 
 
 def power_ranks(M: Matrix, lam: Scalar):
-    """rank(A^k) for k = 1, 2, ... of A = M - lam I over an exact field,
-    lazily, by `_bareiss` on the ring of M's integer form.  The row space of
-    A^k is that of A^(k-1) times A, so step k eliminates the pivot rows of
-    step k - 1 times A, an r_(k-1) x n matrix, never a full power.  A is
-    cleared to h c A = h B - c g I, with B = c M the integer form and
-    lam = g/h; over GF(q), c = h = 1 and B is M on its field's ring."""
+    """rank(A^k) for k = 1, 2, ... of A = M - lam I, lazily.
+
+    Over an exact field, by `_bareiss` on the ring of M's integer form.  The
+    row space of A^k is that of A^(k-1) times A, so step k eliminates the
+    pivot rows of step k - 1 times A, an r_(k-1) x n matrix, never a full
+    power.  A is cleared to h c A = h B - c g I, with B = c M the integer
+    form and lam = g/h; over GF(q), c = h = 1 and B is M on its field's
+    ring.
+
+    Over C, by SVD of every full ndarray power, counting the singular
+    values above tol * max(smax(A^k), smax(A)^k): anchored at the power of
+    A's scale, a power that is numerically zero cannot masquerade as full
+    rank relative to its own noise.  At k = 1 the cutoff is tol * smax(A)."""
+    if M.field.kind == KIND_COMPLEX:
+        A = Ak = to_ndarray(M) - complex(lam.value) * np.eye(M.n)
+        for k in count(1):
+            s = np.linalg.svd(Ak, compute_uv=False)
+            if k == 1:
+                base = float(s[0])
+            cutoff = M.field.tol * max(float(s[0]), base ** k)
+            yield 0 if cutoff == 0.0 else int(np.count_nonzero(s > cutoff))
+            Ak = Ak @ A
     c, B, ring = integer_form(M)
     h, (g,) = ring.clear([lam.value])
     shift = ring.scale(c, g)
@@ -723,36 +697,8 @@ def char_poly(M: Matrix) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# inverses, conjugation, commutators
+# commutators
 # ---------------------------------------------------------------------------
-
-def inverse(P: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan; raises Singular."""
-    if P.field.kind == KIND_COMPLEX:
-        raise NumericKindUnsupported("inverse is exact-only here")
-    f = P.field
-    n = P.n
-    aug = [list(P.rows[i]) + [f.one() if i == j else f.zero() for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if not aug[i][col].is_zero), None)
-        if piv is None:
-            raise Singular("matrix is not invertible")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
-        for i in range(n):
-            if i != col and not aug[i][col].is_zero:
-                c = aug[i][col]
-                aug[i] = [x - c * y for x, y in zip(aug[i], aug[col])]
-    return Matrix(f, [r[n:] for r in aug])
-
-
-def conjugate(M: Matrix, P: Matrix) -> Matrix:
-    """P M P^{-1}, exactly."""
-    M._check_same(P)
-    return P @ M @ inverse(P)
-
 
 def commutator_is_zero(S: Matrix, T: Matrix) -> tuple[bool, Matrix]:
     """Whether ST = TS; returns the commutator ST - TS alongside.

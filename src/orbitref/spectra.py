@@ -3,15 +3,15 @@
 Block sizes are read off the rank (Weyr) sequence of (M - lam I)^k -- the
 count of blocks of size >= k at lam is rank((M-lam I)^{k-1}) - rank((M-lam I)^k)
 -- never from eigenvector chains, so no Jordan basis is ever required.  One
-loop serves every kind; only the ranks differ.  The exact kinds take
-`linalg.power_ranks`: Bareiss ranks along a shrinking row basis, the pivot
-rows of (M - lam I)^(k-1) times M - lam I, on the ring of the integer
-form (the powers of h c (M - lam I) = h B - c g I, where B = c M is the
-form that the characteristic polynomial already cleared and lam = g/h):
-Z or Z[i] over Q and Q(i), and over GF(q), where c = h = 1, the field's
-own ring.  They stop as soon as the counts force the sizes, so a simple
-eigenvalue takes no elimination and a lone chain one.
-Complex input takes SVD ranks of every full ndarray power.
+loop and one rank source, `linalg.power_ranks`, serve every kind; only the
+ranks differ.  The exact kinds get Bareiss ranks along a shrinking row
+basis, the pivot rows of (M - lam I)^(k-1) times M - lam I, on the ring of
+the integer form (the powers of h c (M - lam I) = h B - c g I, where
+B = c M is the form that the characteristic polynomial already cleared
+and lam = g/h): Z or Z[i] over Q and Q(i), and over GF(q), where
+c = h = 1, the field's own ring.  They stop as soon as the counts force
+the sizes, so a simple eigenvalue takes no elimination and a lone chain
+one.  Complex input gets SVD ranks of every full ndarray power.
 
 Exact eigenvalues come from one synthetic-division sieve,
 `linalg._split_roots`, on the same ring: it divides det(tI - B) by t - r
@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import count
 from typing import Optional, Union
 
 import numpy as np
@@ -278,19 +277,15 @@ def _sizes_from_counts(counts, lam, mult) -> tuple[int, ...]:
 
 def _sizes_from_rank_sequence(M: Matrix, lam: Scalar, mult: int) -> tuple[int, ...]:
     """Block sizes at lam from the Weyr counts rank(A^(k-1)) - rank(A^k) of
-    A = M - lam I, taken until the rank reaches n - mult.  Exact kinds take
-    the ranks of `linalg.power_ranks`, which eliminates a shrinking row
-    basis, and stop as soon as the counts force the sizes: multiplicity 1
-    takes no rank at all, and when one block is left of size >= k, or one
-    unit of multiplicity, that block takes all that is left.  Complex input
-    takes SVD ranks of every ndarray power with a power-anchored cutoff,
-    tol * max(smax(A^k), smax(A)^k), so a power that is numerically zero at
-    A's scale cannot masquerade as full rank relative to its own noise; it
-    never stops early, since the counts' consistency with the multiplicity
-    is what catches a bad cluster."""
+    A = M - lam I, taken from `linalg.power_ranks` until the rank reaches
+    n - mult.  Exact kinds stop as soon as the counts force the sizes:
+    multiplicity 1 takes no rank at all, and when one block is left of
+    size >= k, or one unit of multiplicity, that block takes all that is
+    left.  Complex input never stops early, since the counts' consistency
+    with the multiplicity is what catches a bad cluster."""
     n = M.n
     exact = M.field.kind != KIND_COMPLEX
-    ranks = power_ranks(M, lam) if exact else _svd_power_ranks(M, lam)
+    ranks = power_ranks(M, lam)
     counts = []     # counts[k-1] = number of blocks of size >= k
     rest = mult     # rank(A^k) - (n - mult): multiplicity past the first k layers
     while rest > 0 and len(counts) < mult:
@@ -301,18 +296,6 @@ def _sizes_from_rank_sequence(M: Matrix, lam: Scalar, mult: int) -> tuple[int, .
         counts.append(rest - r)
         rest = r
     return _sizes_from_counts(counts, lam, mult)
-
-
-def _svd_power_ranks(M: Matrix, lam: Scalar):
-    A = to_ndarray(M) - complex(lam.value) * np.eye(M.n)
-    tol = M.field.tol
-    base = float(np.linalg.svd(A, compute_uv=False)[0])
-    Ak = A
-    for k in count(1):
-        s = np.linalg.svd(Ak, compute_uv=False)
-        cutoff = tol * max(float(s[0]), base ** k)
-        yield 0 if cutoff == 0.0 else int(np.count_nonzero(s > cutoff))
-        Ak = Ak @ A
 
 
 def block_profile(M: Matrix) -> SpectralProfile:

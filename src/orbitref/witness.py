@@ -25,8 +25,7 @@ scaled power orbit and the point-to-line residuals unchanged, so residuals
 are computed on renormalised direction iterates (exact powers would
 overflow doubles whenever the spectral radius is not 1; only directions
 matter to a scale-free residual).  One batched kernel, `_residual_minima`,
-iterates every sample vector at once and serves both the witness report and
-the single-vector `c_orbit_membership_residual` trace.
+iterates every sample vector of the witness report at once.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from .fields import (
     Scalar,
     is_prime,
 )
-from .linalg import Matrix, commutator_is_zero, embed_matrix, to_complex, to_ndarray
+from .linalg import Matrix, commutator_is_zero, embed_matrix, to_ndarray
 from .spectra import SpectralProfile, _modulus_sq, radius_selection
 from .deciders import max_modulus_gap
 
@@ -298,50 +297,3 @@ def validate_witness(S: Matrix, T: Matrix, samples: int = 100,
         horizon=horizon,
         seed=seed,
     )
-
-
-@dataclass(frozen=True)
-class ResidualTrace:
-    """Running minima of the point-to-line membership residual.
-
-    events lists (n, value) whenever the minimum improves; min_up_to reads
-    the running minimum at any horizon."""
-
-    events: tuple[tuple[int, float], ...]
-    horizon: int
-
-    def min_up_to(self, n: int) -> float:
-        best = float("inf")
-        for k, v in self.events:
-            if k > n:
-                break
-            best = v
-        return best
-
-    @property
-    def final(self) -> float:
-        return self.events[-1][1]
-
-
-def c_orbit_membership_residual(T: Matrix, S: Matrix, x, N: int) -> ResidualTrace:
-    """dist(Sx, C * T^n x) for n = 0..N, reported as running minima.
-
-    Conventions: the line always contains 0 (lam = 0 is allowed), the
-    distance is ||Sx|| when T^n x = 0 and Sx != 0, and 0 when both vanish.
-    Directions are renormalised every step so growth in ||T^n x|| cancels.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if S.n != T.n:
-        raise ShapeMismatch(f"dims {S.n} vs {T.n}")
-    xv = np.array([to_complex(v) if isinstance(v, Scalar) else complex(v)
-                   for v in x], dtype=complex)
-    if xv.shape != (T.n,):
-        raise ShapeMismatch("sample vector has the wrong length")
-    X = xv[:, None]
-    minima = _residual_minima(to_ndarray(T), to_ndarray(S) @ X, X,
-                              range(N + 1))[:, 0]
-    events = [(0, float(minima[0]))]
-    events += [(n, float(minima[n])) for n in range(1, N + 1)
-               if minima[n] < minima[n - 1]]
-    return ResidualTrace(tuple(events), N)

@@ -26,7 +26,6 @@ from orbitref import (
     build_prime_field_counterexample,
     canonical_jordan,
     commutator_is_zero,
-    conjugate,
     decide_c_orbit_reflexive,
     decide_reflexive,
     enumerate_orbref0,
@@ -201,7 +200,9 @@ def test_criterion_6_normal_operators():
 
 
 def _unimodular(rng, n, shears=6):
-    P = Matrix.identity(QI, n)
+    """A product P of shears I + c E_ij (i != j) and P^-1, the product of
+    the I - c E_ij in reverse order."""
+    P = Pinv = Matrix.identity(QI, n)
     for _ in range(shears):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
@@ -211,7 +212,9 @@ def _unimodular(rng, n, shears=6):
         rows = [list(r) for r in Matrix.identity(QI, n).rows]
         rows[i][j] = c
         P = P @ Matrix(QI, rows)
-    return P
+        rows[i][j] = -c
+        Pinv = Matrix(QI, rows) @ Pinv
+    return P, Pinv
 
 
 def test_criterion_7_profile_correctness():
@@ -229,8 +232,8 @@ def test_criterion_7_profile_correctness():
             blocks.append((lam, size))
             dim += size
         J = Matrix.block_diag([Matrix.jordan_block(QI, l, s) for l, s in blocks])
-        P = _unimodular(rng, J.n)
-        M = conjugate(J, P)
+        P, Pinv = _unimodular(rng, J.n)
+        M = P @ J @ Pinv
         key = lambda p: sorted((str(e.eigenvalue), e.block_sizes)
                                for e in p.entries)
         ok &= key(block_profile(M)) == key(block_profile(J))

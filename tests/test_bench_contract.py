@@ -1,6 +1,9 @@
 """The benchmark's traced run wraps orbitref functions by name; every name
-it lists in `perfbench/spans.py` must exist, or a traced run crashes."""
+it lists in `perfbench/spans.py` must exist, or a traced run crashes.  Its
+ops call the CLI; every flag `perfbench/workloads.py` passes must exist, or
+a benchmark run fails."""
 
+import argparse
 import ast
 import importlib
 import subprocess
@@ -11,6 +14,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def _targets() -> dict:
@@ -37,6 +41,22 @@ def test_span_targets_exist():
             if not callable(owner):
                 missing.append(f"{module_name}.{name}")
     assert not missing, f"bench span targets missing: {missing}"
+
+
+def test_workload_flags_exist():
+    from orbitref.cli import build_parser
+
+    # read the literals without importing the harness
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    flags = {node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and node.value.startswith("--")}
+    assert flags
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    options = {option for parser in commands.choices.values()
+               for option in parser._option_string_actions}
+    assert flags <= options, f"bench flags missing: {sorted(flags - options)}"
 
 
 @pytest.mark.slow

@@ -417,12 +417,21 @@ def test_ffscan_nilpotent_only_after_full_scan(tmp_path, capsys):
 
 
 def test_ffscan_p_k_flags(capsys):
-    code, out = _run(capsys, ["ffscan", "--p", "2", "--k", "2", "--d", "2",
+    # --q is the one way to name the field: q = 4 reaches GF(2^2) and its
+    # stock modulus, and --p and --k are no options
+    code, out = _run(capsys, ["ffscan", "--q", "4", "--d", "2",
                               "--no-cache", "--limit", "10"])
     assert code == 0
-    scan = json.loads(out)["scan"]
+    report = json.loads(out)
+    scan = report["scan"]
     assert scan["q"] == 4 and scan["field"]["modulus"] == "x^2+x+1"
+    assert report["parameters"]["q"] == 4
     assert main(["ffscan", "--d", "2", "--no-cache"]) == 2
+    assert "ffscan needs --q" in capsys.readouterr().err
+    for argv in (["--p", "2", "--k", "2"], ["--q", "4", "--k", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["ffscan", *argv, "--d", "1", "--no-cache"])
+        assert exc.value.code == 2
     capsys.readouterr()
 
 

@@ -1,17 +1,18 @@
 """Factorial-power truncation demo: exact divisibility arithmetic only."""
 
+from math import factorial
+
 import pytest
 
 from orbitref import (
     CounterexampleVector,
     QQ,
     apply_S,
-    apply_T_factorial,
     apply_T_power,
     factorial_truncation_holds,
     verify_no_single_power,
 )
-from orbitref.counterexample import factorial_phase, truncation_table
+from orbitref.counterexample import truncation_table
 
 
 def test_factorial_power_matches_S_on_e3():
@@ -45,16 +46,8 @@ def test_factorial_truncation_for_all_basis_vectors():
 def test_factorial_truncation_general_support():
     x = CounterexampleVector.from_coeffs(
         QQ, ["1/2", 0, "-3"], ["2/7", "1", "5"])
-    assert apply_T_factorial(x, 3) == apply_S(x)
-    assert apply_T_factorial(x, 5) == apply_S(x)
-
-
-def test_factorial_phase_accumulates_residues():
-    import math
-
-    for n in (1, 3, 5, 8, 12):
-        for k in (1, 2, 3, 5, 7, 9):
-            assert factorial_phase(n, k) == math.factorial(n) % k
+    assert apply_T_power(x, factorial(3)) == apply_S(x)
+    assert apply_T_power(x, factorial(5)) == apply_S(x)
 
 
 def test_no_single_power_standard():

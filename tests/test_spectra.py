@@ -11,16 +11,13 @@ from orbitref import (
     FiniteField,
     Matrix,
     NotSplit,
-    Polynomial,
     QI,
     QQ,
     Scalar,
     SpectralProfile,
     block_profile,
     char_poly,
-    conjugate,
     eigenvalues,
-    rank,
 )
 from orbitref._gaussint import simple_roots_mod_p
 from orbitref.linalg import to_ndarray
@@ -29,6 +26,29 @@ from orbitref.spectra import radius_selection
 
 def _profile_dict(profile):
     return {str(e.eigenvalue): list(e.block_sizes) for e in profile.entries}
+
+
+def _companion(field, coeffs):
+    """Companion matrix of the monic polynomial with these lower
+    coefficients, constant term first: ones on the subdiagonal and the
+    negated coefficients in the last column."""
+    d = len(coeffs)
+    return Matrix.from_values(field, [[int(j == i - 1) for j in range(d - 1)] + [-c]
+                                      for i, c in enumerate(coeffs)])
+
+
+def _shears(rng, field, n, count, entry):
+    """A product P of `count` shears I + c E_ij (i != j), c = entry(rng), and
+    P^-1, the product of the I - c E_ij in reverse order."""
+    P = Pinv = Matrix.identity(field, n)
+    for _ in range(count):
+        i, j = rng.sample(range(n), 2)
+        rows = [list(r) for r in Matrix.identity(field, n).rows]
+        rows[i][j] = c = entry(rng)
+        P = P @ Matrix(field, rows)
+        rows[i][j] = -c
+        Pinv = Matrix(field, rows) @ Pinv
+    return P, Pinv
 
 
 # -- eigenvalues ---------------------------------------------------------------
@@ -42,14 +62,14 @@ def test_eigenvalues_gf2_shear():
 
 
 def test_eigenvalues_companion_not_split_over_q():
-    C = Matrix.companion(Polynomial.from_ints(QQ, [1, 0, 1]))
+    C = _companion(QQ, [1, 0])
     eig = eigenvalues(C)
     assert not eig.split
     assert str(eig.residual) == "t^2+1"
 
 
 def test_eigenvalues_companion_splits_over_qi():
-    C = Matrix.companion(Polynomial.from_ints(QI, [1, 0, 1]))
+    C = _companion(QI, [1, 0])
     eig = eigenvalues(C)
     assert eig.split
     roots = sorted((str(r), m) for r, m in eig.roots)
@@ -130,7 +150,7 @@ def test_sieve_finds_roots_of_known_products(field, case, residual):
             poly = _poly_mul(poly, [-field.parse(lam), field.one()])
     if residual:
         poly = _poly_mul(poly, [field.parse("1/3"), field.zero(), field.one()])
-    eig = eigenvalues(Matrix.companion(Polynomial.from_scalars(field, poly)))
+    eig = eigenvalues(_companion(field, poly[:-1]))
     assert {str(r): m for r, m in eig.roots} == {str(field.parse(lam)): m
                                                   for lam, m in roots}
     assert [str(r) for r, _ in eig.roots] == SIEVE_ORDER[case]
@@ -212,7 +232,7 @@ def test_profile_unimodular_pair():
 
 
 def test_profile_not_split_raises():
-    C = Matrix.companion(Polynomial.from_ints(QQ, [1, 0, 1]))
+    C = _companion(QQ, [1, 0])
     with pytest.raises(NotSplit) as exc:
         block_profile(C)
     assert str(exc.value.residual) == "t^2+1"
@@ -230,13 +250,9 @@ def test_profile_similarity_invariant():
             blocks.append(Matrix.jordan_block(QI, lam, size))
             dim += size
         J = Matrix.block_diag(blocks)
-        n = J.n
-        while True:
-            P = Matrix(QI, [[Scalar(QI, (Fraction(rng.randint(-2, 2)), Fraction(0)))
-                             for _ in range(n)] for _ in range(n)])
-            if rank(P) == n:
-                break
-        assert _profile_dict(block_profile(conjugate(J, P))) == _profile_dict(block_profile(J))
+        P, Pinv = _shears(rng, QI, J.n, 2 * J.n,
+                          lambda rng: QI.from_int(rng.choice([-2, -1, 1, 2])))
+        assert _profile_dict(block_profile(P @ J @ Pinv)) == _profile_dict(block_profile(J))
 
 
 def _to_sympy(sympy, s):
@@ -261,17 +277,14 @@ def _sympy_jordan_sizes(sympy, M):
     return {lam: sorted(v, reverse=True) for lam, v in sizes.items()}
 
 
-def _fractional_shear(rng, field, n, shears=4):
-    P = Matrix.identity(field, n)
-    for _ in range(shears):
-        i, j = rng.sample(range(n), 2)
+def _fractional_shear(rng, field, n):
+    """P and P^-1 for P a product of 4 shears with fractional entries."""
+    def entry(rng):
         re_part = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([2, 3, 5]))
         im_part = (Fraction(rng.choice([-1, 1]), rng.choice([2, 3]))
                    if field == QI else Fraction(0))
-        rows = [list(r) for r in Matrix.identity(field, n).rows]
-        rows[i][j] = Scalar(field, re_part if field == QQ else (re_part, im_part))
-        P = P @ Matrix(field, rows)
-    return P
+        return Scalar(field, re_part if field == QQ else (re_part, im_part))
+    return _shears(rng, field, n, 4, entry)
 
 
 @pytest.mark.parametrize("field", [QQ, QI], ids=["q", "qi"])
@@ -288,7 +301,8 @@ def test_profile_matches_sympy_jordan_form(field):
             size = rng.randint(1, d - dim)
             blocks.append(Matrix.jordan_block(field, rng.choice(palette), size))
             dim += size
-        M = conjugate(Matrix.block_diag(blocks), _fractional_shear(rng, field, d))
+        P, Pinv = _fractional_shear(rng, field, d)
+        M = P @ Matrix.block_diag(blocks) @ Pinv
         ours = {sympy.expand(_to_sympy(sympy, e.eigenvalue)): list(e.block_sizes)
                 for e in block_profile(M).entries}
         assert ours == _sympy_jordan_sizes(sympy, M)
@@ -323,7 +337,7 @@ def test_eigenvalues_match_sympy_roots(field, data):
     if quadratic:
         poly = _poly_mul(poly, [field.parse(c) for c in quadratic])
         expr *= sum(sympy.Rational(c) * t ** k for k, c in enumerate(quadratic))
-    eig = eigenvalues(Matrix.companion(Polynomial.from_scalars(field, poly)))
+    eig = eigenvalues(_companion(field, poly[:-1]))
     want = {sympy.expand(r): m
             for r, m in sympy.roots(sympy.Poly(expr, t)).items()
             if sympy.re(r).is_rational and sympy.im(r).is_rational
@@ -343,7 +357,8 @@ def test_profile_rescaling_divides_eigenvalues(field, blocks):
     # every eigenvalue to lam/c and keep every block size
     J = Matrix.block_diag([Matrix.jordan_block(field, lam, size)
                            for lam, size in blocks])
-    M = conjugate(J, _fractional_shear(random.Random(29), field, J.n))
+    P, Pinv = _fractional_shear(random.Random(29), field, J.n)
+    M = P @ J @ Pinv
     want = block_profile(M)
     for c in (2 * 3 * 5 * 7 * 11, 1009 * 1013, 2 ** 10 * 10007):
         inv_c = Scalar(field, Fraction(1, c) if field == QQ
@@ -372,7 +387,7 @@ def _reference_rank(M):
 def _reference_sizes(M, lam):
     """Block sizes at lam from the rank of every full power of M - lam I,
     taken until the rank stops falling."""
-    A = M.add_scalar_to_diagonal(-lam)
+    A = M - Matrix.identity(M.field, M.n).scale(lam)
     counts, prev, power = [], M.n, A
     while (r := _reference_rank(power)) < prev:
         counts.append(prev - r)
@@ -415,13 +430,9 @@ def test_weyr_sizes_match_full_power_reference(field):
             mult[lam] = mult.get(lam, 0) + sum(sizes)
             blocks += [Matrix.jordan_block(field, lam, size) for size in sizes]
         J = Matrix.block_diag(blocks)
-        P = Matrix.identity(field, J.n)
-        for _ in range(2 * J.n):
-            i, j = rng.sample(range(J.n), 2)
-            rows = [list(r) for r in Matrix.identity(field, J.n).rows]
-            rows[i][j] = field.from_int(rng.choice([-2, -1, 1, 2, 3]))
-            P = P @ Matrix(field, rows)
-        M = conjugate(J, P)
+        P, Pinv = _shears(rng, field, J.n, 2 * J.n,
+                          lambda rng: field.from_int(rng.choice([-2, -1, 1, 2, 3])))
+        M = P @ J @ Pinv
         for lam, m in mult.items():
             assert _sizes_from_rank_sequence(M, lam, m) == _reference_sizes(M, lam), (
                 field.name, assembly, str(lam))
@@ -448,8 +459,9 @@ def test_weyr_elimination_counts(field, monkeypatch):
             assert _sizes_from_rank_sequence(J, field.parse(lam), m) == (m,)
             assert len(calls) == 1
     calls.clear()
-    D = conjugate(Matrix.from_values(field, [[1, 0, 0], [0, 2, 0], [0, 0, 3]]),
-                  Matrix.from_values(field, [[1, 1, 0], [0, 1, 2], [1, 0, 1]]))
+    P = Matrix.from_values(field, [[1, 1, 0], [0, 1, 2], [1, 1, 1]])
+    Pinv = Matrix.from_values(field, [[-1, -1, 2], [2, 1, -2], [-1, 0, 1]])
+    D = P @ Matrix.from_values(field, [[1, 0, 0], [0, 2, 0], [0, 0, 3]]) @ Pinv
     for lam in ("1", "2", "3"):
         assert _sizes_from_rank_sequence(D, field.parse(lam), 1) == (1,)
     assert calls == []
