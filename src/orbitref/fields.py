@@ -632,10 +632,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.field._is_zero(self.value)
 
-    @property
-    def is_one(self) -> bool:
-        return self.field._is_zero(self.field._sub(self.value, self.field._one()))
-
     def __str__(self) -> str:
         return self.field.format(self.value)
 

@@ -9,8 +9,14 @@ parameters, and a square array of scalar strings.
     {"field": "c64", "tol": 1e-9, "rows": [["1.25-0.5i"]]}
 
 Reports are JSON with sorted keys and no timestamps, so identical inputs
-and parameters produce byte-identical output; report_hash is the sha256 of
-the canonical report body (the hash field itself excluded).
+and parameters produce byte-identical output.  The printed text is exactly
+`json.dumps(body, sort_keys=True, indent=2, ensure_ascii=True)` followed by
+"\n"; report_hash is the sha256 of the compact canonical form
+(`canonical_json`, the hash field itself excluded), not of the printed text.
+json writes an indented document only through its pure-Python encoder,
+which costs a command more than the compact C pass does, so the indented
+text comes from `_pretty` instead: the same bytes, with strings escaped by
+json's C `encode_basestring_ascii`.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from .errors import NotPrime, OrbitrefError, ParseError
@@ -173,4 +180,70 @@ def render_report(report: dict) -> str:
     body = dict(report)
     body.pop("report_hash", None)
     body["report_hash"] = hashlib.sha256(canonical_json(body).encode()).hexdigest()
-    return json.dumps(body, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    return _pretty(body, "") + "\n"
+
+
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# the text of each JSON leaf, keyed by exact type
+_LEAVES = {
+    str: _quote,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _pretty(value, pad: str) -> str:
+    """`value` as json.dumps(sort_keys=True, indent=2, ensure_ascii=True)
+    writes it nested at indent `pad`.  Types outside `_LEAVES` take json's
+    own rules: subclasses of str, int and float render as their base type,
+    any list or tuple as an array, any dict as an object; anything else
+    raises TypeError, as json does."""
+    leaf = _LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    inner = pad + "  "
+    parts = []
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for k, v in sorted(value.items()):
+            leaf = _LEAVES.get(type(v))
+            parts.append((_quote(k) if type(k) is str else _key(k)) + ": "
+                         + (leaf(v) if leaf is not None else _pretty(v, inner)))
+        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        for v in value:
+            leaf = _LEAVES.get(type(v))
+            parts.append(leaf(v) if leaf is not None else _pretty(v, inner))
+        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
+    for base in (str, int, float):
+        if isinstance(value, base):
+            return _LEAVES[base](value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _key(key) -> str:
+    """json's text for a dict key that is not exactly a str: a str subclass
+    as itself, a number, bool or None as its JSON text in quotes."""
+    if isinstance(key, str):
+        return _quote(key)
+    if key is None or isinstance(key, (int, float)):
+        return _quote(_pretty(key, ""))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")

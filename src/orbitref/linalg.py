@@ -74,7 +74,7 @@ class Matrix:
             for s in r:
                 if not isinstance(s, Scalar):
                     raise TypeError("matrix entries must be Scalars")
-                if s.field != field:
+                if s.field is not field and s.field != field:
                     raise MixedFields("entry field differs from matrix field")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
@@ -87,7 +87,11 @@ class Matrix:
 
     @classmethod
     def from_values(cls, field: Field, rows) -> "Matrix":
-        """Build from ints, scalar strings, Fractions or Scalars."""
+        """Build from ints, scalar strings, Fractions or Scalars.  Each
+        distinct string is parsed once: matrix files repeat a few texts
+        ("0", "1", an eigenvalue) across most entries, and a Scalar is
+        immutable, so equal texts share one."""
+        parsed: dict[str, Scalar] = {}
         conv = []
         for r in rows:
             out = []
@@ -97,7 +101,10 @@ class Matrix:
                 elif isinstance(v, int):
                     out.append(field.from_int(v))
                 elif isinstance(v, str):
-                    out.append(field.parse(v))
+                    s = parsed.get(v)
+                    if s is None:
+                        s = parsed[v] = field.parse(v)
+                    out.append(s)
                 elif isinstance(v, Fraction) and field.kind == KIND_RATIONALS:
                     out.append(Scalar(field, v))
                 else:

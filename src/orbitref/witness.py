@@ -223,11 +223,15 @@ def _residual_minima(Tf: np.ndarray, SX: np.ndarray, X: np.ndarray,
     out = np.empty((len(checkpoints), X.shape[1]))
     best = np.full(X.shape[1], np.inf)
     U = X.astype(complex)
+    # the ufuncs that np.linalg.norm(., axis=0) and np.sum(., axis=0) reduce
+    # with, called without their Python wrappers: the same float operations
+    sqrt, add_reduce = np.sqrt, np.add.reduce
     for n in range(horizon + 1):
-        norms = np.linalg.norm(U, axis=0)
+        norms = sqrt(add_reduce((U.conj() * U).real, axis=0))
         U /= np.where(norms > 0.0, norms, 1.0)
-        coeff = np.sum(U.conj() * SX, axis=0)
-        np.minimum(best, np.linalg.norm(SX - U * coeff, axis=0), out=best)
+        coeff = add_reduce(U.conj() * SX, axis=0)
+        R = SX - U * coeff
+        np.minimum(best, sqrt(add_reduce((R.conj() * R).real, axis=0)), out=best)
         if n in slot:
             out[slot[n]] = best
         if n < horizon:

@@ -1,15 +1,20 @@
 """End-to-end CLI: file formats, exit codes, report determinism."""
 
+import enum
+import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitref.cli import build_parser, main
-from orbitref.fileio import load_matrix_data, render_report
+from orbitref.fileio import _pretty, load_matrix_data, render_report
 
 SHEAR_GF3 = {"field": "gf", "p": 3, "rows": [["1", "1"], ["0", "1"]]}
 DIAG_Q = {"field": "q", "rows": [["2", "0", "0"], ["0", "2", "0"], ["0", "0", "5"]]}
@@ -353,6 +358,92 @@ def test_report_hash_self_consistent(tmp_path, capsys):
     recomputed = json.loads(render_report(
         {k: v for k, v in report.items() if k != "report_hash"}))
     assert recomputed["report_hash"] == report["report_hash"]
+
+
+CANDIDATE_GF3 = {"field": "gf", "p": 3, "rows": [["0", "1"], ["0", "1"]]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["jordan", "--input", "diag.json"],
+    ["jordan", "--input", "rot.json", "--field", "c64"],
+    ["decide", "--input", "gap2.json", "--powers", "200", "--samples", "4"],
+    ["witness", "--input", "gap2.json", "--powers", "400", "--samples", "5"],
+    ["oracle", "--input", "shear.json"],
+    ["oracle", "--input", "shear.json", "--candidate", "cand.json"],
+    ["ffscan", "--q", "2", "--d", "2", "--no-cache"],
+    ["demo-counterexample", "--n", "5"],
+], ids=["jordan", "jordan-c64", "decide-witness", "witness", "oracle",
+        "oracle-candidate", "ffscan", "demo-counterexample"])
+def test_report_shapes_round_trip(tmp_path, capsys, argv):
+    # every report shape prints as json's own indented text of itself, and
+    # its hash recomputes over json's compact form
+    inputs = {"diag.json": DIAG_Q, "rot.json": ROTATION_Q, "gap2.json": GAP2_Q,
+              "shear.json": SHEAR_GF3, "cand.json": CANDIDATE_GF3}
+    argv = [_write(tmp_path, a, inputs[a]) if a in inputs else a for a in argv]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    report = json.loads(out)
+    assert out == json.dumps(report, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    body = {k: v for k, v in report.items() if k != "report_hash"}
+    compact = json.dumps(body, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    assert report["report_hash"] == hashlib.sha256(compact.encode()).hexdigest()
+
+
+_SPECIAL_TEXT = st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\n\t\r\b\f", "é",
+                                 "\u2028", "\U0001f600", "</script>"])
+_BEYOND_64_BITS = st.integers(min_value=2 ** 64, max_value=2 ** 200)
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), _BEYOND_64_BITS, _BEYOND_64_BITS.map(lambda n: -n),
+    st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324]),
+    st.text(max_size=8), _SPECIAL_TEXT,
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6) | _SPECIAL_TEXT, kids, max_size=4),
+        st.dictionaries(st.integers(), kids, max_size=3),
+        st.dictionaries(st.floats(), kids, max_size=3)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_TREES)
+def test_pretty_matches_json_indent(tree):
+    assert _pretty(tree, "") == json.dumps(tree, sort_keys=True, indent=2,
+                                           ensure_ascii=True)
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+class _Label(str):
+    pass
+
+
+class _Half(float):
+    def __repr__(self):
+        return "half"
+
+
+@pytest.mark.parametrize("value", [
+    {"a": np.float64(1e-05), "b": _Level.HIGH, "c": _Label("x"), "d": _Half(0.5)},
+    {True: 1, False: 2}, {None: [None]}, {_Label("k"): 1}, {2.5: 3, 7: 4, 10: 5},
+    [np.float64("nan"), (1, [])],
+    np.int64(3), {1, 2}, {"a": b"x"}, {(1, 2): 3}, {None: 1, 2: 3},
+])
+def test_pretty_follows_json_outside_its_table(value):
+    # subclasses render as json renders their base type; whatever json
+    # rejects raises the same error
+    try:
+        expected = json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True)
+    except TypeError as exc:
+        with pytest.raises(TypeError, match=re.escape(str(exc))):
+            _pretty(value, "")
+    else:
+        assert _pretty(value, "") == expected
 
 
 def test_load_matrix_data_validations():

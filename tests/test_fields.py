@@ -150,7 +150,7 @@ def test_gf_every_nonzero_element_invertible(p, k):
     for e in els:
         if e.is_zero:
             continue
-        assert (e * (field.one() / e)).is_one
+        assert e * (field.one() / e) == field.one()
 
 
 def test_gf_element_index_round_trip():
@@ -251,9 +251,9 @@ def test_parse_table(text, q_value, qi_value, c64_value):
 
 
 def test_scalar_is_flags():
-    assert QQ.zero().is_zero and QQ.one().is_one
+    assert QQ.zero().is_zero and QQ.from_int(1) == QQ.one()
     g4 = FiniteField(2, 2)
-    assert (g4.parse("x") * g4.parse("x") + g4.parse("x")).is_one
+    assert g4.parse("x") * g4.parse("x") + g4.parse("x") == g4.one()
 
 
 def test_embed_chain():

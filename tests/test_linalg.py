@@ -60,6 +60,34 @@ def _rand_invertible_qi(rng, n):
 
 # -- rank -------------------------------------------------------------------
 
+@pytest.mark.parametrize("field,texts", [
+    (QQ, ["0", "1", "1/2", "-3", "2/4"]),
+    (QI, ["0", "i", "1/2-i", "3", "-i"]),
+    (FiniteField(3, 2), ["0", "x", "x+1", "2", "2x"]),
+    (ComplexFloats(1e-9), ["0", "1.25-0.5i", "i", "2", "-1e-3"]),
+])
+def test_from_values_parses_each_text_once(monkeypatch, field, texts):
+    # a 4x4 matrix over at most five distinct texts, plus Scalar and int
+    # entries that bypass parsing
+    rng = random.Random(7)
+    rows = [[rng.choice(texts) for _ in range(4)] for _ in range(4)]
+    rows[0][0], rows[3][3] = field.one(), 2
+    expected = Matrix(field, [[v if isinstance(v, Scalar) else
+                               field.from_int(v) if isinstance(v, int) else
+                               field.parse(v) for v in r] for r in rows])
+    calls = Counter()
+    parse = type(field).parse
+
+    def counting(self, text):
+        calls[text] += 1
+        return parse(self, text)
+
+    monkeypatch.setattr(type(field), "parse", counting)
+    assert Matrix.from_values(field, rows) == expected
+    distinct = {v for r in rows for v in r if isinstance(v, str)}
+    assert calls == Counter(dict.fromkeys(distinct, 1))
+
+
 def test_rank_examples():
     assert rank(Matrix.zeros(QQ, 3)) == 0
     assert rank(Matrix.identity(QQ, 4)) == 4
