@@ -14,13 +14,23 @@ blow-up from conjugated matrices cannot overflow.  Exact payloads are
 immutable and hashable; equality is exact for exact kinds.  Floating
 complex scalars are never compared with ``==`` in decision paths -- the
 field's ``close`` predicate is the only comparison surface.
+
+A GF(p^k) payload is an int in [0, q): the from_digits index of the
+element's k little-endian coefficients, the order of ``elements()``.  The
+operations on these ints come from ``_gf_ops``, once per (p, k, modulus)
+and process: ints mod p over GF(p), and over GF(p^k), k >= 2, exp/log
+tables of a primitive element with Zech's logarithm for sums (XOR when
+p = 2), which bound q by GF_TABLE_BOUND.  `linalg` and `oracle` run
+GF(q) on these operations and no others.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, ClassVar, Optional
 
 from ._gaussint import gadd, gmul, gneg, gsub, is_prime
@@ -91,27 +101,15 @@ def from_digits(digits, base: int) -> int:
 # polynomial helpers over GF(p), little-endian integer coefficient tuples
 # ---------------------------------------------------------------------------
 
-def _ptrim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _prem_modp(a, m, p):
-    """Remainder of a mod m over GF(p); m need not be monic."""
+def _prem_modp(a, m, p) -> list[int]:
+    """a mod the monic m over GF(p), for a with coefficients in [0, p)."""
     a = list(a)
-    dm = len(m) - 1
-    lead_inv = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        factor = (a[-1] * lead_inv) % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - factor * mi) % p
-        a.pop()
-    return _ptrim(a)
+    while len(a) >= len(m):
+        top = a.pop()  # top x^shift m cancels it
+        shift = len(a) - len(m) + 1
+        for i, c in enumerate(m[:-1], shift):
+            a[i] = (a[i] - top * c) % p
+    return a
 
 
 def _is_irreducible_modp(m: tuple[int, ...], p: int) -> bool:
@@ -122,9 +120,98 @@ def _is_irreducible_modp(m: tuple[int, ...], p: int) -> bool:
     for dd in range(1, deg // 2 + 1):
         # all monic divisor candidates of degree dd
         for idx in range(p ** dd):
-            if not _prem_modp(m, to_digits(idx, p, dd) + (1,), p):
+            if not any(_prem_modp(m, to_digits(idx, p, dd) + (1,), p)):
                 return False
     return True
+
+
+def _pmul_modp(a, b, p) -> list[int]:
+    """The product of two polynomials over GF(p), not reduced mod m."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] = (out[j] + x * y) % p
+    return out
+
+
+def _primitive_powers(p: int, k: int, m) -> list[int]:
+    """g^0, g^1, ..., g^(q-2) as element indices, g the first element in
+    index order whose powers reach all q - 1 nonzero elements, by
+    polynomial products mod m.  x is primitive under a Conway modulus, but
+    need not be under another: over GF(3), mod x^2 + 1, it has order 4."""
+    q = p ** k
+    for g in range(1, q):
+        g_digits = to_digits(g, p, k)
+        powers, power = [1], (1,)
+        while True:
+            power = _prem_modp(_pmul_modp(power, g_digits, p), m, p)
+            index = from_digits(power, p)
+            if index == 1:
+                break
+            powers.append(index)
+        if len(powers) == q - 1:
+            return powers
+
+
+@lru_cache(maxsize=None)
+def _gf_ops(p: int, k: int, m) -> dict:
+    """The operations of GF(p^k) = GF(p)[x]/(m) on element indices, under
+    the names of the Field methods they are, built once per (p, k, m) and
+    process.  GF(p) is ints mod p.  GF(p^k), k >= 2, multiplies and divides
+    through the exp/log tables of a primitive element g, and adds with
+    Zech's logarithm, zech[n] = log(1 + g^n) (Lidl and Niederreiter,
+    Finite Fields, ch. 10), or by XOR when p = 2, where an index's bits are
+    its coefficients.  `_div` takes a nonzero divisor; `Scalar` checks."""
+    if k == 1:
+        return {"_add": lambda a, b: (a + b) % p, "_sub": lambda a, b: (a - b) % p,
+                "_neg": lambda a: -a % p, "_mul": lambda a, b: a * b % p,
+                "_div": lambda a, b: a * pow(b, -1, p) % p,
+                "_dot": lambda r, c: sum(map(operator.mul, r, c)) % p}
+    q = p ** k
+    exp = _primitive_powers(p, k, m)
+    log = [0] * q  # log[0] is never read
+    for n, e in enumerate(exp):
+        log[e] = n
+    # g^n for 0 <= n < 2(q - 1): a sum of two logs indexes it without a
+    # mod, and so does a difference, as a negative index
+    exp += exp
+    negs = [from_digits([-c % p for c in to_digits(a, p, k)], p) for a in range(q)]
+    if p == 2:
+        add = sub = operator.xor
+    else:
+        # 1 + e adds 1 to e's constant coefficient, its lowest digit
+        zech = [log[one_plus] if one_plus else None
+                for one_plus in (e - e % p + (e + 1) % p for e in exp[:q - 1])]
+
+        def add(a, b):
+            if not a:
+                return b
+            if not b:
+                return a
+            la = log[a]
+            # a + b = a (1 + g^(log b - log a)); a negative index reads
+            # zech at n + q - 1, g^n having period q - 1
+            z = zech[log[b] - la]
+            return 0 if z is None else exp[la + z]
+
+        def sub(a, b):
+            return add(a, negs[b])
+
+    def mul(a, b):
+        return exp[log[a] + log[b]] if a and b else 0
+
+    def div(a, b):
+        return exp[log[a] - log[b]] if a else 0
+
+    def dot(r, c):
+        acc = 0
+        for a, b in zip(r, c):
+            if a and b:
+                acc = add(acc, exp[log[a] + log[b]])
+        return acc
+
+    return {"_add": add, "_sub": sub, "_neg": negs.__getitem__, "_mul": mul,
+            "_div": div, "_dot": dot}
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +266,6 @@ class Rationals(Field):
         return x * y
 
     def _div(self, x, y):
-        if y == 0:
-            raise DivisionByZero("division by zero in Q")
         return x / y
 
     def _neg(self, x):
@@ -239,11 +324,8 @@ class GaussianRationals(Field):
     _neg = staticmethod(gneg)
 
     def _div(self, x, y):
-        c, d = y
+        (a, b), (c, d) = x, y
         n = c * c + d * d
-        if n == 0:
-            raise DivisionByZero("division by zero in Q(i)")
-        a, b = x
         return ((a * c + b * d) / n, (b * c - a * d) / n)
 
     def _is_zero(self, x):
@@ -299,6 +381,11 @@ def _gf_terms(text: str, error: str):
         yield exp, coeff
 
 
+# A field with k >= 2 holds exp/log tables of q - 1 entries each; past
+# this size it is refused rather than tabled
+GF_TABLE_BOUND = 2 ** 12
+
+
 @dataclass(frozen=True)
 class FiniteField(Field):
     p: int
@@ -314,30 +401,32 @@ class FiniteField(Field):
             raise ValueError("extension degree must be >= 1")
         if self.k == 1:
             object.__setattr__(self, "modulus", None)
-            return
-        m = self.modulus
-        if m is None:
-            m = CONWAY_POLYNOMIALS.get((self.p, self.k))
+        else:
+            # p >= 2, so a k above 12 alone puts q past 2^12
+            if self.k > 12 or self.p ** self.k > GF_TABLE_BOUND:
+                raise ValueError(f"GF({self.p}^{self.k}) exceeds the bound of "
+                                 f"{GF_TABLE_BOUND} elements on an extension field")
+            m = self.modulus
             if m is None:
-                raise ValueError(
-                    f"no stock irreducible polynomial for GF({self.p}^{self.k}); "
-                    "pass modulus= explicitly"
-                )
-        m = tuple(int(c) % self.p for c in m)
-        if len(m) != self.k + 1 or m[-1] != 1:
-            raise ValueError("modulus must be monic of degree k")
-        if not _is_irreducible_modp(m, self.p):
-            raise ValueError(f"modulus {m} is reducible over GF({self.p})")
-        object.__setattr__(self, "modulus", m)
-        # x^k, ..., x^(2k-2) reduced mod m: the high terms of a product
-        power = [(-c) % self.p for c in m[:-1]]
-        high = [tuple(power)]
-        for _ in range(self.k - 2):
-            top = power[-1]
-            power = [0] + power[:-1]
-            power = [(a + top * h) % self.p for a, h in zip(power, high[0])]
-            high.append(tuple(power))
-        object.__setattr__(self, "_high", tuple(high))
+                m = CONWAY_POLYNOMIALS.get((self.p, self.k))
+                if m is None:
+                    raise ValueError(
+                        f"no stock irreducible polynomial for GF({self.p}^{self.k}); "
+                        "pass modulus= explicitly"
+                    )
+            m = tuple(int(c) % self.p for c in m)
+            if len(m) != self.k + 1 or m[-1] != 1:
+                raise ValueError("modulus must be monic of degree k")
+            if not _is_irreducible_modp(m, self.p):
+                raise ValueError(f"modulus {m} is reducible over GF({self.p})")
+            object.__setattr__(self, "modulus", m)
+        # the operations on element indices, shared by every descriptor of
+        # this field
+        vars(self).update(_gf_ops(self.p, self.k, self.modulus))
+
+    def __reduce__(self):
+        # the operations are closures; a copy looks them up again
+        return FiniteField, (self.p, self.k, self.modulus)
 
     @property
     def q(self) -> int:
@@ -353,87 +442,27 @@ class FiniteField(Field):
             out["modulus"] = format_gf_poly(self.modulus)
         return out
 
-    # payload: tuple of k ints in [0, p)
+    # payload: the element's index in [0, q), the from_digits number of its
+    # k little-endian coefficients; _add, _sub, _neg, _mul, _div and _dot
+    # come from _gf_ops
 
     def _zero(self):
-        return (0,) * self.k
+        return 0
 
     def _one(self):
-        return (1,) + (0,) * (self.k - 1)
+        return 1
 
     def _from_int(self, n):
-        return (n % self.p,) + (0,) * (self.k - 1)
-
-    # list comprehensions: tuple() over a generator is slower on k-tuples
-    def _add(self, x, y):
-        p = self.p
-        return tuple([(a + b) % p for a, b in zip(x, y)])
-
-    def _sub(self, x, y):
-        p = self.p
-        return tuple([(a - b) % p for a, b in zip(x, y)])
-
-    def _neg(self, x):
-        p = self.p
-        return tuple([(-a) % p for a in x])
-
-    def _mul(self, x, y):
-        if self.k == 1:
-            return ((x[0] * y[0]) % self.p,)
-        raw = [0] * (2 * self.k - 1)
-        for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(y, i):
-                    raw[j] += a * b
-        return self._reduce(raw)
-
-    def _dot(self, xs, ys):
-        """The sum of x * y over the pairs of xs and ys (k >= 2), its
-        coefficient products summed as integers and reduced once."""
-        raw = [0] * (2 * self.k - 1)
-        for x, y in zip(xs, ys):
-            for i, a in enumerate(x):
-                if a:
-                    for j, b in enumerate(y, i):
-                        raw[j] += a * b
-        return self._reduce(raw)
-
-    def _reduce(self, raw):
-        """The element of the integer coefficients raw (constant first,
-        degree < 2k - 1): mod m through the table of high powers, then mod
-        p."""
-        out = raw[:self.k]
-        for c, power in zip(raw[self.k:], self._high):
-            if c:
-                for i, h in enumerate(power):
-                    out[i] += c * h
-        p = self.p
-        return tuple([v % p for v in out])
-
-    def _inv(self, x):
-        # x^(q-2) = x^-1 since the multiplicative group has order q-1; the
-        # modulus was checked irreducible, so GF(p)[x]/(m) is a field
-        if self._is_zero(x):
-            raise DivisionByZero(f"division by zero in {self.name}")
-        out, base, e = self._one(), x, self.q - 2
-        while e:
-            if e & 1:
-                out = self._mul(out, base)
-            e >>= 1
-            if e:
-                base = self._mul(base, base)
-        return out
-
-    def _div(self, x, y):
-        return self._mul(x, self._inv(y))
+        # the prime-field element n mod p has that index
+        return n % self.p
 
     def _is_zero(self, x):
-        return all(c == 0 for c in x)
+        return not x
 
     def _parse(self, text):
         if self.k == 1:
             try:
-                return (int(text) % self.p,)
+                return int(text) % self.p
             except ValueError as exc:
                 raise ParseError(f"bad GF({self.p}) scalar {text!r}") from exc
         coeffs = [0] * self.k
@@ -442,19 +471,16 @@ class FiniteField(Field):
                 raise ParseError(
                     f"term degree {exp} too large for {self.name} scalar {text!r}")
             coeffs[exp] = (coeffs[exp] + coeff) % self.p
-        return tuple(coeffs)
+        return from_digits(coeffs, self.p)
 
     def format(self, x) -> str:
         if self.k == 1:
-            return str(x[0])
-        return format_gf_poly(x)
+            return str(x)
+        return format_gf_poly(to_digits(x, self.p, self.k))
 
     def elements(self) -> list["Scalar"]:
-        """All q field elements in index order (little-endian base-p digits)."""
-        return [self.scalar(to_digits(idx, self.p, self.k)) for idx in range(self.q)]
-
-    def element_index(self, payload) -> int:
-        return from_digits(payload, self.p)
+        """All q field elements in index order."""
+        return [self.scalar(i) for i in range(self.q)]
 
 
 def format_gf_poly(coeffs) -> str:
@@ -522,8 +548,6 @@ class ComplexFloats(Field):
         return x * y
 
     def _div(self, x, y):
-        if y == 0:
-            raise DivisionByZero("division by zero in C")
         return x / y
 
     def _neg(self, x):
@@ -613,17 +637,23 @@ class Scalar:
 
     __rmul__ = __mul__
 
+    def _quotient(self, x, y) -> "Scalar":
+        # the one zero check: a field's _div assumes y != 0
+        if self.field._is_zero(y):
+            raise DivisionByZero(f"division by zero in {self.field.name}")
+        return Scalar(self.field, self.field._div(x, y))
+
     def __truediv__(self, other):
         o = self._other(other)
         if o is NotImplemented:
             return NotImplemented
-        return Scalar(self.field, self.field._div(self.value, o.value))
+        return self._quotient(self.value, o.value)
 
     def __rtruediv__(self, other):
         o = self._other(other)
         if o is NotImplemented:
             return NotImplemented
-        return Scalar(self.field, self.field._div(o.value, self.value))
+        return self._quotient(o.value, self.value)
 
     def __neg__(self):
         return Scalar(self.field, self.field._neg(self.value))

@@ -119,16 +119,7 @@ def load_matrix_data(data: dict) -> MatrixFile:
         raise ParseError(f"bad matrix entries: {exc}") from exc
     except TypeError as exc:
         raise ParseError(f"bad matrix entries: {exc}") from exc
-    echo = {"field": code, "rows": [[str(v) for v in r] for r in rows]}
-    if code == KIND_FINITE:
-        echo["p"] = field.p
-        echo["k"] = field.k
-        if field.k > 1:
-            from .fields import format_gf_poly
-
-            echo["modulus"] = format_gf_poly(field.modulus)
-    if code == KIND_COMPLEX:
-        echo["tol"] = field.tol
+    echo = {**field.describe(), "rows": [[str(v) for v in r] for r in rows]}
     return MatrixFile(field=field, matrix=matrix, raw=echo)
 
 
@@ -163,11 +154,7 @@ def escalate_field(mf: MatrixFile, target_code: str,
     else:
         field = _complex_field(tol)
     matrix = embed_matrix(mf.matrix, field)
-    raw = dict(mf.raw)
-    raw["field"] = target_code
-    if target_code == KIND_COMPLEX:
-        raw["tol"] = field.tol
-    return MatrixFile(field=field, matrix=matrix, raw=raw)
+    return MatrixFile(field=field, matrix=matrix, raw={**mf.raw, **field.describe()})
 
 
 def canonical_json(obj) -> str:

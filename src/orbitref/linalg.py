@@ -5,17 +5,18 @@ An exact matrix M is coded once to its integer form c M over a ring of
 plain Python values and kept on the matrix: a Q or Q(i) matrix is cleared
 to `int` or Gaussian-integer `(int, int)` entries, c the lcm of all entry
 denominators, with the ring operations `ZZ` and `ZI`; a GF(q) matrix takes
-c = 1 and the ring of its field, built once per field by `_finite_ring`:
-ints mod p over GF(p), the field's own payload tuples over GF(p^k).  Its
-characteristic polynomial, its eigenvalues and every exact rank run on
-that form; only the results are divided back, the t^(n-k) coefficient by
-c^k.  Three kernels, one loop each, run on any integral domain given by
-its operations: Berkowitz's division-free recursion `_berkowitz` for
-characteristic polynomials, fraction-free (Bareiss) elimination `_bareiss`
-for exact ranks and pivot rows, and synthetic division `_split_roots` for
-the roots among the ring's candidates.  Q, Q(i) and GF(q) run them on
-their rings, and the oracle's scan runs Berkowitz and the root kernel on
-its integer-coded GF(q) tables.  `power_ranks` gives the ranks of the
+c = 1, its entries' payloads (each element's index) and the ring that
+`_finite_ring` builds once per field from the field's own operations.
+Its characteristic polynomial, its eigenvalues and every exact rank run
+on that form; only the results are divided back, the t^(n-k) coefficient
+by c^k.  Three kernels, one loop each, run on any integral domain given
+by its operations: Berkowitz's division-free recursion `_berkowitz` for
+characteristic polynomials, fraction-free (Bareiss) elimination
+`_bareiss` for exact ranks and pivot rows, and synthetic division
+`_split_roots` for the roots among the ring's candidates.  Q, Q(i) and
+GF(q) run them on their rings; the oracle's scan runs Berkowitz on numpy
+arrays of element indices, gathered from its GF(q) tables, and the other
+two on the GF(q) ring.  `power_ranks` gives the ranks of the
 powers of M - lam I along a row chain: the pivot rows of one power times
 M - lam I span the next power's row space, so no full power is ever
 formed or eliminated.  Over Z and Z[i] the subresultant remainder
@@ -31,7 +32,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import count, product
+from itertools import count
 from math import lcm
 from typing import Any, Callable, NamedTuple
 
@@ -436,36 +437,21 @@ _RINGS = {KIND_RATIONALS: ZZ, KIND_GAUSSIAN: ZI}
 
 @lru_cache(maxsize=None)
 def _finite_ring(field: FiniteField) -> Ring:
-    """The ring of GF(q), whose candidates are all q elements in index
-    order.  GF(p) runs on plain ints mod p, each product reduced once and a
-    dot product once per sum; GF(p^k) runs on the field's payload tuples
-    through its own operations, a dot product reduced once too.  An int n
-    scales an element coefficientwise, n lying in the prime field."""
-    p, k = field.p, field.k
-    if k == 1:
-        def mul(a, b):
-            return a * b % p
-
-        return Ring(
-            dot=lambda r, c: sum(map(operator.mul, r, c)) % p, mul=mul,
-            add=lambda a, b: (a + b) % p, sub=lambda a, b: (a - b) % p,
-            divx=lambda a, b: a * pow(b, -1, p) % p, neg=lambda a: -a % p,
-            is_zero=operator.not_, one=1, scale=mul,
-            clear=lambda values: (1, [v[0] for v in values]),
-            fraction=lambda x, d: (x * pow(d, -1, p) % p,),
-            candidates=lambda xs: range(p))
+    """The ring of GF(q) on its element indices, with the field's own
+    operations; its candidates are all q elements in index order.  An int n
+    scales an element as the prime-field element n mod p, which is also
+    that element's index."""
+    p, mul = field.p, field._mul
 
     def scale(n, x):
-        return tuple([n * a % p for a in x])
+        return mul(n % p, x)
 
     return Ring(
-        dot=field._dot, mul=field._mul, add=field._add, sub=field._sub,
-        divx=field._div, neg=field._neg, is_zero=field._zero().__eq__,
-        one=field._one(), scale=scale, clear=lambda values: (1, list(values)),
-        fraction=lambda x, d: scale(pow(d, -1, p), x),
-        # little-endian digits: the first varies fastest
-        candidates=lambda xs: (digits[::-1] for digits in
-                               product(range(p), repeat=k)))
+        dot=field._dot, mul=mul, add=field._add, sub=field._sub,
+        divx=field._div, neg=field._neg, is_zero=operator.not_, one=1,
+        scale=scale, clear=lambda values: (1, list(values)),
+        fraction=lambda x, d: mul(pow(d, -1, p), x),
+        candidates=lambda xs: range(field.q))
 
 
 class IntegerForm(NamedTuple):

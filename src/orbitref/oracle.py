@@ -28,12 +28,13 @@ S != beta T^k.  If S is a scaled power, a violation is by definition a
 different scaled power beta T^k agreeing with S at a nonzero value S f.
 So the verdict is read off the enumerated members and the scaled orbit.
 
-GF(q) has one coding here.  An element is its index in the field's
-element order, a vector of GF(q)^d is the from_digits index of its
-coordinates, and a matrix is the tuple of its coded columns.  `_Space`
-builds the tables once per (field, d) and process: the scalar tables
-(add, mul, neg, inv) and the vector tables (addition, scaling and the
-bitmask of each vector's line).  T's powers come from walking each column
+GF(q) has one coding in the whole package: an element is its index in
+the field's element order, the payload of its Scalar.  A vector of
+GF(q)^d is the from_digits index of its coordinates, and a matrix is the
+tuple of its coded columns.  `_Space` builds the tables once per
+(field, d) and process from the field's operations: the scalar tables
+(add, mul, neg) and the vector tables (addition, scaling and the bitmask
+of each vector's line).  T's powers come from walking each column
 along the vector map of T, T^(n+1) e_j = T (T^n e_j), and the scaled orbit
 is read off the scaling table.  The orbit set of x is the OR of the line
 masks along the walk x -> Tx -> T^2 x.  Candidates are searched
@@ -54,12 +55,12 @@ internal error.
 `orbref0_contains` tests one candidate.  The vector-addition table alone
 has q^(2d) entries, so it builds only the scalar tables and walks
 x -> Tx -> T^2 x -> ... up to the first repeat for one vector at a time,
-on tuples of element indices.  Each budget counts the larger of the work
-and the tables built for it: q^d vectors checked or the q^2 entries of a
-scalar table for `orbref0_contains`, and q^(d^2) candidates or the q^(2d)
-entries of the vector tables for an enumeration or a scan.  The tables
-are the larger only at d = 1, where over GF(10007) they alone would hold
-10^8 entries.
+on tuples of element indices with the field's dot product.  Each budget
+counts the larger of the work and the tables built for it: q^d vectors
+checked or the q^2 entries of a scalar table for `orbref0_contains`, and
+q^(d^2) candidates or the q^(2d) entries of the vector tables for an
+enumeration or a scan.  The tables are the larger only at d = 1, where
+over GF(10007) they alone would hold 10^8 entries.
 
 `scan_space` sweeps every d x d matrix over GF(q) and classifies each by
 the key (cp, r): cp its characteristic polynomial, and r the rank of
@@ -69,13 +70,13 @@ per block of scan indices on numpy arrays of the block's digits, with
 products and sums gathered from the scalar tables.  What depends on cp
 alone -- whether it splits (`linalg._split_roots`, as in `eigenvalues`),
 whether it is nilpotent, and its repeated root -- is worked out once per
-distinct cp of a chunk.  r is `linalg._bareiss`, the package's one
-elimination, on the scalar tables.  At d <= 3 the key fixes the
-similarity class.  cp has at most one repeated root.  A cp with none is
-square-free, since a squared irreducible factor of degree >= 2 needs
-d >= 4, so T is cyclic and cp fixes its class.  Otherwise d - r is the
-number of Jordan blocks at a, and with a's multiplicity at most 3 that
-number fixes their sizes.  At d = 4 it does not: the nilpotent [3,1] and
+distinct cp of a chunk, on the field's ring `linalg._finite_ring`.  r is
+`linalg._bareiss`, the package's one elimination, on that ring.  At
+d <= 3 the key fixes the similarity class.  cp has at most one repeated
+root.  A cp with none is square-free, since a squared irreducible factor
+of degree >= 2 needs d >= 4, so T is cyclic and cp fixes its class.
+Otherwise d - r is the number of Jordan blocks at a, and with a's
+multiplicity at most 3 that number fixes their sizes.  At d = 4 it does not: the nilpotent [3,1] and
 [2,2] both have rank 2, and over GF(3) (t^2 + 1)^2 has no root, yet the
 types [2] and [1,1] at t^2 + 1 are two classes.  So the scan stops at
 d = 3.  A matrix's row-major scan digits give its coded columns
@@ -114,8 +115,9 @@ Re-runs skip finished matrices, and rows of another field or modulus are
 never reused.  The cache is read in one pass with one JSON decoder.  Blank,
 malformed, torn and non-object lines are skipped, and so are lines with
 trailing text, lines of another field or dimension or naming none,
-lines whose columns are missing, are no lists or differ in length, and
-lines with an index that is no integer.  A
+lines whose columns are missing, are no lists or differ in length,
+lines with an index that is no integer, and lines with a value of the
+wrong type or an orbref0 below forb or a forb below 1.  A
 line of the older one-row-per-line layout holds one index, not a list,
 so its matrix is scanned again once.  A row with no rigidity verdict is a
 miss for a scan that checks rigidity.  A write that finds the file's last
@@ -146,7 +148,7 @@ from .errors import (
     WrongField,
 )
 from .fields import KIND_FINITE, FiniteField, Scalar, from_digits, to_digits
-from .linalg import Matrix, _bareiss, _berkowitz, _split_roots
+from .linalg import Matrix, Ring, _bareiss, _berkowitz, _finite_ring, _split_roots
 
 DEFAULT_CONTAINS_BUDGET = 10 ** 6
 DEFAULT_ENUM_BUDGET = 2 ** 24
@@ -174,23 +176,18 @@ def _vector_add_table(add, q: int, d: int) -> list[list[int]]:
 
 
 class _Space:
-    """GF(q)^d with each element coded as its index in the field's element
-    order and each vector as its from_digits index, and the tables the
-    oracle reads: scalar add, mul, neg and inv, vector addition, scaling
-    and the bitmask of each vector's line.  `_space` builds one per
-    (field, d) and process, on first use."""
+    """GF(q)^d with each vector coded as the from_digits index of its
+    coordinates, and the tables the oracle reads: scalar add, mul and neg,
+    vector addition, scaling and the bitmask of each vector's line.
+    `_space` builds one per (field, d) and process, on first use."""
 
     def __init__(self, field: FiniteField, d: int):
-        els = field.elements()
-        q = len(els)
-        self.field, self.scalars, self.q, self.d, self.n = field, els, q, d, q ** d
-        index = {s.value: i for i, s in enumerate(els)}
-        self.add = [[index[(a + b).value] for b in els] for a in els]
-        self.mul = [[index[(a * b).value] for b in els] for a in els]
-        self.neg = [index[(-a).value] for a in els]
-        one = index[field.one().value]
-        # inv[0] stays None: zero has no inverse
-        self.inv = [None] + [row.index(one) for row in self.mul[1:]]
+        q = field.q
+        self.field, self.q, self.d, self.n = field, q, d, q ** d
+        add, mul, els = field._add, field._mul, range(q)
+        self.add = [[add(a, b) for b in els] for a in els]
+        self.mul = [[mul(a, b) for b in els] for a in els]
+        self.neg = [field._neg(a) for a in els]
         self.vadd = _vector_add_table(self.add, q, d)
         # scale[v][c] is the index of c * v
         self.scale = [[from_digits([row[a] for a in to_digits(v, q, d)], q)
@@ -202,14 +199,13 @@ class _Space:
                        for j in range(d)]
 
     def encode(self, M: Matrix) -> tuple[int, ...]:
-        idx, q = self.field.element_index, self.q
-        return tuple(from_digits([idx(s.value) for s in M.col(j)], q)
+        return tuple(from_digits([s.value for s in M.col(j)], self.q)
                      for j in range(M.n))
 
     def decode(self, cols) -> Matrix:
-        q, d, els = self.q, self.d, self.scalars
+        q, d, scalar = self.q, self.d, self.field.scalar
         digits = [to_digits(c, q, d) for c in cols]
-        return Matrix(self.field, [[els[col[i]] for col in digits] for i in range(d)])
+        return Matrix(self.field, [[scalar(col[i]) for col in digits] for i in range(d)])
 
     def vector_map(self, cols) -> list[int]:
         """img[x] = index of M x for the matrix with coded columns cols."""
@@ -225,14 +221,6 @@ class _Space:
 @lru_cache(maxsize=None)
 def _space(field: FiniteField, d: int) -> _Space:
     return _Space(field, d)
-
-
-def _dot(add, mul, r, c) -> int:
-    """The sum of r_i * c_i over element indices."""
-    acc = 0
-    for a, b in zip(r, c):
-        acc = add[acc][mul[a][b]]
-    return acc
 
 
 def _charge(q: int, units: int, tables: int, what: str, budget: int):
@@ -457,14 +445,12 @@ def orbref0_contains(T: Matrix, S: Matrix,
     q = T.field.q
     d = T.n
     _charge(q, d, 2, "vector checks", budget)
-    # only the scalar tables: those of GF(q)^d would hold q^(2d) entries
-    sc = _space(T.field, 1)
-    add, mul, inv = sc.add, sc.mul, sc.inv
-    idx = T.field.element_index
-    Trows, Srows = ([[idx(s.value) for s in row] for row in M.rows] for M in (T, S))
+    # only a scalar table: those of GF(q)^d would hold q^(2d) entries
+    mul, div, dot = _space(T.field, 1).mul, T.field._div, T.field._dot
+    Trows, Srows = ([[s.value for s in row] for row in M.rows] for M in (T, S))
 
     def image(rows, x):
-        return tuple(_dot(add, mul, row, x) for row in rows)
+        return tuple(dot(row, x) for row in rows)
 
     for code in range(q ** d):
         x = to_digits(code, q, d)
@@ -479,12 +465,12 @@ def orbref0_contains(T: Matrix, S: Matrix,
             seen.add(z)
             i = next((i for i, c in enumerate(z) if c), None)
             if i is not None:
-                row = mul[mul[y[i]][inv[z[i]]]]
+                row = mul[div(y[i], z[i])]
                 if tuple(row[c] for c in z) == y:
                     break
             z = image(Trows, z)
         else:
-            return False, tuple(sc.scalars[c] for c in x)
+            return False, tuple(map(T.field.scalar, x))
     return True, None
 
 
@@ -617,12 +603,13 @@ def _scan_cols(digits, q: int, d: int) -> tuple[int, ...]:
     return tuple(from_digits(digits[j::d], q) for j in range(d))
 
 
-def _cp_facts(sp: _Space, cp: tuple[int, ...]) -> tuple[bool, bool, Optional[int]]:
+def _cp_facts(ring: Ring, cp: tuple[int, ...]) -> tuple[bool, bool, Optional[int]]:
     """(split, nilpotent, repeated root) for the characteristic polynomial cp
-    (constant first): the repeated root is the root of multiplicity >= 2,
-    or None.  At d <= 3 cp has at most one."""
-    roots, rest = _split_roots(cp[::-1], range(sp.q), lambda a, b: sp.mul[a][b],
-                               lambda a, b: sp.add[a][b], operator.not_)
+    (constant first) over the GF(q) ring: the repeated root is the root of
+    multiplicity >= 2, or None.  At d <= 3 cp has at most one."""
+    xs = cp[::-1]
+    roots, rest = _split_roots(xs, ring.candidates(xs), ring.mul, ring.add,
+                               ring.is_zero)
     return (len(rest) == 1, not any(cp[:-1]),
             next((a for a, mult in roots if mult > 1), None))
 
@@ -635,9 +622,10 @@ def _classify_chunk(payload) -> list[tuple]:
     product is a gather from the scalar tables.  The facts that depend only
     on the characteristic polynomial cp come from `_cp_facts` once per
     distinct cp of the chunk.  The key is the module docstring's (cp, r),
-    with r by `linalg._bareiss` on the scalar tables."""
+    with r by `linalg._bareiss` on the field's ring."""
     (p, k, modulus, d, start, stop, nilpotent_only) = payload
-    sp = _space(FiniteField(p, k, modulus), d)
+    field = FiniteField(p, k, modulus)
+    sp, ring = _space(field, d), _finite_ring(field)
     q = sp.q
     add, mul = np.array(sp.add), np.array(sp.mul)
 
@@ -652,17 +640,15 @@ def _classify_chunk(payload) -> list[tuple]:
     poly = _berkowitz([entries[i * d:(i + 1) * d] for i in range(d)],
                       dot, np.array(sp.neg).__getitem__, 1)
     cps = np.stack(np.broadcast_arrays(*reversed(poly)), axis=1).tolist()
-    # GF(q) as a ring on the scalar tables, for the elimination of T - aI
-    tadd, tmul, neg, inv = sp.add, sp.mul, sp.neg, sp.inv
-    field_ops = (lambda x, y: tmul[x][y], lambda x, y: tadd[x][neg[y]],
-                 lambda x, y: tmul[x][inv[y]], operator.not_)
+    sub = ring.sub
+    field_ops = (ring.mul, sub, ring.divx, ring.is_zero)
     facts: dict[tuple, tuple[bool, bool, Optional[int]]] = {}
     keys: dict[tuple, tuple] = {}  # one object per key, shared by its rows
     out = []
     for i, digits, cp in zip(range(start, stop), np.stack(entries, axis=1).tolist(),
                              map(tuple, cps)):
         if cp not in facts:
-            facts[cp] = _cp_facts(sp, cp)
+            facts[cp] = _cp_facts(ring, cp)
         split, nil, root = facts[cp]
         if nilpotent_only and not nil:
             continue
@@ -670,7 +656,7 @@ def _classify_chunk(payload) -> list[tuple]:
         if root is not None:
             rows = [digits[pos:pos + d] for pos in range(0, d * d, d)]
             for j, row in enumerate(rows):
-                row[j] = tadd[row[j]][neg[root]]
+                row[j] = sub(row[j], root)
             rank = _bareiss(rows, *field_ops)[0]
         key = keys.setdefault((cp, rank), (cp, rank))
         out.append((i, key, split, nil))
@@ -748,9 +734,11 @@ def _load_cache(path: str, field: FiniteField, d: int,
     order, read in one pass with one decoder.  Blank, malformed and
     non-object lines, lines of another field or with none named, lines
     whose index or _COLUMNS lists are missing, are no lists or differ in
-    length, and lines with an index that is no integer are skipped.  A
-    line without rigidity_ok serves unrated rows, and under need_rigidity
-    an unrated row is a miss."""
+    length, and lines with an index that is no integer are skipped.  So
+    is a line with a value of the wrong type: split and nilpotent must be
+    bools, orbref0 and forb ints (no bools) with orbref0 >= forb >= 1, and
+    rigidity_ok a bool or null.  A line without rigidity_ok serves unrated
+    rows, and under need_rigidity an unrated row is a miss."""
     key = _field_key(field)
     want = (d, key["p"], key["k"], key["modulus"])
     decode = json.JSONDecoder().raw_decode
@@ -774,6 +762,13 @@ def _load_cache(path: str, field: FiniteField, d: int,
             columns = [scan.get(name) for name in _COLUMNS[:-1]]
             columns.append(scan.get("rigidity_ok", [None] * len(index)))
             if not all(isinstance(c, list) and len(c) == len(index) for c in columns):
+                continue
+            split, nilpotent, orbref0, forb, rigidity_ok = columns
+            # forb holds the zero matrix and lies inside OrbRef0
+            if not ({*map(type, split), *map(type, nilpotent)} <= {bool}
+                    and {*map(type, orbref0), *map(type, forb)} <= {int}
+                    and min(forb, default=1) >= 1 and all(map(operator.ge, orbref0, forb))
+                    and set(map(type, rigidity_ok)) <= {bool, type(None)}):
                 continue
             served = zip(index, zip(*columns))
             if need_rigidity:

@@ -164,8 +164,7 @@ def _radius_sq(entries) -> ModulusSq:
 def _sorted_entries(field: Field, entries) -> tuple[ProfileEntry, ...]:
     kind = field.kind
     if kind == KIND_FINITE:
-        return tuple(sorted(entries,
-                            key=lambda e: field.element_index(e.eigenvalue.value)))
+        return tuple(sorted(entries, key=lambda e: e.eigenvalue.value))
     if kind == KIND_COMPLEX:
         return tuple(sorted(entries,
                             key=lambda e: (-e.modulus_sq, e.eigenvalue.value.real,

@@ -1,5 +1,6 @@
 """Scalar arithmetic over Q, Q(i), GF(p^k) and complex floats."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from orbitref import (
     WrongField,
 )
 from orbitref._gaussint import is_prime
+from orbitref.fields import CONWAY_POLYNOMIALS
 from orbitref.spectra import _modulus_sq
 
 
@@ -153,10 +155,124 @@ def test_gf_every_nonzero_element_invertible(p, k):
         assert e * (field.one() / e) == field.one()
 
 
-def test_gf_element_index_round_trip():
-    field = FiniteField(3, 2)
-    for i, e in enumerate(field.elements()):
-        assert field.element_index(e.value) == i
+class _Schoolbook:
+    """Reference GF(p^k) arithmetic on little-endian coefficient lists: a
+    sum coefficient by coefficient, a product by the schoolbook rule then
+    reduced mod the monic modulus term by term, an inverse by search.  It
+    shares no code with the package."""
+
+    def __init__(self, p, k, modulus):
+        self.p, self.k, self.m = p, k, modulus
+
+    def coeffs(self, i):
+        out = []
+        for _ in range(self.k):
+            i, c = divmod(i, self.p)
+            out.append(c)
+        return out
+
+    def index(self, coeffs):
+        return sum(c * self.p ** e for e, c in enumerate(coeffs))
+
+    def add(self, a, b):
+        return self.index([(x + y) % self.p for x, y in zip(self.coeffs(a), self.coeffs(b))])
+
+    def neg(self, a):
+        return self.index([-x % self.p for x in self.coeffs(a)])
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        p, k, m = self.p, self.k, self.m
+        raw = [0] * (2 * k - 1)
+        bs = self.coeffs(b)
+        for i, x in enumerate(self.coeffs(a)):
+            for j, y in enumerate(bs):
+                raw[i + j] += x * y
+        for e in range(2 * k - 2, k - 1, -1):  # x^e = x^(e-k) (x^k - m)
+            c = raw[e]
+            for j in range(k + 1):
+                raw[e - k + j] -= c * m[j]
+        return self.index([c % p for c in raw[:k]])
+
+    def inverse(self, a):
+        # a^(q-2) by square and multiply
+        out, base, e = 1, a, self.p ** self.k - 2
+        while e:
+            if e & 1:
+                out = self.mul(out, base)
+            base, e = self.mul(base, base), e >> 1
+        return out
+
+
+def _check_against_schoolbook(field, pairs):
+    ref = _Schoolbook(field.p, field.k, field.modulus or (0, 1))
+    inverses = {b: ref.inverse(b) for b in {b for _, b in pairs if b}}
+    for b, inv in inverses.items():
+        assert ref.mul(b, inv) == 1
+        assert (field.one() / field.scalar(b)).value == inv
+    for a, b in pairs:
+        x, y = field.scalar(a), field.scalar(b)
+        assert (x + y).value == ref.add(a, b)
+        assert (x - y).value == ref.sub(a, b)
+        assert (x * y).value == ref.mul(a, b)
+        assert (-x).value == ref.neg(a)
+        if b:
+            assert (x / y).value == ref.mul(a, inverses[b])
+        else:
+            with pytest.raises(DivisionByZero):
+                x / y
+
+
+_X12_X9_1 = (1,) + (0,) * 8 + (1, 0, 0, 1)          # x^12 + x^9 + 1 over GF(2)
+_X13_X4_X3_X_1 = (1, 1, 0, 1, 1) + (0,) * 8 + (1,)  # x^13 + x^4 + x^3 + x + 1
+
+
+@pytest.mark.parametrize("p,k,modulus", [(p, k, None) for p, k in CONWAY_POLYNOMIALS]
+                         + [(3, 2, (1, 0, 1)), (2, 4, (1, 1, 1, 1, 1)),
+                            (2, 12, _X12_X9_1)],
+                         ids=lambda v: str(v) if not isinstance(v, tuple) else "m")
+def test_gf_arithmetic_matches_schoolbook(p, k, modulus):
+    # every pair of every stock field; x is not primitive mod x^2 + 1 over
+    # GF(3) (order 4) nor mod x^4 + x^3 + x^2 + x + 1 over GF(2) (order 5);
+    # random pairs of GF(2^12) mod x^12 + x^9 + 1
+    field = FiniteField(p, k, modulus)
+    q = field.q
+    if q <= 169:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = random.Random(12)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(1000)]
+        pairs += [(0, rng.randrange(q)), (rng.randrange(q), 0), (1, 1)]
+    _check_against_schoolbook(field, pairs)
+    els = field.elements()
+    assert [e.value for e in els] == list(range(q))
+    for e in els if q <= 169 else (els[a] for a, _ in pairs):
+        assert field.parse(str(e)) == e
+    # the operations are closures, so a copy must look them up again
+    assert pickle.loads(pickle.dumps(els[-1])) * els[-1] == els[-1] * els[-1]
+
+
+def test_extension_field_size_bound(tmp_path, capsys, monkeypatch):
+    from orbitref import fields
+    from orbitref.cli import main
+
+    def no_tables(*args):
+        raise AssertionError("tables built for a field past the bound")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fields, "_gf_ops", no_tables)
+        with pytest.raises(ValueError) as exc:
+            FiniteField(2, 13, _X13_X4_X3_X_1)
+    message = str(exc.value)
+    assert "4096" in message
+    path = tmp_path / "gf8192.json"
+    path.write_text('{"field": "gf", "p": 2, "k": 13, '
+                    '"modulus": "x^13+x^4+x^3+x+1", "rows": [["1"]]}')
+    assert main(["jordan", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"orbitref: parse error: {message}\n"
+    assert FiniteField(2, 12, _X12_X9_1).q == 4096
 
 
 def test_conway_modulus_recorded():

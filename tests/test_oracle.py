@@ -22,13 +22,21 @@ from orbitref import (
 )
 from orbitref.fields import to_digits
 from orbitref.linalg import _berkowitz, to_ndarray
-from orbitref.oracle import _dot, _scan_cols, _space, scan_space
+from orbitref.oracle import _scan_cols, _space, scan_space
 from orbitref.witness import _residual_minima
 
 
 def _scan_matrix(field, d, idx):
     """The matrix of scan index idx: row-major digits, decoded by columns."""
     return _space(field, d).decode(_scan_cols(to_digits(idx, field.q, d * d), field.q, d))
+
+
+def _table_dot(sp, r, c):
+    """The sum of r_i * c_i over element indices, on the scalar tables."""
+    acc = 0
+    for a, b in zip(r, c):
+        acc = sp.add[acc][sp.mul[a][b]]
+    return acc
 
 
 def _char_poly_int(sp, digits):
@@ -38,7 +46,7 @@ def _char_poly_int(sp, digits):
     which runs it on a whole block at once."""
     d = sp.d
     rows = [digits[i * d:(i + 1) * d] for i in range(d)]
-    poly = _berkowitz(rows, lambda r, c: _dot(sp.add, sp.mul, r, c), sp.neg.__getitem__, 1)
+    poly = _berkowitz(rows, lambda r, c: _table_dot(sp, r, c), sp.neg.__getitem__, 1)
     return tuple(reversed(poly))
 
 
@@ -263,10 +271,9 @@ class _TupleArith:
 
     def __init__(self, field):
         els = field.elements()
-        index = field.element_index
         self.field, self.scalars, self.q = field, els, len(els)
-        self.add = [[index((a + b).value) for b in els] for a in els]
-        self.mul = [[index((a * b).value) for b in els] for a in els]
+        self.add = [[(a + b).value for b in els] for a in els]
+        self.mul = [[(a * b).value for b in els] for a in els]
 
     def vec_add(self, x, y):
         return tuple(self.add[a][b] for a, b in zip(x, y))
@@ -281,8 +288,7 @@ class _TupleArith:
         return acc
 
     def encode(self, M):
-        index = self.field.element_index
-        return tuple(tuple(index(s.value) for s in M.col(j)) for j in range(M.n))
+        return tuple(tuple(s.value for s in M.col(j)) for j in range(M.n))
 
     def decode(self, cols):
         d = len(cols)
@@ -715,6 +721,16 @@ def test_load_cache_serves_only_valid_rows(tmp_path):
         part([1], split=True),                          # a column that is no list
         part([1], i=[[1]]),                             # an index that is no integer
         part([1], i=[True]),
+        part([1], split=["no"], nilpotent=[1], orbref0=["x"],  # values of no
+             forb=[[1]], rigidity_ok=[None]),                   # column's type
+        part([1], split=[1]),                           # a flag that is no bool
+        part([1], nilpotent=[None]),
+        part([1], orbref0=["9"]),                       # a count that is no int
+        part([1], forb=[True]),
+        part([1], forb=[1.0]),
+        part([1], orbref0=[1], forb=[2]),               # forb larger than OrbRef0
+        part([1], orbref0=[0], forb=[0]),               # forb without the zero matrix
+        part([1], rigidity_ok=[0]),                     # a verdict that is no bool
         json.dumps({**json.loads(one), "i": 1,          # the old per-matrix layout
                     **{f: scan[f][1] for f in _COLUMNS}}),
         one[:len(one) // 2],                            # a partial last write
@@ -863,7 +879,7 @@ def test_matrix_from_scan_index_round_trip():
     for field, d in ((FiniteField(2), 2), (FiniteField(2, 2), 2), (FiniteField(2), 3)):
         for i in range(field.q ** (d * d)):
             M = _scan_matrix(field, d, i)
-            digits = [field.element_index(s.value) for row in M.rows for s in row]
+            digits = [s.value for row in M.rows for s in row]
             assert digits == list(to_digits(i, field.q, d * d))
 
 
@@ -902,7 +918,7 @@ def test_gf_ring_kernels_match_brute_force(field, d):
     for idx in range(q ** (d * d)):
         digits = to_digits(idx, q, d * d)
         M = _scan_matrix(field, d, idx)
-        cp = tuple(field.element_index(c.value) for c in char_poly(M).coeffs)
+        cp = tuple(c.value for c in char_poly(M).coeffs)
         assert cp == _char_poly_int(sp, digits)
         roots = [lam for lam, _ in eigenvalues(M).roots]
         for lam in [field.zero()] + roots:
@@ -930,7 +946,7 @@ def test_int_kernel_polynomials_match_matrix_level():
             for _ in range(20):
                 M = Matrix(field, [[els[rng.randrange(len(els))]
                                     for _ in range(d)] for _ in range(d)])
-                digits = [field.element_index(s.value) for row in M.rows for s in row]
+                digits = [s.value for row in M.rows for s in row]
                 cp_int = _char_poly_int(sp, digits)
                 cp = char_poly(M)
                 assert [els[c] for c in cp_int] == list(cp.coeffs)
@@ -940,8 +956,8 @@ def test_int_kernel_polynomials_match_matrix_level():
 @pytest.mark.parametrize("field,d", [(FiniteField(2, 2), 2), (FiniteField(2), 3)],
                          ids=["gf4-d2", "gf2-d3"])
 def test_classify_split_matches_eigenvalues(field, d):
-    # the scan's split flag and eigenvalues() run one root kernel on two
-    # codings of GF(q); they agree on every matrix of the space
+    # the scan's split flag, from its table Berkowitz, and eigenvalues()
+    # run one root kernel; they agree on every matrix of the space
     from orbitref import eigenvalues
     from orbitref.oracle import _classify_chunk
 
@@ -997,7 +1013,7 @@ def _gl_generators(field, d):
             pairs.append((P, Pinv))
     g = next(g for g in range(1, field.q) if order(g) == field.q - 1)
     P, Pinv = identity(), identity()
-    P[0][0], Pinv[0][0] = g, sc.inv[g]
+    P[0][0], Pinv[0][0] = g, sc.mul[g].index(1)
     return pairs + [(P, Pinv)]
 
 
@@ -1052,14 +1068,15 @@ def test_classify_key_fixes_similarity_class(field, d):
         "gf3-d3", "gf9-d3-top"])
 def test_classify_block_matches_per_matrix_reference(field, d, start, stop, nilpotent_only):
     # the block Berkowitz gives each matrix the row of the per-matrix path
+    from orbitref.linalg import _finite_ring
     from orbitref.oracle import _classify_chunk, _cp_facts
 
-    sp, q = _space(field, d), field.q
+    sp, q, ring = _space(field, d), field.q, _finite_ring(field)
     expect = []
     for idx in range(start, stop):
         digits = to_digits(idx, q, d * d)
         cp = _char_poly_int(sp, digits)
-        split, nil, _ = _cp_facts(sp, cp)
+        split, nil, _ = _cp_facts(ring, cp)
         if nil or not nilpotent_only:
             expect.append((idx, _reference_key(field, d, idx), split, nil))
     assert expect
