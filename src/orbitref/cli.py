@@ -121,7 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact OrbRef0 computations over GF(q)")
     add_io(p, with_field=False)
     p.add_argument("--candidate", help="matrix file for a membership check")
-    p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET,
+                   help="work limit: q^(d^2) candidates to enumerate, or with "
+                        "--candidate q^d vector checks plus every step of their "
+                        "walks x -> Tx -> T^2 x (exit 4 past it)")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("ffscan", help="exhaustive scan of M_d(GF(q))")

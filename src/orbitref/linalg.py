@@ -16,7 +16,12 @@ characteristic polynomials, fraction-free (Bareiss) elimination
 `_split_roots` for the roots among the ring's candidates.  Q, Q(i) and
 GF(q) run them on their rings; the oracle's scan runs Berkowitz on numpy
 arrays of element indices, gathered from its GF(q) tables, and the other
-two on the GF(q) ring.  `power_ranks` gives the ranks of the
+two on the GF(q) ring.  The first two skip work that is provably zero,
+which is most of a Jordan-form input: Berkowitz makes no Krylov product at
+a step whose border row or column is zero, and Bareiss leaves a row whose
+pivot-column entry is zero as it is, scaling it only when it is next
+updated or taken as pivot, so a bidiagonal matrix takes O(n^2) work, not
+O(n^3).  `power_ranks` gives the ranks of the
 powers of M - lam I along a row chain: the pivot rows of one power times
 M - lam I span the next power's row space, so no full power is ever
 formed or eliminated.  Over Z and Z[i] the subresultant remainder
@@ -305,15 +310,27 @@ def _bareiss(rows, mul, sub, divx, is_zero) -> tuple[int, list[int]]:
     """Rank by fraction-free elimination over any integral domain given by
     its operations, and the indices of the rows taken as pivot rows, which
     are a basis of the row space.  Each step pivots on the first nonzero
-    entry of the first nonzero row left, drops that row and column, and
-    replaces every other row left by piv row - row[j] prow, divided by the
-    previous pivot; the division is exact, every entry being a minor of the
-    input (Bareiss 1968).  Zero rows stay zero and are dropped when met."""
-    live = [(i, list(r)) for i, r in enumerate(rows)]
+    entry of the first nonzero row left and drops that row and column.
+    Bareiss (1968) replaces every other row left by piv row - row[j] prow,
+    divided by the previous pivot; the division is exact, every entry being
+    a minor of the input.  Zero rows stay zero and are dropped when met.
+
+    The scaling is lazy.  A row whose pivot-column entry is zero is left
+    as it is, and each row keeps `den`, the pivot of the step that last
+    updated it (None, standing for 1, before its first update).  At a step
+    it is left alone Bareiss would only multiply the row by piv / prev, so
+    when a step starts, prev the pivot of the step before, the true row is
+    the stored one times prev / den.  Put into Bareiss's update, that gives
+    (piv row - row[j] prow) / den, and the pivot row is first brought up to
+    date as prow prev / den, which is nothing to do when den is prev.  So
+    every stored row is the true row of some step: its entries are minors,
+    every division is exact, and it has the true row's zero pattern, so
+    the pivots are Bareiss's own."""
+    live = [(i, list(r), None) for i, r in enumerate(rows)]
     pivots = []
     prev = None
     while live:
-        for pos, (i, prow) in enumerate(live):
+        for pos, (i, prow, den) in enumerate(live):
             j = next((j for j, x in enumerate(prow) if not is_zero(x)), None)
             if j is not None:
                 break
@@ -321,15 +338,20 @@ def _bareiss(rows, mul, sub, divx, is_zero) -> tuple[int, list[int]]:
             break
         del live[:pos + 1]
         pivots.append(i)
+        if den is not prev:
+            prow = ([mul(x, prev) for x in prow] if den is None
+                    else [divx(mul(x, prev), den) for x in prow])
         piv = prow.pop(j)
-        for t, (k, row) in enumerate(live):
+        for t, (k, row, den) in enumerate(live):
             a = row.pop(j)
-            if prev is None:
+            if is_zero(a):
+                continue
+            if den is None:
                 row = [sub(mul(piv, x), mul(a, y)) for x, y in zip(row, prow)]
             else:
-                row = [divx(sub(mul(piv, x), mul(a, y)), prev)
+                row = [divx(sub(mul(piv, x), mul(a, y)), den)
                        for x, y in zip(row, prow)]
-            live[t] = (k, row)
+            live[t] = (k, row, piv)
         prev = piv
     return len(pivots), pivots
 
@@ -568,23 +590,29 @@ def matpow(M: Matrix, k: int) -> Matrix:
     return result
 
 
-def _berkowitz(rows, dot, neg, one) -> list:
+def _berkowitz(rows, dot, neg, one, is_zero) -> list:
     """Coefficients of det(tI - A), leading first, for the square matrix
     with these rows, by Berkowitz's recursion on the ring operations
-    `dot(row, col)` (a sum of products over the shorter length), `neg` and
-    `one`.  Step k borders the leading k x k block with row and column k;
-    the new coefficients are the old ones times the Toeplitz column 1,
-    -a_kk, -r c, -r A c, ..., -r A^(k-1) c, where r and c are the border row
-    and column and A the block."""
+    `dot(row, col)` (a sum of products over the shorter length), `neg`,
+    `one` and `is_zero`.  Step k borders the leading k x k block with row
+    and column k; the new coefficients are the old ones times the Toeplitz
+    column 1, -a_kk, -r c, -r A c, ..., -r A^(k-1) c, where r and c are the
+    border row and column and A the block.  When r or c is zero every term
+    r A^s c is zero, so the column takes k copies of -r c and the Krylov
+    products A^s c are skipped: on a triangular matrix, a Jordan form
+    among them, no step makes one."""
     poly = [one]
     for k in range(len(rows)):
         col = [rows[i][k] for i in range(k)]
         toeplitz = [one, neg(rows[k][k])]
         # dot cuts row k and rows[i] to the leading block
-        for step in range(k):
-            if step:  # col = A^step c; A^k c would never be read
-                col = [dot(rows[i], col) for i in range(k)]
-            toeplitz.append(neg(dot(rows[k], col)))
+        if all(map(is_zero, col)) or all(map(is_zero, rows[k][:k])):
+            toeplitz += [neg(dot(rows[k], col))] * k
+        else:
+            for step in range(k):
+                if step:  # col = A^step c; A^k c would never be read
+                    col = [dot(rows[i], col) for i in range(k)]
+                toeplitz.append(neg(dot(rows[k], col)))
         poly = [dot(poly, toeplitz[j::-1]) for j in range(k + 2)]
     return poly
 
@@ -686,7 +714,7 @@ def char_poly(M: Matrix) -> Polynomial:
     c, rows, ring = integer_form(M)
     # det(tI - cM) = c^n det((t/c)I - M)
     return _divide_back(M.field, ring, _berkowitz(rows, ring.dot, ring.neg,
-                                                  ring.one), c)
+                                                  ring.one, ring.is_zero), c)
 
 
 # ---------------------------------------------------------------------------

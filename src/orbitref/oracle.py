@@ -56,8 +56,9 @@ internal error.
 has q^(2d) entries, so it builds only the scalar tables and walks
 x -> Tx -> T^2 x -> ... up to the first repeat for one vector at a time,
 on tuples of element indices with the field's dot product.  Each budget
-counts the larger of the work and the tables built for it: q^d vectors
-checked or the q^2 entries of a scalar table for `orbref0_contains`, and
+counts the larger of the work and the tables built for it: the q^d vectors
+checked plus every step of their walks, each up to ord(T) long, or the q^2
+entries of a scalar table for `orbref0_contains`, and
 q^(d^2) candidates or the q^(2d) entries of the vector tables for an
 enumeration or a scan.  The tables are the larger only at d = 1, where
 over GF(10007) they alone would hold 10^8 entries.
@@ -445,6 +446,8 @@ def orbref0_contains(T: Matrix, S: Matrix,
     q = T.field.q
     d = T.n
     _charge(q, d, 2, "vector checks", budget)
+    # each check walks up to ord(T) steps, and the budget counts them too
+    steps_left = budget - q ** d
     # only a scalar table: those of GF(q)^d would hold q^(2d) entries
     mul, div, dot = _space(T.field, 1).mul, T.field._div, T.field._dot
     Trows, Srows = ([[s.value for s in row] for row in M.rows] for M in (T, S))
@@ -462,6 +465,10 @@ def orbref0_contains(T: Matrix, S: Matrix,
         seen = set()
         z = image(Trows, x)
         while z not in seen:
+            steps_left -= 1
+            if steps_left < 0:
+                raise BudgetExceeded(f"{q}^{d} vector checks and their walk steps "
+                                     f"exceed the budget of {budget}")
             seen.add(z)
             i = next((i for i, c in enumerate(z) if c), None)
             if i is not None:
@@ -637,8 +644,10 @@ def _classify_chunk(payload) -> list[tuple]:
 
     idx = np.arange(start, stop)
     entries = [idx // q ** pos % q for pos in range(d * d)]
+    # a border is skipped only where it is zero on every matrix of the block
     poly = _berkowitz([entries[i * d:(i + 1) * d] for i in range(d)],
-                      dot, np.array(sp.neg).__getitem__, 1)
+                      dot, np.array(sp.neg).__getitem__, 1,
+                      lambda digits: not digits.any())
     cps = np.stack(np.broadcast_arrays(*reversed(poly)), axis=1).tolist()
     sub = ring.sub
     field_ops = (ring.mul, sub, ring.divx, ring.is_zero)

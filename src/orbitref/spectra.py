@@ -203,7 +203,7 @@ def eigenvalues(M: Matrix) -> EigenResult:
         result = _eigenvalues_numeric(M)
     else:
         c, rows, ring = integer_form(M)
-        xs = _berkowitz(rows, ring.dot, ring.neg, ring.one)
+        xs = _berkowitz(rows, ring.dot, ring.neg, ring.one, ring.is_zero)
         found, rest = _split_roots(xs, ring.candidates(xs), ring.mul, ring.add,
                                    ring.is_zero)
         roots = tuple((Scalar(field, ring.fraction(r, c)), m) for r, m in found)

@@ -308,6 +308,37 @@ def test_cli_answers_within_10_s(tmp_path, argv, data, code):
     assert "Traceback" not in proc.stderr
 
 
+
+def _shear_and_candidate(tmp_path, p):
+    # over GF(p) the candidate passes every vector check, after
+    # p (p^2 - 1) / 2 walk steps in all: about 4.7e6 at p = 211, 4.7e8 at 997
+    return (_write(tmp_path, "t.json", {"field": "gf", "p": p,
+                                        "rows": [["1", "1"], ["0", "1"]]}),
+            _write(tmp_path, "s.json", {"field": "gf", "p": p,
+                                        "rows": [["0", "1"], ["0", "1"]]}))
+
+
+@pytest.mark.parametrize("p,budget", [(211, 10 ** 5), (997, 10 ** 6)])
+def test_oracle_candidate_walk_steps_exceed_budget(tmp_path, p, budget):
+    # the p^2 vector checks fit either budget; their walks do not, and are
+    # refused as they run instead of running for seconds to minutes
+    t_path, s_path = _shear_and_candidate(tmp_path, p)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "orbitref", "oracle", "--input", t_path,
+                           "--candidate", s_path, "--budget", str(budget)],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 4, proc.stderr
+    assert "walk steps exceed the budget" in proc.stderr
+
+
+def test_oracle_candidate_walks_fit_default_budget(tmp_path, capsys):
+    t_path, s_path = _shear_and_candidate(tmp_path, 101)
+    code, out = _run(capsys, ["oracle", "--input", t_path, "--candidate", s_path])
+    assert code == 0
+    assert json.loads(out)["oracle"]["contains"] is True
+
 def test_ffscan_worker_determinism(tmp_path, capsys):
     outputs = []
     for w in ("1", "2", "8"):

@@ -23,7 +23,16 @@ from orbitref import (
     rank,
 )
 from orbitref.errors import OrbitrefError
-from orbitref.linalg import _gint_divx, _int_divx, _split_roots
+from orbitref.linalg import (
+    ZI,
+    ZZ,
+    _bareiss,
+    _berkowitz,
+    _finite_ring,
+    _gint_divx,
+    _int_divx,
+    _split_roots,
+)
 
 
 def _rand_scalar_qi(rng, span=4):
@@ -339,3 +348,216 @@ def test_exact_only_routines_reject_complex():
 def test_matpow_additive_property(a, b, entries):
     M = Matrix.from_values(QQ, [entries[:2], entries[2:]])
     assert matpow(M, a + b) == matpow(M, a) @ matpow(M, b)
+
+
+# -- zero-aware kernels ----------------------------------------------------------
+
+def _eager_bareiss(rows, mul, sub, divx, is_zero):
+    """The elimination `_bareiss` replaced, kept as its reference: every
+    row left is updated at every step, divided by the previous pivot."""
+    live = [(i, list(r)) for i, r in enumerate(rows)]
+    pivots = []
+    prev = None
+    while live:
+        for pos, (i, prow) in enumerate(live):
+            j = next((j for j, x in enumerate(prow) if not is_zero(x)), None)
+            if j is not None:
+                break
+        else:
+            break
+        del live[:pos + 1]
+        pivots.append(i)
+        piv = prow.pop(j)
+        for t, (k, row) in enumerate(live):
+            a = row.pop(j)
+            if prev is None:
+                row = [sub(mul(piv, x), mul(a, y)) for x, y in zip(row, prow)]
+            else:
+                row = [divx(sub(mul(piv, x), mul(a, y)), prev)
+                       for x, y in zip(row, prow)]
+            live[t] = (k, row)
+        prev = piv
+    return len(pivots), pivots
+
+
+def _krylov_berkowitz(rows, dot, neg, one, is_zero=None):
+    """Berkowitz's recursion with every Krylov product made, the reference
+    for `_berkowitz`'s zero-border rule; is_zero is not read."""
+    poly = [one]
+    for k in range(len(rows)):
+        col = [rows[i][k] for i in range(k)]
+        toeplitz = [one, neg(rows[k][k])]
+        for step in range(k):
+            if step:
+                col = [dot(rows[i], col) for i in range(k)]
+            toeplitz.append(neg(dot(rows[k], col)))
+        poly = [dot(poly, toeplitz[j::-1]) for j in range(k + 2)]
+    return poly
+
+
+_SMALL_GAUSSIANS = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if a or b]
+
+# ring, its zero, and a draw of a nonzero element
+_KERNEL_RINGS = {
+    "Z": (ZZ, 0, lambda rng: rng.choice([-3, -2, -1, 1, 2, 3])),
+    "Z[i]": (ZI, (0, 0), lambda rng: rng.choice(_SMALL_GAUSSIANS)),
+    "GF(5)": (_finite_ring(FiniteField(5)), 0, lambda rng: rng.randrange(1, 5)),
+    "GF(7)": (_finite_ring(FiniteField(7)), 0, lambda rng: rng.randrange(1, 7)),
+    "GF(9)": (_finite_ring(FiniteField(3, 2)), 0, lambda rng: rng.randrange(1, 9)),
+}
+
+
+def _sparse_rows(rng, name, m, n, density):
+    ring, zero, draw = _KERNEL_RINGS[name]
+    return [[draw(rng) if rng.random() < density else zero for _ in range(n)]
+            for _ in range(m)]
+
+
+def _bareiss_on(name, rows, kernel):
+    ring = _KERNEL_RINGS[name][0]
+    return kernel(rows, ring.mul, ring.sub, ring.divx, ring.is_zero)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["Z", "Z[i]", "GF(7)", "GF(9)"]), st.integers(1, 7),
+       st.integers(1, 7), st.sampled_from([0.1, 0.2, 0.35, 0.5, 0.75, 1.0]),
+       st.lists(st.sampled_from(["zero", "repeat", "combine"]), max_size=3),
+       st.randoms(use_true_random=False))
+def test_lazy_bareiss_matches_eager(name, m, n, density, extras, rng):
+    ring, zero, draw = _KERNEL_RINGS[name]
+    rows = _sparse_rows(rng, name, m, n, density)
+    for extra in extras:  # zero, repeated and dependent rows
+        if extra == "zero":
+            row = [zero] * n
+        elif extra == "repeat":
+            row = list(rng.choice(rows))
+        else:
+            (a, r), (b, s) = ((draw(rng), rng.choice(rows)) for _ in range(2))
+            row = [ring.add(ring.mul(a, x), ring.mul(b, y)) for x, y in zip(r, s)]
+        rows.insert(rng.randrange(len(rows) + 1), row)
+    assert (_bareiss_on(name, rows, _bareiss)
+            == _bareiss_on(name, rows, _eager_bareiss))
+
+
+@pytest.mark.parametrize("name", ["Z", "Z[i]", "GF(7)", "GF(9)"])
+def test_lazy_bareiss_edge_shapes(name):
+    rng = random.Random(41)
+    zero = _KERNEL_RINGS[name][1]
+    for m, n in ((1, 6), (6, 1), (1, 1)):
+        for density in (0.3, 1.0):
+            rows = _sparse_rows(rng, name, m, n, density)
+            assert (_bareiss_on(name, rows, _bareiss)
+                    == _bareiss_on(name, rows, _eager_bareiss))
+    for m, n in ((1, 1), (1, 5), (5, 1), (4, 4)):
+        assert _bareiss_on(name, [[zero] * n for _ in range(m)], _bareiss) == (0, [])
+
+
+def _jordan_rows(rng, name, sizes):
+    """A lower-chain Jordan assembly over the named ring."""
+    ring, zero, draw = _KERNEL_RINGS[name]
+    n = sum(sizes)
+    rows = [[zero] * n for _ in range(n)]
+    off = 0
+    for m in sizes:
+        lam = draw(rng) if rng.random() < 0.8 else zero
+        for i in range(off, off + m):
+            rows[i][i] = lam
+            if i > off:
+                rows[i][i - 1] = ring.one
+        off += m
+    return rows
+
+
+def _block_triangular_rows(rng, name, sizes):
+    """Dense diagonal blocks, sparse blocks above them and zeros below."""
+    zero = _KERNEL_RINGS[name][1]
+    n = sum(sizes)
+    rows = _sparse_rows(rng, name, n, n, 0.4)
+    starts = [sum(sizes[:b]) for b in range(len(sizes))]
+    full = _sparse_rows(rng, name, n, n, 1.0)
+    for start, m in zip(starts, sizes):
+        for i in range(start, start + m):
+            rows[i][:start] = [zero] * start
+            rows[i][start:start + m] = full[i][start:start + m]
+    return rows
+
+
+@pytest.mark.parametrize("name", ["Z", "Z[i]", "GF(5)"])
+def test_berkowitz_zero_border_matches_krylov(name):
+    ring = _KERNEL_RINGS[name][0]
+    rng = random.Random(43)
+    cases = []
+    for _ in range(12):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+        for rows in (_jordan_rows(rng, name, sizes),
+                     _block_triangular_rows(rng, name, sizes)):
+            cases += [rows, [list(col) for col in zip(*rows)]]
+        n = rng.randint(1, 8)
+        cases += [_sparse_rows(rng, name, n, n, density)
+                  for density in (0.1, 0.25, 0.5, 1.0)]
+    for rows in cases:
+        ops = (ring.dot, ring.neg, ring.one)
+        assert (_berkowitz(rows, *ops, ring.is_zero)
+                == _krylov_berkowitz(rows, *ops)), (name, rows)
+
+
+def test_char_poly_matches_sympy_on_triangular_qi():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(47)
+
+    def value(s):
+        re_part, im_part = s.value
+        return (sympy.Rational(re_part.numerator, re_part.denominator)
+                + sympy.I * sympy.Rational(im_part.numerator, im_part.denominator))
+
+    def entry():
+        return Scalar(QI, tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                for _ in range(2)))
+
+    for d in range(1, 9):
+        for lower in (True, False):
+            M = Matrix(QI, [[entry() if (j <= i if lower else j >= i) else QI.zero()
+                             for j in range(d)] for i in range(d)])
+            ref = sympy.Matrix([[value(s) for s in r] for r in M.rows]).charpoly()
+            ours = [value(c) for c in reversed(char_poly(M).coeffs)]
+            assert all(sympy.expand(a - b) == 0
+                       for a, b in zip(ours, ref.all_coeffs(), strict=True))
+
+
+def test_zero_aware_kernels_do_less_work(monkeypatch):
+    # on J_12(2) - 2 I and its transpose, and on J_12(2) and its transpose,
+    # the kernels make under half the products of their eager references,
+    # so a silent return to dense work fails here
+    from orbitref import linalg
+
+    products = []
+
+    def mul(x, y):
+        products.append(1)
+        return x * y
+
+    def dot(row, col):
+        pairs = list(zip(row, col))
+        products.append(len(pairs))
+        return sum(x * y for x, y in pairs)
+
+    monkeypatch.setitem(linalg._RINGS, QQ.kind, ZZ._replace(mul=mul, dot=dot))
+
+    def count(kernels, call):
+        monkeypatch.setattr(linalg, "_bareiss", kernels[0])
+        monkeypatch.setattr(linalg, "_berkowitz", kernels[1])
+        products.clear()
+        call()
+        return sum(products)
+
+    lazy, eager = (_bareiss, _berkowitz), (_eager_bareiss, _krylov_berkowitz)
+    lam = QQ.from_int(2)
+    for transpose in (False, True):
+        def jordan():
+            # a fresh matrix each call: its integer form is kept on it
+            J = Matrix.jordan_block(QQ, lam, 12)
+            return Matrix(QQ, zip(*J.rows)) if transpose else J
+
+        for call in (lambda: next(linalg.power_ranks(jordan(), lam)),
+                     lambda: char_poly(jordan())):
+            assert count(lazy, call) < count(eager, call) / 2, transpose

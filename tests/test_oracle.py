@@ -46,7 +46,8 @@ def _char_poly_int(sp, digits):
     which runs it on a whole block at once."""
     d = sp.d
     rows = [digits[i * d:(i + 1) * d] for i in range(d)]
-    poly = _berkowitz(rows, lambda r, c: _table_dot(sp, r, c), sp.neg.__getitem__, 1)
+    poly = _berkowitz(rows, lambda r, c: _table_dot(sp, r, c), sp.neg.__getitem__, 1,
+                      lambda x: x == 0)
     return tuple(reversed(poly))
 
 
@@ -129,6 +130,18 @@ def test_contains_budget():
     with pytest.raises(BudgetExceeded):
         orbref0_contains(Matrix.identity(g2, 2), Matrix.identity(g2, 2), budget=3)
 
+
+
+def test_contains_budget_counts_walk_steps():
+    # on the shear over GF(7) the candidate passes all 7^2 vector checks,
+    # whose walks x -> Tx -> T^2 x take 7 (7^2 - 1) / 2 steps in all
+    g7 = FiniteField(7)
+    T = Matrix.from_values(g7, [[1, 1], [0, 1]])
+    S = Matrix.from_values(g7, [[0, 1], [0, 1]])
+    need = 7 ** 2 + 7 * (7 ** 2 - 1) // 2
+    assert orbref0_contains(T, S, budget=need) == (True, None)
+    with pytest.raises(BudgetExceeded, match="walk steps"):
+        orbref0_contains(T, S, budget=need - 1)
 
 def _first_miss_reference(T, S, orbit_sets):
     """The first vector in index order whose S x leaves its orbit set."""
