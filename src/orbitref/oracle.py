@@ -31,12 +31,13 @@ So the verdict is read off the enumerated members and the scaled orbit.
 GF(q) has one coding in the whole package: an element is its index in
 the field's element order, the payload of its Scalar.  A vector of
 GF(q)^d is the from_digits index of its coordinates, and a matrix is the
-tuple of its coded columns.  `_Space` builds the tables once per
-(field, d) and process from the field's operations: the scalar tables
-(add, mul, neg) and the vector tables (addition, scaling and the bitmask
-of each vector's line).  T's powers come from walking each column
-along the vector map of T, T^(n+1) e_j = T (T^n e_j), and the scaled orbit
-is read off the scaling table.  The orbit set of x is the OR of the line
+tuple of its coded columns.  Scalar arithmetic is the field's own, on
+its ring `linalg._finite_ring`.  `_Space` builds the tables of GF(q)^d
+once per (field, d) and process: vector addition, scaling, the bitmask of
+each vector's line, and numpy arrays of the scalar operations for the
+classify pass's gathers.  T's powers come from walking each column along
+the vector map of T, T^(n+1) e_j = T (T^n e_j), and the scaled orbit is
+read off the scaling table.  The orbit set of x is the OR of the line
 masks along the walk x -> Tx -> T^2 x.  Candidates are searched
 depth-first over their columns (the images of the basis vectors), column 0
 outermost: column j ranges over the orbit set of e_j, and once it is fixed
@@ -53,23 +54,22 @@ pass the same checks as every candidate, or the module raises an
 internal error.
 
 `orbref0_contains` tests one candidate.  The vector-addition table alone
-has q^(2d) entries, so it builds only the scalar tables and walks
-x -> Tx -> T^2 x -> ... up to the first repeat for one vector at a time,
-on tuples of element indices with the field's dot product.  Each budget
-counts the larger of the work and the tables built for it: the q^d vectors
-checked plus every step of their walks, each up to ord(T) long, or the q^2
-entries of a scalar table for `orbref0_contains`, and
-q^(d^2) candidates or the q^(2d) entries of the vector tables for an
-enumeration or a scan.  The tables are the larger only at d = 1, where
-over GF(10007) they alone would hold 10^8 entries.
+has q^(2d) entries, so it builds no table and walks x -> Tx -> T^2 x ->
+... up to the first repeat for one vector at a time, on the rows of
+`linalg.integer_form` with the ring's dot, mul and divx.  Each budget
+counts its work: for `orbref0_contains` the q^d vectors checked plus
+every step of their walks, each up to ord(T) long, and for an
+enumeration or a scan the larger of the q^(d^2) candidates and the
+q^(2d) entries of the vector tables.  The tables are the larger only at
+d = 1, where over GF(10007) they alone would hold 10^8 entries.
 
 `scan_space` sweeps every d x d matrix over GF(q) and classifies each by
 the key (cp, r): cp its characteristic polynomial, and r the rank of
 T - aI at the repeated root a of cp, or None when cp has no repeated
 root.  cp is `linalg._berkowitz`, the loop behind `char_poly`, run once
 per block of scan indices on numpy arrays of the block's digits, with
-products and sums gathered from the scalar tables.  What depends on cp
-alone -- whether it splits (`linalg._split_roots`, as in `eigenvalues`),
+products and sums gathered from the space's scalar arrays.  What depends
+on cp alone -- whether it splits (`linalg._split_roots`, as in `eigenvalues`),
 whether it is nilpotent, and its repeated root -- is worked out once per
 distinct cp of a chunk, on the field's ring `linalg._finite_ring`.  r is
 `linalg._bareiss`, the package's one elimination, on that ring.  At
@@ -149,7 +149,7 @@ from .errors import (
     WrongField,
 )
 from .fields import KIND_FINITE, FiniteField, Scalar, from_digits, to_digits
-from .linalg import Matrix, Ring, _bareiss, _berkowitz, _finite_ring, _split_roots
+from .linalg import Matrix, Ring, _bareiss, _berkowitz, _finite_ring, _split_roots, integer_form
 
 DEFAULT_CONTAINS_BUDGET = 10 ** 6
 DEFAULT_ENUM_BUDGET = 2 ** 24
@@ -178,21 +178,21 @@ def _vector_add_table(add, q: int, d: int) -> list[list[int]]:
 
 class _Space:
     """GF(q)^d with each vector coded as the from_digits index of its
-    coordinates, and the tables the oracle reads: scalar add, mul and neg,
-    vector addition, scaling and the bitmask of each vector's line.
-    `_space` builds one per (field, d) and process, on first use."""
+    coordinates, its tables (vector addition, scaling, the bitmask of each
+    vector's line) and the classify pass's numpy gathers of scalar add, mul
+    and neg.  `_space` builds one per (field, d) and process, on first use."""
 
     def __init__(self, field: FiniteField, d: int):
         q = field.q
         self.field, self.q, self.d, self.n = field, q, d, q ** d
-        add, mul, els = field._add, field._mul, range(q)
-        self.add = [[add(a, b) for b in els] for a in els]
-        self.mul = [[mul(a, b) for b in els] for a in els]
-        self.neg = [field._neg(a) for a in els]
-        self.vadd = _vector_add_table(self.add, q, d)
+        els = range(q)
+        add = [[field._add(a, b) for b in els] for a in els]
+        mul = [[field._mul(a, b) for b in els] for a in els]
+        self.gathers = tuple(map(np.array, (add, mul, [field._neg(a) for a in els])))
+        self.vadd = _vector_add_table(add, q, d)
         # scale[v][c] is the index of c * v
         self.scale = [[from_digits([row[a] for a in to_digits(v, q, d)], q)
-                       for row in self.mul] for v in range(self.n)]
+                       for row in mul] for v in range(self.n)]
         self.line = [sum(1 << w for w in set(multiples)) for multiples in self.scale]
         # the vectors whose highest nonzero coordinate is j, as
         # (x, rest, c) with x = rest + c * e_j
@@ -224,9 +224,9 @@ def _space(field: FiniteField, d: int) -> _Space:
     return _Space(field, d)
 
 
-def _charge(q: int, units: int, tables: int, what: str, budget: int):
-    """Refuse q^units units of work, or the q^tables table entries built
-    for it, past the budget; the message names the larger count."""
+def _charge(q: int, units: int, what: str, budget: int, tables: int = 0):
+    """Refuse q^units units of work, or the q^tables vector-table entries
+    built for it, past the budget; the message names the larger count."""
     n, what = (units, what) if units >= tables else (tables, "table entries")
     if q ** n > budget:
         raise BudgetExceeded(f"{q}^{n} {what} exceed the budget of {budget}")
@@ -445,37 +445,34 @@ def orbref0_contains(T: Matrix, S: Matrix,
         raise ShapeMismatch(f"dims {S.n} vs {T.n}")
     q = T.field.q
     d = T.n
-    _charge(q, d, 2, "vector checks", budget)
+    _charge(q, d, "vector checks", budget)
     # each check walks up to ord(T) steps, and the budget counts them too
     steps_left = budget - q ** d
-    # only a scalar table: those of GF(q)^d would hold q^(2d) entries
-    mul, div, dot = _space(T.field, 1).mul, T.field._div, T.field._dot
-    Trows, Srows = ([[s.value for s in row] for row in M.rows] for M in (T, S))
-
-    def image(rows, x):
-        return tuple(dot(row, x) for row in rows)
-
+    # no tables: those of GF(q)^d would hold q^(2d) entries
+    _, Trows, ring = integer_form(T)
+    Srows, mul, div, dot = integer_form(S).rows, ring.mul, ring.divx, ring.dot
     for code in range(q ** d):
         x = to_digits(code, q, d)
-        y = image(Srows, x)
-        if not any(y):
+        y = [dot(row, x) for row in Srows]
+        i = next((i for i, c in enumerate(y) if c), None)
+        if i is None:
             continue  # lam = 0 always fits
         # walk z = Tx, T^2 x, ... up to the first repeat: y must be a
-        # multiple lam * z, with lam read off z's first nonzero coordinate
+        # multiple lam * z, and as y_i != 0 at y's first nonzero coordinate
+        # i, lam is y_i / z_i
         seen = set()
-        z = image(Trows, x)
+        z = tuple([dot(row, x) for row in Trows])
         while z not in seen:
             steps_left -= 1
             if steps_left < 0:
                 raise BudgetExceeded(f"{q}^{d} vector checks and their walk steps "
                                      f"exceed the budget of {budget}")
             seen.add(z)
-            i = next((i for i, c in enumerate(z) if c), None)
-            if i is not None:
-                row = mul[div(y[i], z[i])]
-                if tuple(row[c] for c in z) == y:
+            if z[i]:
+                lam = div(y[i], z[i])
+                if [mul(lam, c) for c in z] == y:
                     break
-            z = image(Trows, z)
+            z = tuple([dot(row, z) for row in Trows])
         else:
             return False, tuple(map(T.field.scalar, x))
     return True, None
@@ -535,7 +532,7 @@ def _column_search(T: Matrix, budget: int) -> _ColumnSearch:
     _require_finite(T)
     q = T.field.q
     d = T.n
-    _charge(q, d * d, 2 * d, "candidates", budget)
+    _charge(q, d * d, "candidates", budget, tables=2 * d)
     sp = _space(T.field, d)
     return _ColumnSearch(sp, sp.encode(T))
 
@@ -626,15 +623,14 @@ def _classify_chunk(payload) -> list[tuple]:
     Berkowitz's recursion has no divisions and no branches, so one
     `linalg._berkowitz` call runs it on every matrix of the block at once:
     each entry is the array of its scan digits over the block, and a dot
-    product is a gather from the scalar tables.  The facts that depend only
-    on the characteristic polynomial cp come from `_cp_facts` once per
-    distinct cp of the chunk.  The key is the module docstring's (cp, r),
-    with r by `linalg._bareiss` on the field's ring."""
-    (p, k, modulus, d, start, stop, nilpotent_only) = payload
-    field = FiniteField(p, k, modulus)
+    product is a gather from the space's scalar arrays.  The facts that
+    depend only on the characteristic polynomial cp come from `_cp_facts`
+    once per distinct cp of the chunk.  The key is the module docstring's
+    (cp, r), with r by `linalg._bareiss` on the field's ring."""
+    (field, d, start, stop, nilpotent_only) = payload
     sp, ring = _space(field, d), _finite_ring(field)
     q = sp.q
-    add, mul = np.array(sp.add), np.array(sp.mul)
+    add, mul, neg = sp.gathers
 
     def dot(r, c):
         acc = 0
@@ -646,7 +642,7 @@ def _classify_chunk(payload) -> list[tuple]:
     entries = [idx // q ** pos % q for pos in range(d * d)]
     # a border is skipped only where it is zero on every matrix of the block
     poly = _berkowitz([entries[i * d:(i + 1) * d] for i in range(d)],
-                      dot, np.array(sp.neg).__getitem__, 1,
+                      dot, neg.__getitem__, 1,
                       lambda digits: not digits.any())
     cps = np.stack(np.broadcast_arrays(*reversed(poly)), axis=1).tolist()
     sub = ring.sub
@@ -674,8 +670,8 @@ def _classify_chunk(payload) -> list[tuple]:
 
 def _enumerate_one(payload) -> tuple:
     """Full enumeration of one matrix: (orbref0, forb, rigidity_ok)."""
-    (p, k, modulus, d, idx, rigidity) = payload
-    sp = _space(FiniteField(p, k, modulus), d)
+    (field, d, idx, rigidity) = payload
+    sp = _space(field, d)
     search = _ColumnSearch(sp, _scan_cols(to_digits(idx, sp.q, d * d), sp.q, d))
     size, forb = search.count(), search.forb
     # forb lies inside OrbRef0, so no member outside it means size == |forb|
@@ -683,20 +679,20 @@ def _enumerate_one(payload) -> tuple:
     return (size, len(forb), rig_ok)
 
 
-def _scaling_class(mul, key) -> tuple:
+def _scaling_class(mul, q: int, key) -> tuple:
     """The least lam-scaling of cp over lam in GF(q)*, with the rank r of
-    key = (cp, r), on the scalar multiplication table mul.  det(tI - lam T)
+    key = (cp, r), on the field's multiplication mul.  det(tI - lam T)
     is lam^m cp(t / lam), so scaling T by lam multiplies coefficient i of
     the degree-m cp (constant first) by lam^(m-i), and it moves the
     repeated root a to lam a, where lam T - lam a I has the rank of
     T - aI."""
     cp, rank = key
     scalings = []
-    for lam in range(1, len(mul)):
+    for lam in range(1, q):
         powers = [1]  # lam^0, lam^1, ... as element indices
         for _ in cp[1:]:
-            powers.append(mul[powers[-1]][lam])
-        scalings.append(tuple(mul[powers[len(cp) - 1 - i]][c] for i, c in enumerate(cp)))
+            powers.append(mul(powers[-1], lam))
+        scalings.append(tuple(mul(powers[len(cp) - 1 - i], c) for i, c in enumerate(cp)))
     return min(scalings), rank
 
 
@@ -816,7 +812,7 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
     if d > 3:
         raise ValueError("scan_space supports d <= 3")
     q = field.q
-    _charge(q, d * d, 2 * d, "candidates per matrix", budget)
+    _charge(q, d * d, "candidates per matrix", budget, tables=2 * d)
     # results do not depend on the worker count, and processes past the
     # CPUs this process may use would only add forks
     workers = min(workers, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -827,7 +823,7 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
     pending = ([i for i in range(scan_total) if i not in cached] if cached
                else range(scan_total))
 
-    params = (field.p, field.k, field.modulus, d)
+    params = (field, d)
     work = len(pending) * d * d * (1 if dedup else q ** d)  # see _FORK_MIN_WORK
     # one fork pool serves both passes; map keeps payload order, so the
     # results are the same for any worker count
@@ -842,11 +838,11 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
         # every matrix
         reps: dict[tuple, int] = {}
         if dedup:
-            mul = _space(field, 1).mul
+            mul = _finite_ring(field).mul
             first: dict[tuple, int] = {}
             for idx, key, _, _ in info:
                 if key not in reps:
-                    reps[key] = first.setdefault(_scaling_class(mul, key), idx)
+                    reps[key] = first.setdefault(_scaling_class(mul, q, key), idx)
             targets = sorted(first.values())
         else:
             targets = [idx for idx, *_ in info]

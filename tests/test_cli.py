@@ -285,9 +285,10 @@ def test_ffscan_rejects_non_prime_power(capsys):
                   "rows": [["0", "0", "175"], ["1", "0", "999908"], ["0", "1", "17"]]}, 0),
     (["jordan"], {"field": "gf", "p": 1000003,
                   "rows": [["0", "0", "2"], ["1", "0", "0"], ["0", "1", "0"]]}, 3),
-    # 1x1 over GF(10007): few candidates, but q^2 entries in each scalar table
+    # 1x1 over GF(10007): few candidates, but q^2 entries in the vector
+    # tables of an enumeration or a scan; a candidate check builds none
     (["decide"], {"field": "gf", "p": 10007, "rows": [["5"]]}, 4),
-    (["oracle", "--candidate", "m.json"], {"field": "gf", "p": 10007, "rows": [["5"]]}, 4),
+    (["oracle", "--candidate", "m.json"], {"field": "gf", "p": 10007, "rows": [["5"]]}, 0),
     (["ffscan", "--q", "10007", "--d", "1", "--no-cache"], None, 4),
 ], ids=["jordan-mersenne-square", "gf-above-primality-bound", "ffscan-large-prime",
         "ffscan-mersenne-prime", "ffscan-above-primality-bound", "jordan-gf-large-prime-split",

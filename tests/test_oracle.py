@@ -32,10 +32,12 @@ def _scan_matrix(field, d, idx):
 
 
 def _table_dot(sp, r, c):
-    """The sum of r_i * c_i over element indices, on the scalar tables."""
+    """The sum of r_i * c_i over element indices, gathered one matrix at a
+    time from the space's scalar arrays."""
+    add, mul, _ = sp.gathers
     acc = 0
     for a, b in zip(r, c):
-        acc = sp.add[acc][sp.mul[a][b]]
+        acc = int(add[acc, mul[a, b]])
     return acc
 
 
@@ -46,8 +48,8 @@ def _char_poly_int(sp, digits):
     which runs it on a whole block at once."""
     d = sp.d
     rows = [digits[i * d:(i + 1) * d] for i in range(d)]
-    poly = _berkowitz(rows, lambda r, c: _table_dot(sp, r, c), sp.neg.__getitem__, 1,
-                      lambda x: x == 0)
+    poly = _berkowitz(rows, lambda r, c: _table_dot(sp, r, c),
+                      lambda a: int(sp.gathers[2][a]), 1, lambda x: x == 0)
     return tuple(reversed(poly))
 
 
@@ -177,16 +179,14 @@ def test_contains_agrees_with_enumeration_per_class(field):
 
 
 def test_contains_large_field_builds_no_vector_tables(monkeypatch):
-    # q^(2d) = 10^8 over GF(101)^2: the membership walk reads scalar tables only
+    # q^(2d) = 10^8 over GF(101)^2: the membership walk runs on the field's
+    # ring and builds no space, not even the q^2-entry tables of GF(q)^1
     from orbitref import oracle
 
-    build = oracle._vector_add_table
+    def no_space(field, d):
+        raise AssertionError(f"the tables of {field.name}^{d} were built")
 
-    def scalar_only(add, q, d):
-        assert d == 1, f"a GF({q})^{d} vector table was built"
-        return build(add, q, d)
-
-    monkeypatch.setattr(oracle, "_vector_add_table", scalar_only)
+    monkeypatch.setattr(oracle, "_Space", no_space)
     oracle._space.cache_clear()
     g101 = FiniteField(101)
     T = Matrix.from_values(g101, [[2, 0], [0, 3]])
@@ -195,6 +195,12 @@ def test_contains_large_field_builds_no_vector_tables(monkeypatch):
                                    Matrix.from_values(g101, [[1, 0], [0, 0]]))
     assert not ok
     assert [str(v) for v in failing] == ["1", "1"]
+    # the GF(997) shear candidate passes every check only after about 4.7e8
+    # walk steps; the 997^2 checks leave 5991 of the budget to walk
+    g997 = FiniteField(997)
+    with pytest.raises(BudgetExceeded, match="walk steps"):
+        orbref0_contains(Matrix.from_values(g997, [[1, 1], [0, 1]]),
+                         Matrix.from_values(g997, [[0, 1], [0, 1]]), budget=10 ** 6)
 
 
 # -- enumeration ------------------------------------------------------------------
@@ -419,8 +425,7 @@ def _class_inputs(field, d):
     from orbitref.oracle import _classify_chunk
 
     reps = {}
-    for idx, key, _, _ in _classify_chunk(
-            (field.p, field.k, field.modulus, d, 0, field.q ** (d * d), False)):
+    for idx, key, _, _ in _classify_chunk((field, d, 0, field.q ** (d * d), False)):
         reps.setdefault(key, idx)
     return [_scan_matrix(field, d, idx) for idx in reps.values()]
 
@@ -975,7 +980,7 @@ def test_classify_split_matches_eigenvalues(field, d):
     from orbitref.oracle import _classify_chunk
 
     total = field.q ** (d * d)
-    rows = _classify_chunk((field.p, field.k, field.modulus, d, 0, total, False))
+    rows = _classify_chunk((field, d, 0, total, False))
     assert [row[0] for row in rows] == list(range(total))
     flags = [row[2] for row in rows]
     assert flags == [eigenvalues(_scan_matrix(field, d, idx)).split
@@ -996,7 +1001,7 @@ def test_classify_square_free_shortcut_keeps_every_key(field, d):
     from orbitref.oracle import _classify_chunk
 
     total = field.q ** (d * d)
-    rows = _classify_chunk((field.p, field.k, field.modulus, d, 0, total, False))
+    rows = _classify_chunk((field, d, 0, total, False))
     assert [row[0] for row in rows] == list(range(total))
     for idx, key, _, _ in rows:
         assert key == _reference_key(field, d, idx), idx
@@ -1007,12 +1012,11 @@ def _gl_generators(field, d):
     the transvections I + c E_ij for i != j and c over the GF(p)-basis
     1, x, ..., x^(k-1) of GF(q), and diag(g, 1, ..., 1) for a primitive g.
     Index 0 is the field's zero, index 1 its one, and x^e has index p^e."""
-    sc = _space(field, 1)
 
     def order(g):
         n, y = 1, g
         while y != 1:
-            n, y = n + 1, sc.mul[y][g]
+            n, y = n + 1, field._mul(y, g)
         return n
 
     def identity():
@@ -1022,11 +1026,11 @@ def _gl_generators(field, d):
     for c in (field.p ** e for e in range(field.k)):
         for i, j in permutations(range(d), 2):
             P, Pinv = identity(), identity()
-            P[i][j], Pinv[i][j] = c, sc.neg[c]
+            P[i][j], Pinv[i][j] = c, field._neg(c)
             pairs.append((P, Pinv))
     g = next(g for g in range(1, field.q) if order(g) == field.q - 1)
     P, Pinv = identity(), identity()
-    P[0][0], Pinv[0][0] = g, sc.mul[g].index(1)
+    P[0][0], Pinv[0][0] = g, field._div(1, g)
     return pairs + [(P, Pinv)]
 
 
@@ -1046,11 +1050,10 @@ def test_classify_key_fixes_similarity_class(field, d):
     q = field.q
     total = q ** (d * d)
     ids: dict = {}
-    key_id = np.array([ids.setdefault(key, len(ids)) for _, key, _, _ in _classify_chunk(
-        (field.p, field.k, field.modulus, d, 0, total, False))])
+    key_id = np.array([ids.setdefault(key, len(ids))
+                       for _, key, _, _ in _classify_chunk((field, d, 0, total, False))])
     assert len(ids) == sum(q ** e for e in range(1, d + 1))
-    sc = _space(field, 1)
-    add, mul = np.array(sc.add), np.array(sc.mul)
+    add, mul, _ = _space(field, d).gathers
 
     def matmul(A, B):
         out = [[0] * d for _ in range(d)]
@@ -1093,8 +1096,7 @@ def test_classify_block_matches_per_matrix_reference(field, d, start, stop, nilp
         if nil or not nilpotent_only:
             expect.append((idx, _reference_key(field, d, idx), split, nil))
     assert expect
-    assert _classify_chunk((field.p, field.k, field.modulus, d, start, stop,
-                            nilpotent_only)) == expect
+    assert _classify_chunk((field, d, start, stop, nilpotent_only)) == expect
 
 
 @pytest.mark.parametrize("field,d", [(FiniteField(p, k), 2) for p, k in
@@ -1105,17 +1107,17 @@ def test_classify_block_matches_per_matrix_reference(field, d, start, stop, nilp
 def test_enumeration_is_constant_on_scaling_classes(field, d):
     # lam T has the OrbRef0, scaled orbit and rigidity verdict of T, so
     # every similarity class of one scaling class enumerates alike
+    from orbitref.linalg import _finite_ring
     from orbitref.oracle import _classify_chunk, _enumerate_one, _scaling_class
 
-    mul = _space(field, 1).mul
+    mul = _finite_ring(field).mul
     reps = {}
-    for idx, key, _, _ in _classify_chunk(
-            (field.p, field.k, field.modulus, d, 0, field.q ** (d * d), False)):
+    for idx, key, _, _ in _classify_chunk((field, d, 0, field.q ** (d * d), False)):
         reps.setdefault(key, idx)
     verdicts = {}
     for key, idx in reps.items():
-        verdicts.setdefault(_scaling_class(mul, key), set()).add(
-            _enumerate_one((field.p, field.k, field.modulus, d, idx, True)))
+        verdicts.setdefault(_scaling_class(mul, field.q, key), set()).add(
+            _enumerate_one((field, d, idx, True)))
     assert all(len(found) == 1 for found in verdicts.values())
     if field.q > 2:
         assert len(verdicts) < len(reps)
