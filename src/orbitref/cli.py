@@ -38,11 +38,19 @@ from .deciders import (
 )
 from .errors import (
     BudgetExceeded,
+    NoStockModulus,
     NotSplit,
     OrbitrefError,
     ParseError,
 )
-from .fields import KIND_COMPLEX, KIND_FINITE, KIND_GAUSSIAN, KIND_RATIONALS, FiniteField
+from .fields import (
+    CONWAY_POLYNOMIALS,
+    KIND_COMPLEX,
+    KIND_FINITE,
+    KIND_GAUSSIAN,
+    KIND_RATIONALS,
+    FiniteField,
+)
 from .fileio import (
     MatrixFile,
     escalate_field,
@@ -435,7 +443,11 @@ def cmd_ffscan(args) -> int:
     _check_budget(args)
     try:
         field = FiniteField(p, k)
-    except ValueError as exc:  # no stock modulus for this q
+    except NoStockModulus as exc:
+        stock = ", ".join(map(str, sorted(a ** b for a, b in CONWAY_POLYNOMIALS)))
+        raise ParseError(f"no stock irreducible polynomial for GF({p}^{k}); ffscan "
+                         f"scans the stock extension fields q = {stock}") from exc
+    except ValueError as exc:  # q past the bound of an extension field
         raise ParseError(str(exc)) from exc
     cache = None
     if not args.no_cache:

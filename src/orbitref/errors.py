@@ -47,6 +47,12 @@ class NotPrime(OrbitrefError):
     """A prime was required."""
 
 
+class NoStockModulus(ValueError):
+    """GF(p^k), k >= 2, was asked for without a modulus, and there is no
+    stock polynomial for it.  A ValueError, like FiniteField's other
+    parameter errors, so that callers can say how to give one."""
+
+
 class BudgetExceeded(OrbitrefError):
     """An exhaustive computation would exceed the configured budget."""
 

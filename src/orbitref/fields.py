@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import Any, ClassVar, Optional
 
 from ._gaussint import gadd, gmul, gneg, gsub, is_prime
-from .errors import DivisionByZero, MixedFields, NotPrime, ParseError, WrongField
+from .errors import DivisionByZero, MixedFields, NoStockModulus, NotPrime, ParseError, WrongField
 
 KIND_RATIONALS = "q"
 KIND_GAUSSIAN = "qi"
@@ -410,7 +410,7 @@ class FiniteField(Field):
             if m is None:
                 m = CONWAY_POLYNOMIALS.get((self.p, self.k))
                 if m is None:
-                    raise ValueError(
+                    raise NoStockModulus(
                         f"no stock irreducible polynomial for GF({self.p}^{self.k}); "
                         "pass modulus= explicitly"
                     )

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
-from .errors import NotPrime, OrbitrefError, ParseError
+from .errors import NoStockModulus, NotPrime, OrbitrefError, ParseError
 from .fields import (
     KIND_COMPLEX,
     KIND_FINITE,
@@ -83,6 +83,9 @@ def _build_field(code: str, p: Optional[int], k: Optional[int],
         mod = parse_gf_modulus(p, modulus) if modulus else None
         try:
             return FiniteField(p, kk, mod)
+        except NoStockModulus as exc:
+            raise ParseError(f"no stock irreducible polynomial for GF({p}^{kk}); "
+                             'give one in the file\'s "modulus" key') from exc
         except (NotPrime, ValueError) as exc:
             raise ParseError(str(exc)) from exc
     raise ParseError(f"unknown field code {code!r}; use one of {FIELD_CODES}")

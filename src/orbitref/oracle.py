@@ -38,7 +38,10 @@ each vector's line, and numpy arrays of the scalar operations for the
 classify pass's gathers.  T's powers come from walking each column along
 the vector map of T, T^(n+1) e_j = T (T^n e_j), and the scaled orbit is
 read off the scaling table.  The orbit set of x is the OR of the line
-masks along the walk x -> Tx -> T^2 x.  Candidates are searched
+masks along the walk x -> Tx -> T^2 x, so it is the line of Tx joined
+to the orbit set of Tx, and a vector on a cycle of x -> Tx has the lines
+of its whole cycle: the sets of all vectors come out of one pass that
+visits each vector once.  Candidates are searched
 depth-first over their columns (the images of the basis vectors), column 0
 outermost: column j ranges over the orbit set of e_j, and once it is fixed
 every vector x whose highest nonzero coordinate is j is checked, with its
@@ -47,9 +50,13 @@ A failed check drops every candidate sharing the prefix at once.  A check
 whose orbit set is the whole space can never fail and is dropped; once no
 check is left the remaining columns combine freely, so a T transitive on
 lines has every candidate as a member without a walk.  |OrbRef0(T)| is counted
-without listing the members; `enumerate_orbref0` walks the search for its
-members and its difference from the scaled orbit only as far as a caller
-reads them, and decodes Matrix objects only then.  The scaled orbit must
+without listing the members.  An orbit set is a union of lines, so for
+lam != 0, lam S is a member exactly when S is: while columns 0..j-1 are
+zero, the count tries column j at zero and at the least nonzero vector of
+each line, and counts each such subtree q - 1 times.  `enumerate_orbref0`
+walks the search for its members and its difference from the scaled
+orbit only as far as a caller reads them, and decodes Matrix objects only
+then; a slice reads only the members it returns.  The scaled orbit must
 pass the same checks as every candidate, or the module raises an
 internal error.
 
@@ -194,6 +201,8 @@ class _Space:
         self.scale = [[from_digits([row[a] for a in to_digits(v, q, d)], q)
                        for row in mul] for v in range(self.n)]
         self.line = [sum(1 << w for w in set(multiples)) for multiples in self.scale]
+        # least[v]: v is nonzero and the least index on its line
+        self.least = [0 < v == min(multiples[1:]) for v, multiples in enumerate(self.scale)]
         # the vectors whose highest nonzero coordinate is j, as
         # (x, rest, c) with x = rest + c * e_j
         self.levels = [[(x, x % q ** j, x // q ** j) for x in range(q ** j, q ** (j + 1))]
@@ -245,18 +254,31 @@ def _positive_powers(powers, tail: int):
 def _orbit_masks(sp: _Space, timg: list[int]) -> list[int]:
     """Bit v of masks[x] says v = lam * T^n x for some lam and n >= 1: the
     OR of the lines met along the walk x -> Tx -> T^2 x -> ... under the
-    vector map timg of T, up to its first repeat."""
+    vector map timg of T, up to its first repeat.  The walk from x goes on
+    as the walk from Tx, so masks[x] = line[Tx] | masks[Tx], and a vector
+    on a cycle of the map gets the OR of the lines of its whole cycle.
+    Each vector is visited once."""
     line = sp.line
-    masks = []
+    masks = [-1] * sp.n
+    walk_of = [-1] * sp.n  # the start of the walk that met each vector
     for x in range(sp.n):
-        seen = set()
-        m = 0
-        y = timg[x]
-        while y not in seen:
-            seen.add(y)
-            m |= line[y]
+        path = []
+        y = x
+        while masks[y] < 0 and walk_of[y] != x:
+            walk_of[y] = x
+            path.append(y)
             y = timg[y]
-        masks.append(m)
+        if masks[y] < 0:  # the walk closed a cycle at y
+            cyc = path[path.index(y):]
+            del path[-len(cyc):]
+            m = 0
+            for v in cyc:
+                m |= line[v]
+            for v in cyc:
+                masks[v] = m
+        for v in reversed(path):
+            y = timg[v]
+            masks[v] = line[y] | masks[y]
     return masks
 
 
@@ -344,8 +366,8 @@ class _ColumnSearch:
 
     def members(self) -> Iterator[tuple[int, ...]]:
         """The members one at a time, column-coded, in product order over
-        the columns."""
-        return self._walk(0, (), [0] * self.sp.n)
+        the columns.  The walk starts at the first member read."""
+        yield from self._walk(0, (), [0] * self.sp.n)
 
     def _walk(self, j: int, prefix: tuple[int, ...], img: list[int]):
         if j == self.depth:
@@ -356,9 +378,20 @@ class _ColumnSearch:
                 yield from self._walk(j + 1, prefix + (col,), img)
 
     def count(self) -> int:
-        """The number of members, without listing them."""
-        return self._count(0, prod(len(cols) for cols in self.allowed[self.depth:]),
-                           [0] * self.sp.n)
+        """The number of members, without listing them.  Orbit sets are
+        unions of lines, so lam S is a member exactly when S is (lam != 0).
+        So while columns 0..j-1 are zero, a nonzero column j is tried only
+        where it is least on its line, and its subtree counts q - 1 times."""
+        q, least, img = self.sp.q, self.sp.least, [0] * self.sp.n
+        free = prod(len(cols) for cols in self.allowed[self.depth:])
+        total = free  # every column that a check reads is zero
+        for j in range(self.depth):
+            total += (q - 1) * sum(self._count(j + 1, free, img) for col in self.allowed[j]
+                                   if least[col] and self._fits(j, col, img))
+            # column j is zero from here on: a zero column always fits
+            # below a zero prefix, and it resets level j's images to zero
+            self._fits(j, 0, img)
+        return total
 
     def _count(self, j: int, free: int, img: list[int]) -> int:
         # free: the number of ways to fill the columns that no check reads
@@ -481,7 +514,8 @@ def orbref0_contains(T: Matrix, S: Matrix,
 class _Decoded(Sequence):
     """`size` column-coded matrices of one space, drawn from an iterator only
     as far as a caller reads and decoded to Matrix on access, so a caller
-    that reads a few of them walks and decodes only those."""
+    that reads a few of them walks and decodes only those, and an empty
+    slice walks nothing."""
 
     def __init__(self, sp: _Space, size: int, coded: Iterator):
         self._sp, self._size, self._source = sp, size, coded
@@ -496,9 +530,10 @@ class _Decoded(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            start, stop, step = i.indices(self._size)
-            self._read(max(start + 1, stop))
-            return tuple(self._sp.decode(self._coded[j]) for j in range(start, stop, step))
+            wanted = range(*i.indices(self._size))
+            if wanted:
+                self._read(max(wanted[0], wanted[-1]) + 1)
+            return tuple(self._sp.decode(self._coded[j]) for j in wanted)
         if i < 0:
             i += self._size
         if not 0 <= i < self._size:

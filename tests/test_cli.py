@@ -558,6 +558,23 @@ def test_ffscan_p_k_flags(capsys):
     capsys.readouterr()
 
 
+def test_unsupported_extension_field_names_what_to_give(tmp_path, capsys):
+    # ffscan has no modulus option, so it names the fields it can scan
+    assert main(["ffscan", "--q", "32", "--d", "1", "--no-cache"]) == 2
+    err = capsys.readouterr().err
+    assert "GF(2^5)" in err and "q = 4, 8, 9, 16, 25, 27, 49, 121, 169" in err
+    assert "modulus=" not in err
+    # a matrix file names its field, so it can give the modulus itself
+    g32 = {"field": "gf", "p": 2, "k": 5, "rows": [["1", "1"], ["0", "1"]]}
+    assert main(["oracle", "--input", _write(tmp_path, "g32.json", g32)]) == 2
+    err = capsys.readouterr().err
+    assert '"modulus" key' in err and "modulus=" not in err
+    path = _write(tmp_path, "g32m.json", {**g32, "modulus": "x^5+x^2+1"})
+    code, out = _run(capsys, ["jordan", "--input", path])
+    assert code == 0
+    assert json.loads(out)["input"]["echo"]["modulus"] == "x^5+x^2+1"
+
+
 DATA = pathlib.Path(__file__).parent / "data"
 
 

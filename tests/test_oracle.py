@@ -470,6 +470,113 @@ def test_column_search_matches_product_scan_on_companions_and_chains():
         _assert_search_matches_product_scan(T)
 
 
+@pytest.mark.parametrize("field,d", [(FiniteField(2, 3), 2), (FiniteField(3, 2), 2),
+                                     (FiniteField(3), 3)], ids=["gf8-d2", "gf9-d2", "gf3-d3"])
+def test_count_matches_the_member_walk_per_class(field, d):
+    from orbitref.oracle import _ColumnSearch
+
+    sp = _space(field, d)
+    for T in _class_inputs(field, d):
+        search = _ColumnSearch(sp, sp.encode(T))
+        assert search.count() == len(list(search.members())), T.to_strings()
+
+
+def test_count_pinned_sizes():
+    from orbitref.oracle import _ColumnSearch
+
+    J = Matrix.jordan_block
+    g8, g9, g5, g7 = FiniteField(2, 3), FiniteField(3, 2), FiniteField(5), FiniteField(7)
+    for T, size in ((J(g8, 0, 3), 71),
+                    (Matrix.block_diag([J(g9, 1, 2), J(g9, 0, 1)]), 25),
+                    (Matrix.block_diag([J(g5, 1, 2), J(g5, 2, 1)]), 321),
+                    (J(g7, 3, 2), 295)):
+        sp = _space(T.field, T.n)
+        assert _ColumnSearch(sp, sp.encode(T)).count() == size, T.to_strings()
+
+
+def test_count_tries_one_nonzero_column_per_line_below_a_zero_prefix(monkeypatch):
+    # members are closed under scaling, so column 0 is tried at zero and at
+    # the least vector of each line, and that subtree counts q - 1 times
+    from orbitref.oracle import _ColumnSearch
+
+    g7 = FiniteField(7)
+    sp = _space(g7, 2)
+    search = _ColumnSearch(sp, sp.encode(Matrix.jordan_block(g7, 3, 2)))
+    tried = []
+    fits = _ColumnSearch._fits
+
+    def spy(self, j, col, img):
+        tried.append((j, col))
+        return fits(self, j, col, img)
+
+    monkeypatch.setattr(_ColumnSearch, "_fits", spy)
+    assert search.count() == 295
+    first = sorted(col for j, col in tried if j == 0)
+    assert first == [0] + [v for v in search.allowed[0] if sp.least[v]]
+
+
+def _orbit_masks_walk(sp, timg):
+    """The per-vector walk that `_orbit_masks` replaced: for each x, the OR
+    of the lines met along x -> Tx -> T^2 x -> ... up to the first repeat."""
+    masks = []
+    for x in range(sp.n):
+        seen, m, y = set(), 0, timg[x]
+        while y not in seen:
+            seen.add(y)
+            m |= sp.line[y]
+            y = timg[y]
+        masks.append(m)
+    return masks
+
+
+class _CountedReads(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("field,d", [(FiniteField(7), 2), (FiniteField(3), 3)])
+def test_orbit_masks_match_the_per_vector_walk(field, d):
+    from orbitref.oracle import _orbit_masks
+
+    sp = _space(field, d)
+    for T in _class_inputs(field, d):
+        timg = _CountedReads(sp.vector_map(sp.encode(T)))
+        masks = _orbit_masks(sp, timg)
+        # one pass: each image is read once on the walk that meets it and
+        # once more to fill a vector off the cycles
+        assert timg.reads <= 2 * sp.n, T.to_strings()
+        assert masks == _orbit_masks_walk(sp, timg), T.to_strings()
+
+
+def test_member_slices_walk_only_the_members_they_return(monkeypatch):
+    from orbitref.oracle import _ColumnSearch
+
+    walks = []
+    walk = _ColumnSearch._walk
+
+    def spy(self, j, prefix, img):
+        walks.append(j)
+        return walk(self, j, prefix, img)
+
+    monkeypatch.setattr(_ColumnSearch, "_walk", spy)
+    g4, g2 = FiniteField(2, 2), FiniteField(2)
+    equal = enumerate_orbref0(Matrix.from_values(g4, [[1, 1], [0, 1]]))
+    assert equal.equal and equal.difference[:5] == ()
+    assert walks == []
+    shear = enumerate_orbref0(Matrix.from_values(g2, [[1, 1], [0, 1]]))
+    assert shear.members[:0] == () and shear.difference[3:1] == ()
+    assert walks == []
+    assert [S.to_strings() for S in shear.difference[:3]] == [
+        [["0", "0"], ["0", "1"]], [["0", "1"], ["0", "1"]]]
+    assert walks
+    assert shear.members[2::-1] == tuple(reversed(shear.members[:3]))
+
+
 @pytest.mark.parametrize("field,d", [(FiniteField(3), 2), (FiniteField(2, 2), 2),
                                      (FiniteField(2), 3)])
 def test_rigidity_violations_match_reference_search(field, d):
