@@ -10,7 +10,8 @@ Commands
     demo-counterexample  factorial-power truncation demo, exact arithmetic
 
 Exit codes: 0 ok, 2 parse error, 3 characteristic polynomial does not split
-(escalate with --field qi or --field c64), 4 budget exceeded, 5 internal.
+(over Q escalate with --field qi or --field c64, over Q(i) with --field c64;
+GF(q) has no wider field), 4 budget exceeded, 5 internal.
 Reports carry no timestamps: identical invocations (same seed/parameters)
 are byte-identical, for ffscan regardless of worker count.
 """
@@ -52,6 +53,7 @@ from .fields import (
     FiniteField,
 )
 from .fileio import (
+    _ESCALATION,
     MatrixFile,
     escalate_field,
     load_matrix_file,
@@ -72,6 +74,10 @@ EXIT_PARSE = 2
 EXIT_NOT_SPLIT = 3
 EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
+
+# the exit-3 hint's name for each field a matrix can be escalated to
+_WIDER_FIELDS = {KIND_GAUSSIAN: "--field qi (exact Gaussian rationals)",
+                 KIND_COMPLEX: "--field c64 (floating complex)"}
 
 _PROPERTY_ALIASES = {
     "reflexive": PROP_REFLEXIVE,
@@ -499,8 +505,10 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except NotSplit as exc:
         print(f"orbitref: {exc}", file=sys.stderr)
-        print("hint: escalate the field with --field qi (exact Gaussian "
-              "rationals) or --field c64 (floating complex)", file=sys.stderr)
+        wider = " or ".join(name for target, name in _WIDER_FIELDS.items()
+                            if (exc.residual.field.kind, target) in _ESCALATION)
+        if wider:  # a GF(q) matrix escalates to no field
+            print(f"hint: escalate the field with {wider}", file=sys.stderr)
         return EXIT_NOT_SPLIT
     except BudgetExceeded as exc:
         print(f"orbitref: budget exceeded: {exc}", file=sys.stderr)

@@ -20,8 +20,9 @@ element's k little-endian coefficients, the order of ``elements()``.  The
 operations on these ints come from ``_gf_ops``, once per (p, k, modulus)
 and process: ints mod p over GF(p), and over GF(p^k), k >= 2, exp/log
 tables of a primitive element with Zech's logarithm for sums (XOR when
-p = 2), which bound q by GF_TABLE_BOUND.  `linalg` and `oracle` run
-GF(q) on these operations and no others.
+p = 2), which bound q by GF_TABLE_BOUND.  The tables and the modulus
+check take their polynomial products and remainders from `_poly`.
+`linalg` and `oracle` run GF(q) on these operations and no others.
 """
 
 from __future__ import annotations
@@ -31,9 +32,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import dropwhile
 from typing import Any, ClassVar, Optional
 
 from ._gaussint import gadd, gmul, gneg, gsub, is_prime
+from ._poly import format_poly, pmul, pseudo_divmod
 from .errors import DivisionByZero, MixedFields, NoStockModulus, NotPrime, ParseError, WrongField
 
 KIND_RATIONALS = "q"
@@ -98,40 +101,24 @@ def from_digits(digits, base: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over GF(p), little-endian integer coefficient tuples
+# polynomials over GF(p): `_poly` over Z, reduced mod p, exact for the monic
+# divisors here; a modulus is little-endian like an element's digits
 # ---------------------------------------------------------------------------
 
-def _prem_modp(a, m, p) -> list[int]:
-    """a mod the monic m over GF(p), for a with coefficients in [0, p)."""
-    a = list(a)
-    while len(a) >= len(m):
-        top = a.pop()  # top x^shift m cancels it
-        shift = len(a) - len(m) + 1
-        for i, c in enumerate(m[:-1], shift):
-            a[i] = (a[i] - top * c) % p
-    return a
-
-
+@lru_cache(maxsize=None)
 def _is_irreducible_modp(m: tuple[int, ...], p: int) -> bool:
-    """Brute-force irreducibility: no monic divisor of degree 1..deg//2."""
+    """Brute-force irreducibility of the monic m: no monic divisor of degree
+    1..deg//2.  Kept per (m, p), as every FiniteField checks its modulus."""
     deg = len(m) - 1
-    if deg < 1 or m[-1] % p == 0:
-        return False
+    mod = m[::-1]
     for dd in range(1, deg // 2 + 1):
         # all monic divisor candidates of degree dd
         for idx in range(p ** dd):
-            if not any(_prem_modp(m, to_digits(idx, p, dd) + (1,), p)):
+            divisor = (1,) + to_digits(idx, p, dd)[::-1]
+            rest = pseudo_divmod(mod, divisor, operator.mul, operator.sub)[1]
+            if not any(c % p for c in rest):
                 return False
     return True
-
-
-def _pmul_modp(a, b, p) -> list[int]:
-    """The product of two polynomials over GF(p), not reduced mod m."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b, i):
-            out[j] = (out[j] + x * y) % p
-    return out
 
 
 def _primitive_powers(p: int, k: int, m) -> list[int]:
@@ -140,12 +127,16 @@ def _primitive_powers(p: int, k: int, m) -> list[int]:
     polynomial products mod m.  x is primitive under a Conway modulus, but
     need not be under another: over GF(3), mod x^2 + 1, it has order 4."""
     q = p ** k
+    mod = m[::-1]
     for g in range(1, q):
-        g_digits = to_digits(g, p, k)
-        powers, power = [1], (1,)
+        # g's coefficients leading first, without the zeros above its degree
+        g_coeffs = list(dropwhile(operator.not_, reversed(to_digits(g, p, k))))
+        powers, power = [1], [1]
         while True:
-            power = _prem_modp(_pmul_modp(power, g_digits, p), m, p)
-            index = from_digits(power, p)
+            product = pmul(power, g_coeffs, operator.mul, operator.add)
+            rest = pseudo_divmod(product, mod, operator.mul, operator.sub)[1]
+            power = [c % p for c in rest]
+            index = from_digits(power[::-1], p)
             if index == 1:
                 break
             powers.append(index)
@@ -483,18 +474,11 @@ class FiniteField(Field):
         return [self.scalar(i) for i in range(self.q)]
 
 
-def format_gf_poly(coeffs) -> str:
-    terms = []
-    for e in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[e]
-        if c == 0:
-            continue
-        if e == 0:
-            terms.append(str(c))
-        else:
-            xpart = "x" if e == 1 else f"x^{e}"
-            terms.append(xpart if c == 1 else f"{c}{xpart}")
-    return "+".join(terms) if terms else "0"
+@lru_cache(maxsize=None)
+def format_gf_poly(coeffs: tuple[int, ...]) -> str:
+    """The polynomial in x with these little-endian GF(p) coefficients: an
+    element's text, or a modulus's, kept per coefficient tuple."""
+    return format_poly([str(c) for c in reversed(coeffs)], "x")
 
 
 def parse_gf_modulus(p: int, text: str) -> tuple[int, ...]:

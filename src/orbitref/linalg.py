@@ -13,7 +13,7 @@ by c^k.  Three kernels, one loop each, run on any integral domain given
 by its operations: Berkowitz's division-free recursion `_berkowitz` for
 characteristic polynomials, fraction-free (Bareiss) elimination
 `_bareiss` for exact ranks and pivot rows, and synthetic division
-`_split_roots` for the roots among the ring's candidates.  Q, Q(i) and
+`_poly.split_roots` for the roots among the ring's candidates.  Q, Q(i) and
 GF(q) run them on their rings; the oracle's scan runs Berkowitz on numpy
 arrays of element indices, gathered from its GF(q) tables, and the other
 two on the GF(q) ring.  The first two skip work that is provably zero,
@@ -25,10 +25,12 @@ O(n^3).  `power_ranks` gives the ranks of the
 powers of M - lam I along a row chain: the pivot rows of one power times
 M - lam I span the next power's row space, so no full power is ever
 formed or eliminated.  Over Z and Z[i] the subresultant remainder
-sequence `_squarefree_part` gives the square-free part whose roots the
-sieve lifts; over GF(q) every element is a candidate.  Floating complex
-matrices route rank questions through an SVD whose threshold comes from
-the field descriptor, never from call sites.
+sequence `_poly.squarefree_part` gives the square-free part whose roots
+the sieve lifts; over GF(q) every element is a candidate.  `_poly` holds
+the package's one copy of polynomial arithmetic, coefficients leading
+first; a `Polynomial` keeps its coefficients from the constant term up.
+Floating complex matrices route rank questions through an SVD whose
+threshold comes from the field descriptor, never from call sites.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import count
 from math import lcm
 from typing import Any, Callable, NamedTuple
@@ -44,6 +46,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from . import _gaussint as gi
+from ._poly import format_poly, squarefree_part
 from .errors import (
     MixedFields,
     NumericKindUnsupported,
@@ -257,49 +260,8 @@ class Polynomial:
     field: Field
     coeffs: tuple[Scalar, ...]
 
-    @classmethod
-    def from_scalars(cls, field: Field, coeffs) -> "Polynomial":
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero:
-            coeffs.pop()
-        return cls(field, tuple(coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for e in range(self.degree, -1, -1):
-            c = self.coeffs[e]
-            if c.is_zero:
-                continue
-            cs = str(c)
-            if e == 0:
-                term = cs
-            else:
-                tpart = "t" if e == 1 else f"t^{e}"
-                if cs == "1":
-                    term = tpart
-                elif cs == "-1":
-                    term = f"-{tpart}"
-                else:
-                    term = f"{cs}{tpart}" if _is_simple_coeff(cs) else f"({cs}){tpart}"
-            if parts and not term.startswith("-"):
-                parts.append("+" + term)
-            else:
-                parts.append(term)
-        return "".join(parts)
-
-
-def _is_simple_coeff(cs: str) -> bool:
-    return "+" not in cs[1:] and "-" not in cs[1:]
+        return format_poly([str(c) for c in reversed(self.coeffs)], "t")
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +376,7 @@ def _int_candidates(xs) -> list[int]:
     """A superset of the roots in Z of the monic xs over Z (leading first),
     ascending: the real Gaussian-integer roots of its square-free part that
     `_gaussint.gaussian_roots` lifts."""
-    square_free = [(x, 0) for x in _squarefree_part(xs, ZZ)]
+    square_free = [(x, 0) for x in squarefree_part(xs, ZZ)]
     return sorted(re_part for re_part, im_part in gi.gaussian_roots(square_free)
                   if not im_part)
 
@@ -423,7 +385,7 @@ def _gint_candidates(xs) -> list[gi.Gint]:
     """A superset of the roots in Z[i] of the monic xs over Z[i] (leading
     first), by norm, real and imaginary part: the roots of its square-free
     part that `_gaussint.gaussian_roots` lifts."""
-    return sorted(gi.gaussian_roots(_squarefree_part(xs, ZI)), key=gi.gkey)
+    return sorted(gi.gaussian_roots(squarefree_part(xs, ZI)), key=gi.gkey)
 
 
 class Ring(NamedTuple):
@@ -617,89 +579,13 @@ def _berkowitz(rows, dot, neg, one, is_zero) -> list:
     return poly
 
 
-def _split_roots(poly, candidates, mul, add, is_zero) -> tuple[list, list]:
-    """Divide t - x out of poly (coefficients leading first) as often as it
-    divides, for each candidate x in turn, by synthetic division on the
-    ring operations `mul`, `add` and `is_zero`.  Returns the roots found
-    with their multiplicities, in candidate order, and the quotient left
-    over (leading first; [lead] when poly splits over the candidates)."""
-    roots = []
-    rest = list(poly)
-    for x in candidates:
-        if len(rest) == 1:
-            break  # split: no candidate is left to divide out
-        mult = 0
-        while len(rest) > 1:
-            acc = rest[0]
-            quot = [acc]
-            for c in rest[1:]:
-                acc = add(mul(acc, x), c)
-                quot.append(acc)
-            if not is_zero(quot.pop()):  # the remainder rest(x)
-                break
-            rest = quot
-            mult += 1
-        if mult:
-            roots.append((x, mult))
-    return roots, rest
-
-
-def _pseudo_remainder(a, b, ring: Ring) -> list:
-    """lead(b)^(deg a - deg b + 1) a mod b, leading first, without leading
-    zeros."""
-    mul, sub = ring.mul, ring.sub
-    rest = list(a)
-    for _ in range(len(a) - len(b) + 1):
-        top = rest[0]
-        rest = [mul(b[0], x) for x in rest[1:]]
-        for j, y in enumerate(b[1:]):
-            rest[j] = sub(rest[j], mul(top, y))
-    while rest and ring.is_zero(rest[0]):
-        rest.pop(0)
-    return rest
-
-
-def _squarefree_part(poly, ring: Ring) -> list:
-    """poly / gcd(poly, poly') for a monic poly over Z or Z[i] (leading
-    first): monic, with the same roots, each simple.  The gcd is the last
-    term of the subresultant remainder sequence (Brown-Traub), made monic;
-    every divx is exact, the monic gcd of a monic polynomial having
-    integral coefficients by Gauss's lemma."""
-    mul, divx, one = ring.mul, ring.divx, ring.one
-
-    def power(x, k):
-        return reduce(mul, [x] * k, one)
-
-    n = len(poly) - 1
-    a = poly
-    b = [ring.scale(n - k, x) for k, x in enumerate(poly[:-1])]
-    g = h = one
-    while True:
-        delta = len(a) - len(b)
-        rest = _pseudo_remainder(a, b, ring)
-        if not rest:
-            break
-        a, b = b, [divx(x, mul(g, power(h, delta))) for x in rest]
-        g = a[0]
-        if delta:
-            h = divx(power(g, delta), power(h, delta - 1))
-    gcd = [divx(x, b[0]) for x in b]
-    # the quotient by the monic gcd, by long division in place
-    quot = list(poly)
-    m = len(poly) - len(gcd) + 1
-    for i in range(m):
-        for j, y in enumerate(gcd[1:], i + 1):
-            quot[j] = ring.sub(quot[j], mul(quot[i], y))
-    return quot[:m]
-
-
 def _divide_back(field: Field, ring: Ring, xs, c: int) -> Polynomial:
     """The polynomial x(c t) / c^m over the field, for the coefficients xs
     (leading first, degree m) of x(t) over its ring: its t^(m-k)
     coefficient is xs[k] / c^k.  Applied to det(tI - c M) it gives
-    det(tI - M), and to a factor of it the matching factor."""
+    det(tI - M), and to a factor of it the matching factor; xs[0] is one."""
     coeffs = [Scalar(field, ring.fraction(x, c ** k)) for k, x in enumerate(xs)]
-    return Polynomial.from_scalars(field, reversed(coeffs))
+    return Polynomial(field, tuple(reversed(coeffs)))
 
 
 def char_poly(M: Matrix) -> Polynomial:

@@ -76,7 +76,7 @@ T - aI at the repeated root a of cp, or None when cp has no repeated
 root.  cp is `linalg._berkowitz`, the loop behind `char_poly`, run once
 per block of scan indices on numpy arrays of the block's digits, with
 products and sums gathered from the space's scalar arrays.  What depends
-on cp alone -- whether it splits (`linalg._split_roots`, as in `eigenvalues`),
+on cp alone -- whether it splits (`_poly.split_roots`, as in `eigenvalues`),
 whether it is nilpotent, and its repeated root -- is worked out once per
 distinct cp of a chunk, on the field's ring `linalg._finite_ring`.  r is
 `linalg._bareiss`, the package's one elimination, on that ring.  At
@@ -156,7 +156,8 @@ from .errors import (
     WrongField,
 )
 from .fields import KIND_FINITE, FiniteField, Scalar, from_digits, to_digits
-from .linalg import Matrix, Ring, _bareiss, _berkowitz, _finite_ring, _split_roots, integer_form
+from ._poly import split_roots
+from .linalg import Matrix, Ring, _bareiss, _berkowitz, _finite_ring, integer_form
 
 DEFAULT_CONTAINS_BUDGET = 10 ** 6
 DEFAULT_ENUM_BUDGET = 2 ** 24
@@ -644,12 +645,11 @@ def _scan_cols(digits, q: int, d: int) -> tuple[int, ...]:
 
 def _cp_facts(ring: Ring, cp: tuple[int, ...]) -> tuple[bool, bool, Optional[int]]:
     """(split, nilpotent, repeated root) for the characteristic polynomial cp
-    (constant first) over the GF(q) ring: the repeated root is the root of
+    (leading first) over the GF(q) ring: the repeated root is the root of
     multiplicity >= 2, or None.  At d <= 3 cp has at most one."""
-    xs = cp[::-1]
-    roots, rest = _split_roots(xs, ring.candidates(xs), ring.mul, ring.add,
-                               ring.is_zero)
-    return (len(rest) == 1, not any(cp[:-1]),
+    roots, rest = split_roots(cp, ring.candidates(cp), ring.mul, ring.add,
+                              ring.is_zero)
+    return (len(rest) == 1, not any(cp[1:]),
             next((a for a, mult in roots if mult > 1), None))
 
 
@@ -679,7 +679,7 @@ def _classify_chunk(payload) -> list[tuple]:
     poly = _berkowitz([entries[i * d:(i + 1) * d] for i in range(d)],
                       dot, neg.__getitem__, 1,
                       lambda digits: not digits.any())
-    cps = np.stack(np.broadcast_arrays(*reversed(poly)), axis=1).tolist()
+    cps = np.stack(np.broadcast_arrays(*poly), axis=1).tolist()
     sub = ring.sub
     field_ops = (ring.mul, sub, ring.divx, ring.is_zero)
     facts: dict[tuple, tuple[bool, bool, Optional[int]]] = {}
@@ -718,7 +718,7 @@ def _scaling_class(mul, q: int, key) -> tuple:
     """The least lam-scaling of cp over lam in GF(q)*, with the rank r of
     key = (cp, r), on the field's multiplication mul.  det(tI - lam T)
     is lam^m cp(t / lam), so scaling T by lam multiplies coefficient i of
-    the degree-m cp (constant first) by lam^(m-i), and it moves the
+    cp (leading first), that of t^(m-i), by lam^i, and it moves the
     repeated root a to lam a, where lam T - lam a I has the rank of
     T - aI."""
     cp, rank = key
@@ -727,7 +727,7 @@ def _scaling_class(mul, q: int, key) -> tuple:
         powers = [1]  # lam^0, lam^1, ... as element indices
         for _ in cp[1:]:
             powers.append(mul(powers[-1], lam))
-        scalings.append(tuple(mul(powers[len(cp) - 1 - i], c) for i, c in enumerate(cp)))
+        scalings.append(tuple(mul(power, c) for power, c in zip(powers, cp)))
     return min(scalings), rank
 
 

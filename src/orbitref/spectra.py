@@ -14,7 +14,7 @@ the sizes, so a simple eigenvalue takes no elimination and a lone chain
 one.  Complex input gets SVD ranks of every full ndarray power.
 
 Exact eigenvalues come from one synthetic-division sieve,
-`linalg._split_roots`, on the same ring: it divides det(tI - B) by t - r
+`_poly.split_roots`, on the same ring: it divides det(tI - B) by t - r
 for the ring's candidates r = c lam.  Over Q and Q(i) they are the roots
 of the monic square-free part, lifted p-adically from GF(p^2)
 (`_gaussint`), so nothing is factored; over GF(p^k) they are all q
@@ -42,6 +42,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from ._poly import split_roots
 from .errors import FiniteFieldUnsupported, NotSplit, OrbitrefError
 from .fields import (
     KIND_COMPLEX,
@@ -52,8 +53,8 @@ from .fields import (
     Scalar,
     as_gaussian_pair,
 )
-from .linalg import (Matrix, Polynomial, _berkowitz, _divide_back, _split_roots,
-                     integer_form, power_ranks, to_ndarray)
+from .linalg import (Matrix, Polynomial, _berkowitz, _divide_back, integer_form,
+                     power_ranks, to_ndarray)
 
 _MACH_EPS = float(np.finfo(float).eps)
 
@@ -186,7 +187,7 @@ class EigenResult:
 
 def eigenvalues(M: Matrix) -> EigenResult:
     """Exact roots with multiplicities over Q, Q(i) and GF(q) by one
-    synthetic-division sieve, `linalg._split_roots`; numeric clusters over
+    synthetic-division sieve, `_poly.split_roots`; numeric clusters over
     C.  The exact kinds divide det(tI - B) of the integer form B = c M by
     t - r for each of its ring's candidates r = c lam, and divide the roots
     and the residual back: over Q and Q(i) the (Gaussian) integer roots of
@@ -204,8 +205,8 @@ def eigenvalues(M: Matrix) -> EigenResult:
     else:
         c, rows, ring = integer_form(M)
         xs = _berkowitz(rows, ring.dot, ring.neg, ring.one, ring.is_zero)
-        found, rest = _split_roots(xs, ring.candidates(xs), ring.mul, ring.add,
-                                   ring.is_zero)
+        found, rest = split_roots(xs, ring.candidates(xs), ring.mul, ring.add,
+                                  ring.is_zero)
         roots = tuple((Scalar(field, ring.fraction(r, c)), m) for r, m in found)
         split = len(rest) == 1
         result = EigenResult(roots, split,

@@ -59,6 +59,26 @@ def test_jordan_not_split_exit_3(tmp_path, capsys):
     assert "--field qi" in err
 
 
+@pytest.mark.parametrize("data,hint", [
+    ({"field": "q", "rows": [["0", "2"], ["1", "0"]]},
+     "hint: escalate the field with --field qi (exact Gaussian rationals) or "
+     "--field c64 (floating complex)\n"),
+    ({"field": "qi", "rows": [["0", "3"], ["1", "0"]]},
+     "hint: escalate the field with --field c64 (floating complex)\n"),
+    # qi and c64 both refuse a GF(q) matrix with exit 2
+    ({"field": "gf", "p": 5, "rows": [["0", "2"], ["1", "0"]]}, ""),
+], ids=["q", "qi", "gf"])
+def test_not_split_hint_names_only_fields_that_take_the_input(tmp_path, capsys, data,
+                                                              hint):
+    path = _write(tmp_path, "m.json", data)
+    assert main(["jordan", "--input", path]) == 3
+    message, _, rest = capsys.readouterr().err.partition("\n")
+    assert message.startswith("orbitref: characteristic polynomial does not split")
+    assert rest == hint
+    for field in re.findall(r"--field (\w+)", hint):
+        assert main(["jordan", "--input", path, "--field", field]) != 2
+
+
 def test_field_escalation_resolves_not_split(tmp_path, capsys):
     path = _write(tmp_path, "rot.json", ROTATION_Q)
     code, out = _run(capsys, ["jordan", "--input", path, "--field", "qi"])
@@ -654,16 +674,14 @@ def test_decide_builds_the_witness_once(capsys, monkeypatch):
 def test_gf_decide_sieves_once(tmp_path, capsys, monkeypatch, data):
     # the profile and the algebraic verdict read one eigenvalue sieve, kept
     # on the matrix
-    from orbitref import linalg, spectra
+    from orbitref import _poly, spectra
 
     calls = []
-    original = linalg._split_roots
 
     def counted(*args):
         calls.append(args)
-        return original(*args)
-    monkeypatch.setattr(linalg, "_split_roots", counted)
-    monkeypatch.setattr(spectra, "_split_roots", counted)  # its own reference
+        return _poly.split_roots(*args)
+    monkeypatch.setattr(spectra, "split_roots", counted)
     code, out = _run(capsys, ["decide", "--input", _write(tmp_path, "m.json", data)])
     assert code == 0
     report = json.loads(out)

@@ -20,7 +20,7 @@ from orbitref import (
     WrongField,
 )
 from orbitref._gaussint import is_prime
-from orbitref.fields import CONWAY_POLYNOMIALS
+from orbitref.fields import CONWAY_POLYNOMIALS, _is_irreducible_modp, to_digits
 from orbitref.spectra import _modulus_sq
 
 
@@ -313,6 +313,34 @@ def test_bad_field_parameters():
     for tol in (0.0, 1.0, 1e300, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             ComplexFloats(tol=tol)
+
+
+def _monic_polys(p, deg):
+    """Every monic polynomial of this degree over GF(p), little-endian."""
+    return [to_digits(i, p, deg) + (1,) for i in range(p ** deg)]
+
+
+def _product_modp(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p,top", [(2, 8), (3, 5), (5, 3), (7, 3)])
+def test_modulus_validation_matches_factor_search(p, top):
+    # a monic polynomial is reducible exactly when it is the product of two
+    # monic ones of degree >= 1; FiniteField refuses exactly those moduli
+    for deg in range(1, top + 1):
+        reducible = {_product_modp(f, g, p)
+                     for low in range(1, deg // 2 + 1)
+                     for f in _monic_polys(p, low) for g in _monic_polys(p, deg - low)}
+        for m in _monic_polys(p, deg):
+            assert _is_irreducible_modp(m, p) == (m not in reducible), m
+            if deg >= 2 and m in reducible:
+                with pytest.raises(ValueError, match="reducible"):
+                    FiniteField(p, deg, m)
 
 
 def test_parse_errors():

@@ -42,7 +42,7 @@ def _table_dot(sp, r, c):
 
 
 def _char_poly_int(sp, digits):
-    """Characteristic polynomial coefficients (constant first, monic) of the
+    """Characteristic polynomial coefficients (leading first, monic) of the
     matrix with row-major element indices `digits`: `linalg._berkowitz` on
     the table ints of one matrix, the reference for the classify pass,
     which runs it on a whole block at once."""
@@ -50,7 +50,7 @@ def _char_poly_int(sp, digits):
     rows = [digits[i * d:(i + 1) * d] for i in range(d)]
     poly = _berkowitz(rows, lambda r, c: _table_dot(sp, r, c),
                       lambda a: int(sp.gathers[2][a]), 1, lambda x: x == 0)
-    return tuple(reversed(poly))
+    return tuple(poly)
 
 
 def _reference_key(field, d, idx):
@@ -1043,7 +1043,7 @@ def test_gf_ring_kernels_match_brute_force(field, d):
     for idx in range(q ** (d * d)):
         digits = to_digits(idx, q, d * d)
         M = _scan_matrix(field, d, idx)
-        cp = tuple(c.value for c in char_poly(M).coeffs)
+        cp = tuple(c.value for c in reversed(char_poly(M).coeffs))
         assert cp == _char_poly_int(sp, digits)
         roots = [lam for lam, _ in eigenvalues(M).roots]
         for lam in [field.zero()] + roots:
@@ -1074,7 +1074,7 @@ def test_int_kernel_polynomials_match_matrix_level():
                 digits = [s.value for row in M.rows for s in row]
                 cp_int = _char_poly_int(sp, digits)
                 cp = char_poly(M)
-                assert [els[c] for c in cp_int] == list(cp.coeffs)
+                assert [els[c] for c in reversed(cp_int)] == list(cp.coeffs)
                 assert _poly_at(cp.coeffs, M).is_zero  # Cayley-Hamilton
 
 
