@@ -29,14 +29,21 @@ def pseudo_divmod(a, b, mul, sub) -> tuple[list, list]:
     pseudo-division on the ring operations mul and sub; for a monic b they
     are the plain quotient and remainder.  r keeps the len(b) - 1
     coefficients below deg b, leading zeros included, or is a itself when
-    deg a < deg b."""
+    deg a < deg b.  A lead with lead^2 = lead is one, the only nonzero
+    idempotent of an integral domain, and scales nothing: a step then
+    makes deg b products."""
     lead = b[0]
+    monic = mul(lead, lead) == lead
     quot, rest = [], list(a)
     for _ in range(len(a) - len(b) + 1):
         # lead rest = top t^m b + (lead rest - top t^m b), m = deg rest - deg b
         top = rest[0]
-        quot = [mul(lead, x) for x in quot] + [top]
-        rest = [mul(lead, x) for x in rest[1:]]
+        if monic:
+            quot.append(top)
+            rest = rest[1:]
+        else:
+            quot = [mul(lead, x) for x in quot] + [top]
+            rest = [mul(lead, x) for x in rest[1:]]
         for j, y in enumerate(b[1:]):
             rest[j] = sub(rest[j], mul(top, y))
     return quot, rest

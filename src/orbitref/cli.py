@@ -53,7 +53,6 @@ from .fields import (
     FiniteField,
 )
 from .fileio import (
-    _ESCALATION,
     MatrixFile,
     escalate_field,
     load_matrix_file,
@@ -505,8 +504,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except NotSplit as exc:
         print(f"orbitref: {exc}", file=sys.stderr)
-        wider = " or ".join(name for target, name in _WIDER_FIELDS.items()
-                            if (exc.residual.field.kind, target) in _ESCALATION)
+        wider = " or ".join(map(_WIDER_FIELDS.get, exc.residual.field.wider))
         if wider:  # a GF(q) matrix escalates to no field
             print(f"hint: escalate the field with {wider}", file=sys.stderr)
         return EXIT_NOT_SPLIT

@@ -62,13 +62,6 @@ class CounterexampleVector:
     def is_zero(self) -> bool:
         return not self.shift and not self.diag
 
-    def describe(self) -> dict:
-        return {
-            "shift": [str(c) for c in self.shift],
-            "diag": [[str(c), phase, k + 1]
-                     for k, (c, phase) in enumerate(self.diag)],
-        }
-
 
 def _trim_shift(coeffs) -> tuple[Scalar, ...]:
     coeffs = list(coeffs)

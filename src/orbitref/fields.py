@@ -13,7 +13,19 @@ Q(i) payloads ride on arbitrary-precision ``Fraction``s, so the fraction
 blow-up from conjugated matrices cannot overflow.  Exact payloads are
 immutable and hashable; equality is exact for exact kinds.  Floating
 complex scalars are never compared with ``==`` in decision paths -- the
-field's ``close`` predicate is the only comparison surface.
+field's ``near`` predicate is the only comparison surface.
+
+What differs by kind beyond arithmetic is told by four members of each
+field, and no caller tests ``kind`` for it:
+
+    wider           the kinds its matrices can be reinterpreted over, in
+                    the order the exit-3 hint offers them: (qi, c64) for Q,
+                    (c64,) for Q(i), () for GF(q) and C
+    to_complex(x)   the payload's complex value; GF(q) has none
+    modulus_sq(x)   |x|^2: a Fraction over Q and Q(i), a float over C,
+                    None over GF(q)
+    near(x, y)      equality of payloads: ``==`` on exact kinds, over C
+                    |x - y| <= tol * max(1, |x|, |y|)
 
 A GF(p^k) payload is an int in [0, q): the from_digits index of the
 element's k little-endian coefficients, the order of ``elements()``.  The
@@ -210,9 +222,12 @@ def _gf_ops(p: int, k: int, m) -> dict:
 # ---------------------------------------------------------------------------
 
 class Field:
-    """Common surface of the scalar-field descriptors."""
+    """Common surface of the scalar-field descriptors.  The defaults of the
+    per-kind members are those of GF(q): it widens to no field, and its
+    payloads have no complex value and no modulus."""
 
     kind: ClassVar[str]
+    wider: ClassVar[tuple[str, ...]] = ()
 
     def scalar(self, payload) -> "Scalar":
         return Scalar(self, payload)
@@ -232,11 +247,21 @@ class Field:
     def describe(self) -> dict:
         return {"field": self.kind}
 
+    def to_complex(self, x) -> complex:
+        raise WrongField(f"{self.name} scalar has no complex value")
+
+    def modulus_sq(self, x):
+        return None
+
+    def near(self, x, y) -> bool:
+        return x == y
+
 
 @dataclass(frozen=True)
 class Rationals(Field):
     kind: ClassVar[str] = KIND_RATIONALS
     name: ClassVar[str] = "Q"
+    wider: ClassVar[tuple[str, ...]] = (KIND_GAUSSIAN, KIND_COMPLEX)
 
     def _zero(self):
         return Fraction(0)
@@ -274,6 +299,12 @@ class Rationals(Field):
     def format(self, x) -> str:
         return str(x)
 
+    def to_complex(self, x) -> complex:
+        return complex(float(x))
+
+    def modulus_sq(self, x) -> Fraction:
+        return x * x
+
 
 def _split_real_imag(body: str, float_mode: bool) -> tuple[str, str]:
     """Split "<re><+-im>" at the last sign that is not a leading sign or an
@@ -299,6 +330,7 @@ def _frac_or_unit(text: str) -> Fraction:
 class GaussianRationals(Field):
     kind: ClassVar[str] = KIND_GAUSSIAN
     name: ClassVar[str] = "Q(i)"
+    wider: ClassVar[tuple[str, ...]] = (KIND_COMPLEX,)
 
     def _zero(self):
         return (Fraction(0), Fraction(0))
@@ -345,6 +377,13 @@ class GaussianRationals(Field):
         if a == 0:
             return imag
         return f"{a}+{imag}" if b > 0 else f"{a}{imag}"
+
+    def to_complex(self, x) -> complex:
+        return complex(float(x[0]), float(x[1]))
+
+    def modulus_sq(self, x) -> Fraction:
+        a, b = x
+        return a * a + b * b
 
 
 _GF_TERM = re.compile(r"^(-?\d+|-)?\*?x(?:\^(\d+))?$")
@@ -538,11 +577,17 @@ class ComplexFloats(Field):
         return -x
 
     def _is_zero(self, x):
-        # structural zero test; decision paths use close()
+        # structural zero test; decision paths use near()
         return x == 0
 
-    def close(self, x, y) -> bool:
+    def near(self, x, y) -> bool:
         return abs(x - y) <= self.tol * max(1.0, abs(x), abs(y))
+
+    def to_complex(self, x) -> complex:
+        return complex(x)
+
+    def modulus_sq(self, x) -> float:
+        return abs(x) ** 2
 
     def _parse(self, text):
         try:
@@ -654,25 +699,12 @@ class Scalar:
 
 
 def embed(a: Scalar, target: Field) -> Scalar:
-    """Value-preserving embedding along Q -> Q(i) -> C."""
+    """Value-preserving embedding along Q -> Q(i) -> C, into a field whose
+    kind `a.field.wider` names."""
     if a.field == target:
         return a
-    src = a.field.kind
-    dst = target.kind
-    if src == KIND_RATIONALS and dst == KIND_GAUSSIAN:
-        return Scalar(target, (a.value, Fraction(0)))
-    if src == KIND_RATIONALS and dst == KIND_COMPLEX:
-        return Scalar(target, complex(float(a.value), 0.0))
-    if src == KIND_GAUSSIAN and dst == KIND_COMPLEX:
-        re_part, im_part = a.value
-        return Scalar(target, complex(float(re_part), float(im_part)))
-    raise WrongField(f"no embedding from {a.field.name} into {target.name}")
-
-
-def as_gaussian_pair(a: Scalar) -> tuple[Fraction, Fraction]:
-    """(re, im) of an exact rational or Gaussian-rational scalar."""
-    if a.field.kind == KIND_RATIONALS:
-        return (a.value, Fraction(0))
-    if a.field.kind == KIND_GAUSSIAN:
-        return a.value
-    raise WrongField(f"{a.field.name} scalar has no exact Gaussian form")
+    if target.kind not in a.field.wider:
+        raise WrongField(f"no embedding from {a.field.name} into {target.name}")
+    if target.kind == KIND_COMPLEX:
+        return Scalar(target, a.field.to_complex(a.value))
+    return Scalar(target, (a.value, Fraction(0)))  # Q into Q(i)

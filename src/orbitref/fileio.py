@@ -137,25 +137,15 @@ def load_matrix_file(path: str) -> MatrixFile:
     return load_matrix_data(data)
 
 
-_ESCALATION = {
-    (KIND_RATIONALS, KIND_GAUSSIAN),
-    (KIND_RATIONALS, KIND_COMPLEX),
-    (KIND_GAUSSIAN, KIND_COMPLEX),
-}
-
-
 def escalate_field(mf: MatrixFile, target_code: str,
                    tol: Optional[float] = None) -> MatrixFile:
     """Reinterpret a loaded matrix over a wider field (q -> qi -> c64)."""
     if target_code == mf.field.kind:
         return mf
-    if (mf.field.kind, target_code) not in _ESCALATION:
+    if target_code not in mf.field.wider:
         raise ParseError(
             f"cannot reinterpret a {mf.field.kind} matrix as {target_code}")
-    if target_code == KIND_GAUSSIAN:
-        field: Field = QI
-    else:
-        field = _complex_field(tol)
+    field = _build_field(target_code, None, None, tol, None)
     matrix = embed_matrix(mf.matrix, field)
     return MatrixFile(field=field, matrix=matrix, raw={**mf.raw, **field.describe()})
 

@@ -467,24 +467,13 @@ def integer_form(M: Matrix) -> IntegerForm:
     return form
 
 
-def to_complex(s: Scalar) -> complex:
-    """Complex value of a Q, Q(i) or complex scalar."""
-    kind = s.field.kind
-    if kind == KIND_COMPLEX:
-        return complex(s.value)
-    if kind == KIND_RATIONALS:
-        return complex(float(s.value))
-    if kind == KIND_GAUSSIAN:
-        return complex(float(s.value[0]), float(s.value[1]))
-    raise WrongField("finite-field scalar has no complex form")
-
-
 def to_ndarray(M: Matrix) -> np.ndarray:
     """Complex ndarray view of a Q, Q(i) or complex matrix."""
+    to_complex = M.field.to_complex
     out = np.empty((M.n, M.n), dtype=complex)
     for i, r in enumerate(M.rows):
         for j, s in enumerate(r):
-            out[i, j] = to_complex(s)
+            out[i, j] = to_complex(s.value)
     return out
 
 

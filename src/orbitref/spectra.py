@@ -44,15 +44,7 @@ import numpy as np
 
 from ._poly import split_roots
 from .errors import FiniteFieldUnsupported, NotSplit, OrbitrefError
-from .fields import (
-    KIND_COMPLEX,
-    KIND_FINITE,
-    KIND_GAUSSIAN,
-    KIND_RATIONALS,
-    Field,
-    Scalar,
-    as_gaussian_pair,
-)
+from .fields import KIND_COMPLEX, KIND_FINITE, Field, Scalar
 from .linalg import (Matrix, Polynomial, _berkowitz, _divide_back, integer_form,
                      power_ranks, to_ndarray)
 
@@ -92,7 +84,7 @@ class SpectralProfile:
             sizes = tuple(sorted(sizes, reverse=True))
             if not sizes or any(s < 1 for s in sizes):
                 raise ValueError("block sizes must be positive")
-            entries.append(ProfileEntry(eig, sizes, _modulus_sq(eig)))
+            entries.append(ProfileEntry(eig, sizes, field.modulus_sq(eig.value)))
         dim = sum(e.algebraic_multiplicity for e in entries)
         return cls(field=field, dim=dim, entries=_sorted_entries(field, entries),
                    split=True, nilpotent=_is_nilpotent(entries),
@@ -123,16 +115,6 @@ def _modulus_repr(m: ModulusSq):
     if isinstance(m, Fraction):
         return str(m)
     return float(m)
-
-
-def _modulus_sq(eig: Scalar) -> ModulusSq:
-    kind = eig.field.kind
-    if kind in (KIND_RATIONALS, KIND_GAUSSIAN):
-        re_part, im_part = as_gaussian_pair(eig)
-        return re_part * re_part + im_part * im_part
-    if kind == KIND_COMPLEX:
-        return abs(eig.value) ** 2
-    return None
 
 
 def _is_zero_eig(eig: Scalar, dim: int) -> bool:
@@ -309,7 +291,7 @@ def block_profile(M: Matrix) -> SpectralProfile:
     entries = []
     for lam, mult in eig.roots:
         sizes = _sizes_from_rank_sequence(M, lam, mult)
-        entries.append(ProfileEntry(lam, sizes, _modulus_sq(lam)))
+        entries.append(ProfileEntry(lam, sizes, M.field.modulus_sq(lam.value)))
     profile = SpectralProfile(
         field=M.field, dim=M.n, entries=_sorted_entries(M.field, entries),
         split=True, nilpotent=_is_nilpotent(entries),

@@ -31,7 +31,6 @@ iterates every sample vector of the witness report at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -42,15 +41,9 @@ from .errors import (
     NotPrime,
     ShapeMismatch,
 )
-from .fields import (
-    KIND_COMPLEX,
-    KIND_FINITE,
-    FiniteField,
-    Scalar,
-    is_prime,
-)
+from .fields import FiniteField, Scalar, is_prime
 from .linalg import Matrix, commutator_is_zero, embed_matrix, to_ndarray
-from .spectra import SpectralProfile, _modulus_sq, radius_selection
+from .spectra import SpectralProfile, radius_selection
 from .deciders import max_modulus_gap
 
 # acceptance thresholds for residual certificates, pinned here
@@ -74,36 +67,24 @@ def canonical_jordan(profile: SpectralProfile) -> tuple[Matrix, list[tuple[Scala
     rest = [e for e in profile.entries if id(e) not in max_ids]
     for e in rest:
         tail.extend((e.eigenvalue, s) for s in e.block_sizes)
-    tail.sort(key=lambda b: (_neg_modulus_key(b[0]), -b[1], str(b[0])))
+    modulus_sq = profile.field.modulus_sq
+    tail.sort(key=lambda b: (-modulus_sq(b[0].value), -b[1], str(b[0])))
     layout = head + tail
     blocks = [Matrix.jordan_block(profile.field, eig, size) for eig, size in layout]
     return Matrix.block_diag(blocks), layout
 
 
-def _neg_modulus_key(eig: Scalar):
-    m = _modulus_sq(eig)
-    if isinstance(m, Fraction):
-        return -m
-    return -float(m)
-
-
-def _scalars_equal(a: Scalar, b: Scalar) -> bool:
-    if a.field.kind == KIND_COMPLEX:
-        return a.field.close(a.value, b.value)
-    return a == b
-
-
 def _parse_jordan_layout(T: Matrix) -> list[tuple[Scalar, int, int]]:
     """(eigenvalue, size, start) blocks of a Jordan-form matrix, or raise."""
-    n = T.n
-    one = T.field.one()
+    n, near = T.n, T.field.near
+    one, zero = T.field.one().value, T.field.zero().value
     blocks = []
     i = 0
     while i < n:
         lam = T[i, i]
         size = 1
-        while (i + size < n and _scalars_equal(T[i + size, i + size], lam)
-               and _scalars_equal(T[i + size, i + size - 1], one)):
+        while (i + size < n and near(T[i + size, i + size].value, lam.value)
+               and near(T[i + size, i + size - 1].value, one)):
             size += 1
         blocks.append((lam, size, i))
         i += size
@@ -118,9 +99,7 @@ def _parse_jordan_layout(T: Matrix) -> list[tuple[Scalar, int, int]]:
         for c in range(n):
             if (r, c) in allowed:
                 continue
-            entry = T[r, c]
-            if not (entry.field.close(entry.value, 0) if entry.field.kind == KIND_COMPLEX
-                    else entry.is_zero):
+            if not near(T[r, c].value, zero):
                 raise NotJordanCoordinates(
                     f"nonzero entry at ({r},{c}) outside the Jordan pattern")
     return blocks
@@ -263,8 +242,9 @@ def validate_witness(S: Matrix, T: Matrix, samples: int = 100,
     if S.n != T.n:
         raise ShapeMismatch(f"witness dim {S.n} vs operator dim {T.n}")
     if S.field != T.field:
-        if S.field.kind == KIND_FINITE or T.field.kind == KIND_FINITE:
-            raise MixedFields("witness and operator fields differ")
+        if T.field.kind not in S.field.wider:
+            raise MixedFields(f"a {S.field.name} witness does not widen to "
+                              f"the {T.field.name} operator")
         S = embed_matrix(S, T.field)
     if horizon < 20:
         raise ValueError("horizon must be at least 20")

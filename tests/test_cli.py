@@ -557,6 +557,13 @@ def test_ffscan_nilpotent_only_after_full_scan(tmp_path, capsys):
     scan = json.loads(out)["scan"]
     # only the q^(d^2-d) = 4 nilpotent matrices are counted
     assert scan["counts"]["nilpotent"] == scan["scanned"] == 4
+    # without --rigidity the unfiltered scan's rows serve, and its other
+    # 12 rows are passed over
+    code, out = _run(capsys, ["ffscan", "--q", "2", "--d", "2", "--cache", cache,
+                              "--nilpotent-only"])
+    assert code == 0
+    scan = json.loads(out)["scan"]
+    assert scan["from_cache"] == scan["scanned"] == 4
 
 
 def test_ffscan_p_k_flags(capsys):

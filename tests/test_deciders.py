@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from orbitref import (
+    ComplexFloats,
     FiniteField,
     FiniteFieldUnsupported,
     Matrix,
@@ -93,6 +94,18 @@ def test_orbit_reflexive_always_true():
     M = Matrix(QQ, [[Scalar(QQ, Fraction(rng.randint(-9, 9))) for _ in range(6)]
                     for _ in range(6)])
     assert decide_orbit_reflexive(M).answer is True
+
+
+def test_near_double_float_eigenvalue_is_fragile():
+    # at d = 2 the cluster band is about 4.8e-5: 1 and 1.0002 stay two
+    # clusters, which a 10x wider band would merge
+    M = Matrix.from_values(ComplexFloats(), [["1", "0"], ["0", "1.0002"]])
+    prof = block_profile(M)
+    assert len(prof.entries) == 2
+    assert prof.fragile and prof.as_dict()["fragile"] is True
+    # every verdict read off the profile carries the flag
+    assert decide_reflexive(prof).fragile
+    assert decide_c_orbit_reflexive(prof).fragile
 
 
 def test_c_orbit_rejects_finite_fields():

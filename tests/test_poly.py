@@ -70,6 +70,25 @@ def test_pseudo_divmod_identity(name, data):
     assert _trimmed(scaled, ring) == _trimmed(_padd(product, rest, ring, zero), ring)
 
 
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_monic_division_makes_deg_b_products_a_step(name):
+    ring, _, _ = RINGS[name]
+    calls = []
+
+    def mul(x, y):
+        calls.append(1)
+        return ring.mul(x, y)
+
+    one = ring.one
+    a = [one] * 9
+    for b in ([one, one], [one, one, one, one], [one, ring.neg(one), one]):
+        calls.clear()
+        quot, rest = pseudo_divmod(a, b, mul, ring.sub)
+        assert (quot, rest) == pseudo_divmod(a, b, ring.mul, ring.sub)
+        deg_a, deg_b = len(a) - 1, len(b) - 1
+        assert len(calls) <= (deg_a - deg_b + 1) * deg_b + 1
+
+
 def test_format_poly_gf9_element_texts():
     g9 = FiniteField(3, 2)
     assert [g9.format(i) for i in range(9)] == [

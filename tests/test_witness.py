@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from orbitref import (
+    ComplexFloats,
     CriterionHolds,
     FiniteField,
     Matrix,
+    MixedFields,
     NotJordanCoordinates,
     NotPrime,
     QI,
@@ -22,6 +24,7 @@ from orbitref import (
     canonical_jordan,
     commutator_is_zero,
     decide_c_orbit_reflexive,
+    embed_matrix,
     enumerate_orbref0,
     orbref0_contains,
     validate_witness,
@@ -159,6 +162,15 @@ def test_canonical_jordan_orders_dominant_block_first():
     assert _witness_pattern(S, 3)
 
 
+def test_canonical_jordan_orders_c64_tail_by_float_modulus():
+    # the tail's smaller modulus has the larger block, so the block size
+    # alone would order the tail the other way
+    prof = SpectralProfile.from_blocks(ComplexFloats(),
+                                       [(3, [3]), (1, [2]), ("2i", [1])])
+    _, layout = canonical_jordan(prof)
+    assert [(e.value, s) for e, s in layout] == [(3, 3), (2j, 1), (1, 2)]
+
+
 def test_prime_field_pair_entries():
     for p in (2, 3, 5):
         T, S = build_prime_field_counterexample(p)
@@ -253,6 +265,21 @@ def test_residual_kernel_matches_per_vector_loop():
         ref = _reference_residuals(Tf, Sf @ X[:, j], X[:, j], checkpoints)
         for i, n in enumerate(checkpoints):
             assert abs(minima[i, j] - ref[n]) < 1e-11
+
+
+def test_validate_widens_the_witness_to_the_operator_field():
+    T = Matrix.block_diag([Matrix.jordan_block(QI, "i", 3),
+                           Matrix.jordan_block(QI, 0, 1)])
+    S = Matrix.from_values(QQ, [[0] * 4, [0] * 4, [1, 1, 0, 0], [0] * 4])
+    widened = validate_witness(S, T, samples=5, horizon=40, seed=2)
+    embedded = validate_witness(embed_matrix(S, QI), T, samples=5, horizon=40, seed=2)
+    assert widened.witness.field == QI
+    assert widened.as_dict() == embedded.as_dict()
+    # GF(q) widens to no field, and Q(i) not to Q
+    with pytest.raises(MixedFields):
+        validate_witness(Matrix.from_values(FiniteField(5), S.to_strings()), T)
+    with pytest.raises(MixedFields):
+        validate_witness(embed_matrix(S, QI), Matrix.jordan_block(QQ, 1, 4))
 
 
 def test_validate_rejects_shape_mismatch():
