@@ -11,7 +11,6 @@ from .errors import (  # noqa: F401
     DivisionByZero,
     FiniteFieldUnsupported,
     MixedFields,
-    NotJordanCoordinates,
     NotPrime,
     NotSplit,
     NumericKindUnsupported,
@@ -59,7 +58,6 @@ from .deciders import (  # noqa: F401
 from .witness import (  # noqa: F401
     WitnessReport,
     build_c_orbit_witness,
-    build_prime_field_counterexample,
     canonical_jordan,
     validate_witness,
 )

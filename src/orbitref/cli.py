@@ -74,6 +74,9 @@ EXIT_NOT_SPLIT = 3
 EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
 
+# demo-counterexample's work grows as n^3: about 2 s at n = 200, 17 s at 400
+DEMO_MAX_N = 200
+
 # the exit-3 hint's name for each field a matrix can be escalated to
 _WIDER_FIELDS = {KIND_GAUSSIAN: "--field qi (exact Gaussian rationals)",
                  KIND_COMPLEX: "--field c64 (floating complex)"}
@@ -161,7 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo-counterexample",
                        help="factorial-power truncation demo")
-    p.add_argument("--n", type=int, default=8, help="truncation level")
+    p.add_argument("--n", type=int, default=8,
+                   help=f"truncation level, 2 to {DEMO_MAX_N}")
     p.add_argument("--max-power", type=int, default=None,
                    help="largest single power ruled out (default n-1)")
     p.add_argument("--format", choices=["json", "table"], default="json")
@@ -371,7 +375,7 @@ def cmd_witness(args) -> int:
                           "no witness exists")
     else:
         T, layout = canonical_jordan(profile)
-        S = build_c_orbit_witness(T, profile)
+        S = build_c_orbit_witness(profile)
         wr = validate_witness(S, T, samples=args.samples, horizon=args.powers,
                               seed=args.seed)
         report["witness"] = wr.as_dict()
@@ -474,8 +478,8 @@ def cmd_ffscan(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    if args.n < 2:
-        raise ParseError("--n must be at least 2")
+    if not 2 <= args.n <= DEMO_MAX_N:
+        raise ParseError(f"--n must lie between 2 and {DEMO_MAX_N}")
     if args.max_power is not None and args.max_power < 0:
         raise ParseError("--max-power must be non-negative")
     max_power = args.max_power if args.max_power is not None else args.n - 1

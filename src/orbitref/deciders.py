@@ -134,7 +134,7 @@ def decide_c_orbit_reflexive(profile: SpectralProfile,
         from .witness import build_c_orbit_witness, canonical_jordan
 
         T, layout = canonical_jordan(profile)
-        S = build_c_orbit_witness(T, profile)
+        S = build_c_orbit_witness(profile)
         certificate["witness"] = {
             "coordinates": "canonical-jordan-model",
             "block_order": [[str(eig), size] for eig, size in layout],

@@ -38,11 +38,6 @@ class CriterionHolds(OrbitrefError):
     """No witness exists: the block-gap criterion is satisfied."""
 
 
-class NotJordanCoordinates(OrbitrefError):
-    """Witness construction needs the operator in block-diagonal Jordan
-    coordinates with the dominant block first."""
-
-
 class NotPrime(OrbitrefError):
     """A prime was required."""
 

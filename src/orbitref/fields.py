@@ -12,10 +12,10 @@ Unicode minus signs are accepted on input and normalised to ASCII.  Q and
 Q(i) payloads ride on arbitrary-precision ``Fraction``s, so the fraction
 blow-up from conjugated matrices cannot overflow.  Exact payloads are
 immutable and hashable; equality is exact for exact kinds.  Floating
-complex scalars are never compared with ``==`` in decision paths -- the
-field's ``near`` predicate is the only comparison surface.
+complex scalars are never compared with ``==`` in decision paths: `linalg`
+and `spectra` judge them through the field's ``tol``.
 
-What differs by kind beyond arithmetic is told by four members of each
+What differs by kind beyond arithmetic is told by three members of each
 field, and no caller tests ``kind`` for it:
 
     wider           the kinds its matrices can be reinterpreted over, in
@@ -24,8 +24,6 @@ field, and no caller tests ``kind`` for it:
     to_complex(x)   the payload's complex value; GF(q) has none
     modulus_sq(x)   |x|^2: a Fraction over Q and Q(i), a float over C,
                     None over GF(q)
-    near(x, y)      equality of payloads: ``==`` on exact kinds, over C
-                    |x - y| <= tol * max(1, |x|, |y|)
 
 A GF(p^k) payload is an int in [0, q): the from_digits index of the
 element's k little-endian coefficients, the order of ``elements()``.  The
@@ -253,9 +251,6 @@ class Field:
     def modulus_sq(self, x):
         return None
 
-    def near(self, x, y) -> bool:
-        return x == y
-
 
 @dataclass(frozen=True)
 class Rationals(Field):
@@ -272,20 +267,11 @@ class Rationals(Field):
     def _from_int(self, n):
         return Fraction(n)
 
-    def _add(self, x, y):
-        return x + y
-
-    def _sub(self, x, y):
-        return x - y
-
-    def _mul(self, x, y):
-        return x * y
-
-    def _div(self, x, y):
-        return x / y
-
-    def _neg(self, x):
-        return -x
+    _add = staticmethod(operator.add)
+    _sub = staticmethod(operator.sub)
+    _mul = staticmethod(operator.mul)
+    _div = staticmethod(operator.truediv)
+    _neg = staticmethod(operator.neg)
 
     def _is_zero(self, x):
         return x == 0
@@ -561,27 +547,14 @@ class ComplexFloats(Field):
     def _from_int(self, n):
         return complex(n)
 
-    def _add(self, x, y):
-        return x + y
-
-    def _sub(self, x, y):
-        return x - y
-
-    def _mul(self, x, y):
-        return x * y
-
-    def _div(self, x, y):
-        return x / y
-
-    def _neg(self, x):
-        return -x
+    _add = staticmethod(operator.add)
+    _sub = staticmethod(operator.sub)
+    _mul = staticmethod(operator.mul)
+    _div = staticmethod(operator.truediv)
+    _neg = staticmethod(operator.neg)
 
     def _is_zero(self, x):
-        # structural zero test; decision paths use near()
         return x == 0
-
-    def near(self, x, y) -> bool:
-        return abs(x - y) <= self.tol * max(1.0, abs(x), abs(y))
 
     def to_complex(self, x) -> complex:
         return complex(x)

@@ -1,13 +1,15 @@
 """Explicit non-reflexivity witnesses and their certificates.
 
-For an operator T in Jordan coordinates whose pooled max-modulus block gap
-is at least 2, the witness is the rank-one-ish operator
+When the pooled max-modulus block gap of a profile is at least 2, the
+witness is the rank-one-ish operator
 
     S x = [<x, e_0> + <x, e_1>] e_{m-1}
 
-on the chain basis e_0..e_{m-1} of the dominant block (T e_k = lam e_k +
-e_{k+1}).  As a matrix S has exactly two nonzero entries: row m-1, columns
-0 and 1.  The same S serves lam = 0: for nilpotent T every other block has
+on the chain basis e_0..e_{m-1} (T e_k = lam e_k + e_{k+1}) of the largest
+pooled block, size m, which leads the Jordan model
+T = canonical_jordan(profile).  As a matrix S has exactly two nonzero
+entries, row m-1, columns 0 and 1, so it is built from m and the dimension
+alone.  The same S serves lam = 0: for nilpotent T every other block has
 size at most m-2, so S x = ((x_0 + x_1) / x_0) T^{m-1} x when x_0 != 0 and
 S x = T^{m-2} x when x_0 = 0, and membership is exact at a finite power.
 Two falsifiable certificates back the verdict:
@@ -34,14 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CriterionHolds,
-    MixedFields,
-    NotJordanCoordinates,
-    NotPrime,
-    ShapeMismatch,
-)
-from .fields import FiniteField, Scalar, is_prime
+from .errors import CriterionHolds, MixedFields, ShapeMismatch
+from .fields import Scalar
 from .linalg import Matrix, commutator_is_zero, embed_matrix, to_ndarray
 from .spectra import SpectralProfile, radius_selection
 from .deciders import max_modulus_gap
@@ -74,76 +70,18 @@ def canonical_jordan(profile: SpectralProfile) -> tuple[Matrix, list[tuple[Scala
     return Matrix.block_diag(blocks), layout
 
 
-def _parse_jordan_layout(T: Matrix) -> list[tuple[Scalar, int, int]]:
-    """(eigenvalue, size, start) blocks of a Jordan-form matrix, or raise."""
-    n, near = T.n, T.field.near
-    one, zero = T.field.one().value, T.field.zero().value
-    blocks = []
-    i = 0
-    while i < n:
-        lam = T[i, i]
-        size = 1
-        while (i + size < n and near(T[i + size, i + size].value, lam.value)
-               and near(T[i + size, i + size - 1].value, one)):
-            size += 1
-        blocks.append((lam, size, i))
-        i += size
-    # everything off the block diagonals and intra-block subdiagonals must vanish
-    allowed = set()
-    for lam, size, start in blocks:
-        for j in range(size):
-            allowed.add((start + j, start + j))
-            if j:
-                allowed.add((start + j, start + j - 1))
-    for r in range(n):
-        for c in range(n):
-            if (r, c) in allowed:
-                continue
-            if not near(T[r, c].value, zero):
-                raise NotJordanCoordinates(
-                    f"nonzero entry at ({r},{c}) outside the Jordan pattern")
-    return blocks
-
-
-def build_c_orbit_witness(T: Matrix, profile: SpectralProfile) -> Matrix:
-    """The two-entry witness matrix for a failed max-modulus block gap.
-
-    T must be block-diagonal Jordan in the profile's block multiset with the
-    largest max-modulus block (size m >= 2) first; the result has ones at
-    (m-1, 0) and (m-1, 1) and zeros elsewhere.
-    """
+def build_c_orbit_witness(profile: SpectralProfile) -> Matrix:
+    """The two-entry witness for a failed max-modulus block gap, in the
+    coordinates of `canonical_jordan(profile)`, whose largest pooled block
+    (size m >= 2) leads: ones at (m-1, 0) and (m-1, 1), zeros elsewhere."""
     gap = max_modulus_gap(profile)
     if gap.gap <= 1:
         raise CriterionHolds(
             f"max-modulus block gap {gap.gap} <= 1; no witness exists")
-    if T.n != profile.dim:
-        raise ShapeMismatch("operator dimension differs from profile")
-    blocks = _parse_jordan_layout(T)
-    profile_blocks = sorted(
-        (str(e.eigenvalue), s) for e in profile.entries for s in e.block_sizes)
-    layout_blocks = sorted((str(lam), size) for lam, size, _ in blocks)
-    if profile_blocks != layout_blocks:
-        raise NotJordanCoordinates(
-            f"Jordan layout {layout_blocks} does not match profile {profile_blocks}")
-    lam0, m, start0 = blocks[0]
-    if str(lam0) not in gap.eigenvalues or m != gap.pooled_sizes[0] or start0 != 0:
-        raise NotJordanCoordinates(
-            "largest max-modulus block must lead the block order")
-    S = [[T.field.zero()] * T.n for _ in range(T.n)]
-    S[m - 1][0] = T.field.one()
-    S[m - 1][1] = T.field.one()
-    return Matrix(T.field, S)
-
-
-def build_prime_field_counterexample(p: int) -> tuple[Matrix, Matrix]:
-    """The 2x2 unipotent shear T and the operator S that is in OrbRef0(T)
-    but not in the scaled power orbit, over GF(p)."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    field = FiniteField(p)
-    T = Matrix.from_values(field, [[1, 1], [0, 1]])
-    S = Matrix.from_values(field, [[0, 1], [0, 1]])
-    return T, S
+    field, n, m = profile.field, profile.dim, gap.pooled_sizes[0]
+    S = [[field.zero()] * n for _ in range(n)]
+    S[m - 1][0] = S[m - 1][1] = field.one()
+    return Matrix(field, S)
 
 
 @dataclass(frozen=True)

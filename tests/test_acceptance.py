@@ -23,7 +23,6 @@ from orbitref import (
     SpectralProfile,
     block_profile,
     build_c_orbit_witness,
-    build_prime_field_counterexample,
     canonical_jordan,
     commutator_is_zero,
     decide_c_orbit_reflexive,
@@ -37,6 +36,7 @@ from orbitref.linalg import to_ndarray
 from orbitref.oracle import scan_space
 
 from test_deciders import GOLDEN_TABLE
+from test_witness import build_prime_field_counterexample
 
 
 def _line(number, name, ok, detail=""):
@@ -159,7 +159,7 @@ def test_criterion_5_witness_validity():
     for blocks in false_rows:
         prof = SpectralProfile.from_blocks(QI, blocks)
         T, _ = canonical_jordan(prof)
-        S = build_c_orbit_witness(T, prof)
+        S = build_c_orbit_witness(prof)
         t0 = time.monotonic()
         report = validate_witness(S, T, samples=100, horizon=2000, seed=0)
         elapsed = time.monotonic() - t0

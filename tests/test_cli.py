@@ -251,6 +251,7 @@ def test_ffscan_summary_and_cache(tmp_path, capsys):
     ["ffscan", "--q", "2", "--d", "2", "--no-cache", "--budget", "0"],
     ["ffscan", "--q", "2", "--d", "2", "--no-cache", "--workers", "0"],
     ["ffscan", "--q", "2", "--d", "2", "--no-cache", "--workers", "-3"],
+    ["demo-counterexample", "--n", "201"],
 ])
 def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv):
     if argv[0] in ("witness", "decide"):
@@ -310,10 +311,14 @@ def test_ffscan_rejects_non_prime_power(capsys):
     (["decide"], {"field": "gf", "p": 10007, "rows": [["5"]]}, 4),
     (["oracle", "--candidate", "m.json"], {"field": "gf", "p": 10007, "rows": [["5"]]}, 0),
     (["ffscan", "--q", "10007", "--d", "1", "--no-cache"], None, 4),
+    # the demo's work grows as n^3: the largest n answers, a huge one is refused
+    (["demo-counterexample", "--n", "200"], None, 0),
+    (["demo-counterexample", "--n", "100000"], None, 2),
 ], ids=["jordan-mersenne-square", "gf-above-primality-bound", "ffscan-large-prime",
         "ffscan-mersenne-prime", "ffscan-above-primality-bound", "jordan-gf-large-prime-split",
         "jordan-gf-large-prime-irreducible-cubic", "decide-gf-table-budget",
-        "oracle-candidate-gf-table-budget", "ffscan-gf-table-budget"])
+        "oracle-candidate-gf-table-budget", "ffscan-gf-table-budget",
+        "demo-largest-n", "demo-n-above-bound"])
 def test_cli_answers_within_10_s(tmp_path, argv, data, code):
     # each of these hung before: a subprocess with a timeout makes a
     # regression fail instead of stalling the suite

@@ -13,19 +13,18 @@ from orbitref import (
     FiniteField,
     Matrix,
     MixedFields,
-    NotJordanCoordinates,
     NotPrime,
     QI,
     QQ,
     SpectralProfile,
     block_profile,
     build_c_orbit_witness,
-    build_prime_field_counterexample,
     canonical_jordan,
     commutator_is_zero,
     decide_c_orbit_reflexive,
     embed_matrix,
     enumerate_orbref0,
+    max_modulus_gap,
     orbref0_contains,
     validate_witness,
 )
@@ -44,11 +43,18 @@ def _witness_pattern(S, m):
     return True
 
 
+def _witness_of(T):
+    """The witness of T's profile, for a T built as that profile's Jordan
+    model, in whose coordinates the witness is."""
+    prof = block_profile(T)
+    assert canonical_jordan(prof)[0] == T
+    return build_c_orbit_witness(prof)
+
+
 def test_witness_unimodular_3_plus_1():
     T = Matrix.block_diag([Matrix.jordan_block(QQ, 1, 3),
                            Matrix.jordan_block(QQ, 1, 1)])
-    prof = block_profile(T)
-    S = build_c_orbit_witness(T, prof)
+    S = _witness_of(T)
     assert _witness_pattern(S, 3)
     # S e0 = e2 and S e1 = e2, everything else dies
     e0 = [QQ.one(), QQ.zero(), QQ.zero(), QQ.zero()]
@@ -59,14 +65,14 @@ def test_witness_unimodular_3_plus_1():
 
 def test_witness_lone_block_d2():
     T = Matrix.jordan_block(QQ, 1, 2)
-    S = build_c_orbit_witness(T, block_profile(T))
+    S = _witness_of(T)
     assert S == Matrix.from_values(QQ, [[0, 0], [1, 1]])
 
 
 def test_witness_scaled_block_with_nilpotent_tail():
     T = Matrix.block_diag([Matrix.jordan_block(QQ, 2, 3),
                            Matrix.jordan_block(QQ, 0, 2)])
-    S = build_c_orbit_witness(T, block_profile(T))
+    S = _witness_of(T)
     assert _witness_pattern(S, 3)
 
 
@@ -74,8 +80,7 @@ def test_witness_commutator_identity():
     # (T - lam) S e0 = 0 while S (T - lam) e0 = S e1 = e_{m-1} != 0
     T = Matrix.block_diag([Matrix.jordan_block(QQ, 1, 3),
                            Matrix.jordan_block(QQ, 1, 1)])
-    prof = block_profile(T)
-    S = build_c_orbit_witness(T, prof)
+    S = _witness_of(T)
     lam = Matrix.identity(QQ, 4)
     A = T - lam
     e0 = [QQ.one(), QQ.zero(), QQ.zero(), QQ.zero()]
@@ -87,11 +92,11 @@ def test_witness_commutator_identity():
 def test_witness_requires_failed_criterion():
     T = Matrix.jordan_block(QQ, 1, 1)
     with pytest.raises(CriterionHolds):
-        build_c_orbit_witness(T, block_profile(T))
+        build_c_orbit_witness(block_profile(T))
     N = Matrix.block_diag([Matrix.jordan_block(QQ, 0, 2),
                            Matrix.jordan_block(QQ, 0, 1)])
     with pytest.raises(CriterionHolds):
-        build_c_orbit_witness(N, block_profile(N))
+        build_c_orbit_witness(block_profile(N))
 
 
 def _is_multiple(y, z):
@@ -119,7 +124,7 @@ def test_nilpotent_witness_membership_is_exact():
                 continue
             failing += 1
             T, _ = canonical_jordan(prof)
-            S = build_c_orbit_witness(T, prof)
+            S = build_c_orbit_witness(prof)
             Tq, Sq = ([[e.value for e in row] for row in M.rows] for M in (T, S))
             vectors = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
             vectors += [[Fraction(0), Fraction(k)] + [rational() for _ in range(d - 2)]
@@ -137,28 +142,34 @@ def test_nilpotent_witness_membership_is_exact():
     assert failing == 12
 
 
-def test_witness_requires_jordan_coordinates():
-    J = Matrix.block_diag([Matrix.jordan_block(QQ, 1, 3),
-                           Matrix.jordan_block(QQ, 1, 1)])
-    prof = block_profile(J)
-    scrambled = Matrix.from_values(QQ, [[1, 0, 0, 1],
-                                        [1, 1, 0, 0],
-                                        [0, 1, 1, 0],
-                                        [0, 0, 0, 1]])
-    with pytest.raises(NotJordanCoordinates):
-        build_c_orbit_witness(scrambled, prof)
-    # dominant block must lead
-    reordered = Matrix.block_diag([Matrix.jordan_block(QQ, 1, 1),
-                                   Matrix.jordan_block(QQ, 1, 3)])
-    with pytest.raises(NotJordanCoordinates):
-        build_c_orbit_witness(reordered, prof)
+@pytest.mark.parametrize("field,blocks,m", [
+    # modulus ties at 2 over Q, the largest pooled block on either sign,
+    # with tail blocks at 1 and 0 larger than m
+    (QQ, [(2, [4, 1]), (-2, [2]), (1, [5]), (0, [6])], 4),
+    (QQ, [(2, [1]), (-2, [3, 1]), (1, [4]), (0, [2])], 3),
+    (QI, [(2, [2]), ("2i", [4, 2]), (1, [5])], 4),
+    (QI, [(2, [3]), ("2i", [1])], 3),
+    (ComplexFloats(), [(2, [1]), ("2i", [3]), (1, [4]), (0, [2])], 3),
+], ids=["q-lead-plus", "q-lead-minus", "qi-lead-2i", "qi-lead-2", "c64"])
+def test_witness_sits_on_the_leading_pooled_block(field, blocks, m):
+    # what build_c_orbit_witness takes on trust: the Jordan model leads with
+    # the largest pooled block, and S on it commutes with no such T
+    prof = SpectralProfile.from_blocks(field, blocks)
+    T, layout = canonical_jordan(prof)
+    assert layout[0][1] == max_modulus_gap(prof).pooled_sizes[0] == m
+    S = build_c_orbit_witness(prof)
+    assert S.field == T.field and S.n == T.n
+    nonzero = {(i, j): str(S[i, j]) for i in range(S.n) for j in range(S.n)
+               if not S[i, j].is_zero}
+    assert nonzero == {(m - 1, 0): str(field.one()), (m - 1, 1): str(field.one())}
+    assert commutator_is_zero(S, T)[0] is False
 
 
 def test_canonical_jordan_orders_dominant_block_first():
     prof = SpectralProfile.from_blocks(QI, [("1", [1, 3]), ("0", [2])])
     T, layout = canonical_jordan(prof)
     assert [(str(e), s) for e, s in layout] == [("1", 3), ("1", 1), ("0", 2)]
-    S = build_c_orbit_witness(T, prof)
+    S = build_c_orbit_witness(prof)
     assert _witness_pattern(S, 3)
 
 
@@ -169,6 +180,16 @@ def test_canonical_jordan_orders_c64_tail_by_float_modulus():
                                        [(3, [3]), (1, [2]), ("2i", [1])])
     _, layout = canonical_jordan(prof)
     assert [(e.value, s) for e, s in layout] == [(3, 3), (2j, 1), (1, 2)]
+
+
+def build_prime_field_counterexample(p):
+    """The 2x2 unipotent shear T and the operator S that is in OrbRef0(T)
+    but not in the scaled power orbit, over GF(p); FiniteField raises
+    NotPrime for a p that is no prime."""
+    field = FiniteField(p)
+    T = Matrix.from_values(field, [[1, 1], [0, 1]])
+    S = Matrix.from_values(field, [[0, 1], [0, 1]])
+    return T, S
 
 
 def test_prime_field_pair_entries():
@@ -199,8 +220,7 @@ def test_validate_witness_closed_form_decay():
     # orthogonal component of e2 against it has norm ~ sqrt(1+n^2)/C(n,2)
     T = Matrix.block_diag([Matrix.jordan_block(QQ, 1, 3),
                            Matrix.jordan_block(QQ, 1, 1)])
-    prof = block_profile(T)
-    S = build_c_orbit_witness(T, prof)
+    S = _witness_of(T)
     report = validate_witness(S, T, samples=100, horizon=2000, seed=0)
     assert report.commutator_nonzero
     assert report.verdict_supported
@@ -218,8 +238,7 @@ def test_validate_witness_closed_form_decay():
 def test_validate_witness_every_vector_converges():
     T = Matrix.block_diag([Matrix.jordan_block(QQ, 2, 3),
                            Matrix.jordan_block(QQ, 0, 2)])
-    prof = block_profile(T)
-    S = build_c_orbit_witness(T, prof)
+    S = _witness_of(T)
     report = validate_witness(S, T, samples=50, horizon=2000, seed=1)
     assert report.verdict_supported
     for row in report.membership_residuals:
@@ -255,7 +274,7 @@ def _reference_residuals(Tf, sx, x, checkpoints):
 def test_residual_kernel_matches_per_vector_loop():
     T = Matrix.block_diag([Matrix.jordan_block(QQ, 1, 3),
                            Matrix.jordan_block(QQ, 1, 1)])
-    S = build_c_orbit_witness(T, block_profile(T))
+    S = _witness_of(T)
     Tf, Sf = to_ndarray(T), to_ndarray(S)
     checkpoints = (100, 500, 2000)
     _, X = _vector_batch(T.n, 100, 0)
