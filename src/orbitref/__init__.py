@@ -67,7 +67,6 @@ from .oracle import (  # noqa: F401
     enumerate_orbref0,
     orbref0_contains,
     power_orbit,
-    rigidity_violations,
     scan_space,
 )
 from .counterexample import (  # noqa: F401

@@ -9,6 +9,11 @@ Commands
     ffscan               sweep every d x d matrix over GF(q), with cache
     demo-counterexample  factorial-power truncation demo, exact arithmetic
 
+--field names the only fields a matrix widens to: qi (from Q) and c64
+(from Q or Q(i)); --tol sets the tolerance of that widening to c64, and a
+c64 file sets its own "tol".  ffscan --q takes a prime or the order of a
+field with a stock modulus.
+
 Exit codes: 0 ok, 2 parse error, 3 characteristic polynomial does not split
 (over Q escalate with --field qi or --field c64, over Q(i) with --field c64;
 GF(q) has no wider field), 4 budget exceeded, 5 internal.
@@ -37,13 +42,7 @@ from .deciders import (
     decide_reflexive,
     upgrade_algebraic_verdict,
 )
-from .errors import (
-    BudgetExceeded,
-    NoStockModulus,
-    NotSplit,
-    OrbitrefError,
-    ParseError,
-)
+from .errors import BudgetExceeded, NotSplit, OrbitrefError, ParseError
 from .fields import (
     CONWAY_POLYNOMIALS,
     KIND_COMPLEX,
@@ -59,7 +58,7 @@ from .fileio import (
     render_report,
 )
 from .oracle import (
-    DEFAULT_ENUM_BUDGET,
+    DEFAULT_BUDGET,
     default_cache_path,
     enumerate_orbref0,
     orbref0_contains,
@@ -80,6 +79,9 @@ DEMO_MAX_N = 200
 # the exit-3 hint's name for each field a matrix can be escalated to
 _WIDER_FIELDS = {KIND_GAUSSIAN: "--field qi (exact Gaussian rationals)",
                  KIND_COMPLEX: "--field c64 (floating complex)"}
+
+# the orders ffscan scans besides the primes: those of the stock extension fields
+_STOCK_ORDERS = {p ** k: (p, k) for p, k in CONWAY_POLYNOMIALS}
 
 _PROPERTY_ALIASES = {
     "reflexive": PROP_REFLEXIVE,
@@ -104,10 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_io(p, with_field=True):
         p.add_argument("--input", required=True, help="matrix file (JSON)")
         if with_field:
-            p.add_argument("--field", choices=["q", "qi", "gf", "c64"],
+            p.add_argument("--field", choices=list(_WIDER_FIELDS),
                            help="reinterpret the input over a wider field")
             p.add_argument("--tol", type=float, default=None,
-                           help="tolerance when escalating to c64")
+                           help="tolerance of --field c64 on q or qi input")
         p.add_argument("--format", choices=["json", "table"], default="json")
         p.add_argument("--out", help="write the report here instead of stdout")
 
@@ -124,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="residual horizon N for witness validation")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("witness", help="build and validate the witness operator")
@@ -137,16 +139,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact OrbRef0 computations over GF(q)")
     add_io(p, with_field=False)
     p.add_argument("--candidate", help="matrix file for a membership check")
-    p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET,
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="work limit: q^(d^2) candidates to enumerate, or with "
                         "--candidate q^d vector checks plus every step of their "
                         "walks x -> Tx -> T^2 x (exit 4 past it)")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("ffscan", help="exhaustive scan of M_d(GF(q))")
-    p.add_argument("--q", type=int, help="field order p^k, p prime")
+    p.add_argument("--q", type=int,
+                   help="a prime, or the order of a stock extension field")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--cache", help="JSON-lines cache file; each scan appends one "
                    "line of index and verdict columns "
@@ -155,8 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nilpotent-only", action="store_true")
     p.add_argument("--rigidity", action="store_true",
                    help="also check scaled-power rigidity per matrix")
-    p.add_argument("--no-dedup", action="store_true",
-                   help="enumerate every matrix, not one per scaling class")
     p.add_argument("--limit", type=int)
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("--out")
@@ -166,8 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="factorial-power truncation demo")
     p.add_argument("--n", type=int, default=8,
                    help=f"truncation level, 2 to {DEMO_MAX_N}")
-    p.add_argument("--max-power", type=int, default=None,
-                   help="largest single power ruled out (default n-1)")
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_demo)
@@ -251,8 +250,12 @@ def _render_table(report: dict) -> str:
 
 def _load_input(args) -> MatrixFile:
     mf = load_matrix_file(args.input)
-    if getattr(args, "field", None):
-        mf = escalate_field(mf, args.field, getattr(args, "tol", None))
+    if args.tol is not None and (args.field != KIND_COMPLEX
+                                 or mf.field.kind == KIND_COMPLEX):
+        raise ParseError('--tol needs --field c64 on q or qi input; '
+                         'a c64 file sets its own "tol"')
+    if args.field:
+        mf = escalate_field(mf, args.field, args.tol)
     return mf
 
 
@@ -414,35 +417,17 @@ def cmd_oracle(args) -> int:
     return _emit(report, args)
 
 
-def _integer_root(n: int, k: int) -> int:
-    """The integer part of the k-th root of n >= 1, by Newton's method
-    from a power of two above it."""
-    x = 1 << -(-n.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
-def _prime_power(q: int) -> tuple[int, int]:
-    """(p, k) with q = p^k and p prime: the prime among the integer k-th
-    roots of q, for k from floor(log2 q) down to 1."""
-    if q >= 2:
-        for k in range(q.bit_length() - 1, 0, -1):
-            p = _integer_root(q, k)
-            try:
-                if p ** k == q and is_prime(p):
-                    return p, k
-            except ValueError as exc:  # p too large for the primality test
-                raise ParseError(str(exc)) from exc
-    raise ParseError(f"{q} is not a prime power")
-
-
 def cmd_ffscan(args) -> int:
     if args.q is None:
         raise ParseError("ffscan needs --q")
-    p, k = _prime_power(args.q)
+    try:
+        prime = is_prime(args.q)
+    except ValueError as exc:  # q past the primality test's bound
+        raise ParseError(str(exc)) from exc
+    if not prime and args.q not in _STOCK_ORDERS:
+        stock = ", ".join(map(str, sorted(_STOCK_ORDERS)))
+        raise ParseError(f"ffscan scans GF(q) for a prime q or a stock extension "
+                         f"field, q = {stock}; {args.q} is neither")
     if not 1 <= args.d <= 3:
         raise ParseError("ffscan supports --d 1, 2 or 3")
     if args.limit is not None and args.limit < 1:
@@ -450,25 +435,19 @@ def cmd_ffscan(args) -> int:
     if args.workers < 1:
         raise ParseError("--workers must be at least 1")
     _check_budget(args)
-    try:
-        field = FiniteField(p, k)
-    except NoStockModulus as exc:
-        stock = ", ".join(map(str, sorted(a ** b for a, b in CONWAY_POLYNOMIALS)))
-        raise ParseError(f"no stock irreducible polynomial for GF({p}^{k}); ffscan "
-                         f"scans the stock extension fields q = {stock}") from exc
-    except ValueError as exc:  # q past the bound of an extension field
-        raise ParseError(str(exc)) from exc
+    field = FiniteField(*_STOCK_ORDERS.get(args.q, (args.q, 1)))
     cache = None
     if not args.no_cache:
         cache = args.cache or default_cache_path()
     result = scan_space(
         field, args.d, nilpotent_only=args.nilpotent_only,
-        rigidity=args.rigidity, dedup=not args.no_dedup,
+        rigidity=args.rigidity,
         budget=args.budget, workers=args.workers, limit=args.limit,
         cache_path=cache)
     parameters = {"q": args.q, "d": args.d, "budget": args.budget,
                   "nilpotent_only": args.nilpotent_only,
-                  "rigidity": args.rigidity, "dedup": not args.no_dedup,
+                  # the scan always counts one matrix per scaling class
+                  "rigidity": args.rigidity, "dedup": True,
                   "limit": args.limit}
     report = _envelope("ffscan", parameters)
     scan = result.as_dict()
@@ -480,12 +459,9 @@ def cmd_ffscan(args) -> int:
 def cmd_demo(args) -> int:
     if not 2 <= args.n <= DEMO_MAX_N:
         raise ParseError(f"--n must lie between 2 and {DEMO_MAX_N}")
-    if args.max_power is not None and args.max_power < 0:
-        raise ParseError("--max-power must be non-negative")
-    max_power = args.max_power if args.max_power is not None else args.n - 1
-    ok, witnesses = verify_no_single_power(args.n, max_power)
+    ok, witnesses = verify_no_single_power(args.n, args.n - 1)
     report = _envelope("demo-counterexample",
-                       {"n": args.n, "max_power": max_power})
+                       {"n": args.n, "max_power": args.n - 1})
     report["demo"] = {
         "truncations": truncation_table(args.n),
         "no_single_power": ok,

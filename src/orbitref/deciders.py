@@ -27,7 +27,7 @@ from typing import Optional
 from .errors import WrongField
 from .fields import KIND_FINITE
 from .linalg import Matrix
-from .oracle import DEFAULT_ENUM_BUDGET, enumerate_orbref0
+from .oracle import DEFAULT_BUDGET, enumerate_orbref0
 from .spectra import SpectralProfile, eigenvalues, radius_selection
 
 PROP_REFLEXIVE = "reflexive"
@@ -171,7 +171,7 @@ def decide_algebraic_f_orbit_reflexive(M: Matrix) -> Verdict:
 
 
 def upgrade_algebraic_verdict(verdict: Verdict, M: Matrix,
-                              budget: int = DEFAULT_ENUM_BUDGET) -> Verdict:
+                              budget: int = DEFAULT_BUDGET) -> Verdict:
     """Settle an unknown algebraic verdict by exhaustive enumeration."""
     if verdict.answer is not None:
         return verdict

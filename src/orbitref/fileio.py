@@ -29,6 +29,7 @@ from typing import Optional
 
 from .errors import NoStockModulus, NotPrime, OrbitrefError, ParseError
 from .fields import (
+    DEFAULT_TOL,
     KIND_COMPLEX,
     KIND_FINITE,
     KIND_GAUSSIAN,
@@ -58,7 +59,7 @@ class MatrixFile:
 
 def _complex_field(tol: Optional[float]) -> ComplexFloats:
     try:
-        return ComplexFloats(tol if tol is not None else 1e-9)
+        return ComplexFloats(tol if tol is not None else DEFAULT_TOL)
     except ValueError as exc:  # tol outside (0, 1), NaN included
         raise ParseError(str(exc)) from exc
 

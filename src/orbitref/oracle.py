@@ -159,8 +159,7 @@ from .fields import KIND_FINITE, FiniteField, Scalar, from_digits, to_digits
 from ._poly import split_roots
 from .linalg import Matrix, Ring, _bareiss, _berkowitz, _finite_ring, integer_form
 
-DEFAULT_CONTAINS_BUDGET = 10 ** 6
-DEFAULT_ENUM_BUDGET = 2 ** 24
+DEFAULT_BUDGET = 2 ** 24
 # the row fields of a scan, in row-tuple order; a cache line holds one list
 # of each beside the list "i" of matrix indices
 _COLUMNS = ("split", "nilpotent", "orbref0", "forb", "rigidity_ok")
@@ -418,16 +417,6 @@ def _clashing(sp: _Space, forb) -> set:
     return clashing
 
 
-def _rigidity_violators(sp: _Space, members, forb) -> list:
-    """The members of OrbRef0 that break scaled-power rigidity, each once and
-    in member order: every nonzero member outside the scaled orbit `forb`,
-    and every scaled power that shares a nonzero value with another scaled
-    power at some vector (the criterion is proved in the module docstring)."""
-    clashing = _clashing(sp, forb)
-    # the zero matrix lies in forb, so a member outside it is nonzero
-    return [S for S in members if S not in forb or S in clashing]
-
-
 # ---------------------------------------------------------------------------
 # public API: orbits, membership, enumeration
 # ---------------------------------------------------------------------------
@@ -466,7 +455,7 @@ def power_orbit(T: Matrix) -> OrbitSet:
 
 
 def orbref0_contains(T: Matrix, S: Matrix,
-                     budget: int = DEFAULT_CONTAINS_BUDGET
+                     budget: int = DEFAULT_BUDGET
                      ) -> tuple[bool, Optional[tuple[Scalar, ...]]]:
     """Exact check that S x lies in {lam T^k x} for every x in GF(q)^d.
 
@@ -573,7 +562,7 @@ def _column_search(T: Matrix, budget: int) -> _ColumnSearch:
     return _ColumnSearch(sp, sp.encode(T))
 
 
-def enumerate_orbref0(T: Matrix, budget: int = DEFAULT_ENUM_BUDGET) -> Orbref0Result:
+def enumerate_orbref0(T: Matrix, budget: int = DEFAULT_BUDGET) -> Orbref0Result:
     """The exact set OrbRef0(T) by exhaustive candidate scan, with the
     comparison against the scaled power orbit.  The sizes come from
     counting; `members` and `difference` walk the search and decode their
@@ -592,15 +581,6 @@ def enumerate_orbref0(T: Matrix, budget: int = DEFAULT_ENUM_BUDGET) -> Orbref0Re
         tail=search.tail,
         cycle=search.cycle,
     )
-
-
-def rigidity_violations(T: Matrix, budget: int = DEFAULT_ENUM_BUDGET) -> list[Matrix]:
-    """The members S of OrbRef0(T) that violate scaled-power rigidity
-    (S f = beta T^k f != 0 for some f, beta and k >= 1 must force
-    S = beta T^k), each once and in enumeration order."""
-    search = _column_search(T, budget)
-    return [search.sp.decode(cols) for cols in
-            _rigidity_violators(search.sp, search.members(), search.forb)]
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +812,7 @@ def _append_line(path: str, line: dict):
 
 def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
                rigidity: bool = False, dedup: bool = True,
-               budget: int = DEFAULT_ENUM_BUDGET, workers: int = 1,
+               budget: int = DEFAULT_BUDGET, workers: int = 1,
                limit: Optional[int] = None,
                cache_path: Optional[str] = None) -> ScanResult:
     """Classify every d x d matrix over GF(q): does OrbRef0 equal the scaled

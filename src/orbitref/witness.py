@@ -203,7 +203,7 @@ def validate_witness(S: Matrix, T: Matrix, samples: int = 100,
         early, _, late = values
         converged = late < RESIDUAL_CEILING
         shrunk = (not has_e01) or late <= max(early / RESIDUAL_SHRINK, RESIDUAL_FLOOR)
-        supported = supported and converged and shrunk and late <= early
+        supported = supported and converged and shrunk
         rows.append({
             "vector": label,
             "nonzero_e0_or_e1": has_e01,

@@ -135,6 +135,34 @@ def test_bad_tol_exit_2(tmp_path, capsys, tol):
     assert "Traceback" not in err
 
 
+# eigenvalues 1 and 1.001: a c64 file keeps its own tol, 1e-9 by default
+NEAR_C64 = {"field": "c64", "rows": [["1.0+0.0i", "0.0+0.0i"],
+                                     ["0.0+0.0i", "1.001+0.0i"]]}
+
+
+@pytest.mark.parametrize("data,field", [
+    (NEAR_C64, ["--field", "c64"]),
+    (DIAG_Q, []),
+    (DIAG_Q, ["--field", "qi"]),
+], ids=["c64-file", "no-field", "qi"])
+def test_tol_that_no_widening_reads_exits_2(tmp_path, capsys, data, field):
+    path = _write(tmp_path, "m.json", data)
+    assert main(["jordan", "--input", path, *field, "--tol", "0.01"]) == 2
+    assert capsys.readouterr().err == (
+        "orbitref: parse error: --tol needs --field c64 on q or qi input; "
+        'a c64 file sets its own "tol"\n')
+
+
+def test_tol_sets_the_c64_widening_of_q_input(tmp_path, capsys):
+    path = _write(tmp_path, "diag.json", DIAG_Q)
+    code, out = _run(capsys, ["jordan", "--input", path, "--field", "c64",
+                              "--tol", "0.01"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["input"]["echo"]["tol"] == 0.01
+    assert report["profile"]["field"]["tol"] == 0.01
+
+
 def test_decide_gf3_delegates_to_oracle(tmp_path, capsys):
     path = _write(tmp_path, "shear.json", SHEAR_GF3)
     code, out = _run(capsys, ["decide", "--input", path])
@@ -244,7 +272,6 @@ def test_ffscan_summary_and_cache(tmp_path, capsys):
     ["ffscan", "--q", "2", "--d", "0", "--no-cache"],
     ["ffscan", "--q", "2", "--d", "2", "--no-cache", "--limit", "-3"],
     ["demo-counterexample", "--n", "1"],
-    ["demo-counterexample", "--n", "3", "--max-power", "-2"],
     ["decide", "--budget", "0"],
     ["oracle", "--budget", "-1"],
     ["oracle", "--budget", "0"],
@@ -279,6 +306,49 @@ def test_oracle_candidate_of_another_field_or_size_exits_2(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+# every option string of each subcommand: a new option is a deliberate edit
+OPTIONS = {
+    "jordan": ["--field", "--format", "--input", "--out", "--tol"],
+    "decide": ["--budget", "--field", "--format", "--input", "--out", "--powers",
+               "--properties", "--samples", "--seed", "--tol"],
+    "witness": ["--field", "--format", "--input", "--out", "--powers", "--samples",
+                "--seed", "--tol"],
+    "oracle": ["--budget", "--candidate", "--format", "--input", "--out"],
+    "ffscan": ["--budget", "--cache", "--d", "--format", "--limit", "--nilpotent-only",
+               "--no-cache", "--out", "--q", "--rigidity", "--workers"],
+    "demo-counterexample": ["--format", "--n", "--out"],
+}
+
+
+def test_option_inventory():
+    parser = build_parser()
+    [sub] = [a for a in parser._actions if a.dest == "command"]
+    assert [o for a in parser._actions for o in a.option_strings] == [
+        "-h", "--help", "--version"]
+    options = {name: sorted(o for a in p._actions for o in a.option_strings
+                            if o not in ("-h", "--help"))
+               for name, p in sub.choices.items()}
+    assert options == OPTIONS
+    fields = {name: next(a.choices for a in p._actions if a.dest == "field")
+              for name, p in sub.choices.items() if "--field" in OPTIONS[name]}
+    assert fields == dict.fromkeys(["jordan", "decide", "witness"], ["qi", "c64"])
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["ffscan", "--q", "3", "--d", "1", "--no-cache", "--no-dedup"],
+     "unrecognized arguments: --no-dedup"),
+    (["demo-counterexample", "--n", "3", "--max-power", "3"],
+     "unrecognized arguments: --max-power 3"),
+    (["jordan", "--input", "m.json", "--field", "q"],
+     "argument --field: invalid choice: 'q'"),
+], ids=["no-dedup", "max-power", "field-q"])
+def test_removed_options_exit_2_from_argparse(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_decide_and_witness_have_no_workers_option(tmp_path, capsys):
     path = _write(tmp_path, "gap2.json", GAP2_Q)
     for command in ("decide", "witness"):
@@ -291,7 +361,9 @@ def test_decide_and_witness_have_no_workers_option(tmp_path, capsys):
 def test_ffscan_rejects_non_prime_power(capsys):
     for q in ("6", "1", "12", "0", "-4"):
         assert main(["ffscan", "--q", q, "--d", "2", "--no-cache"]) == 2
-        assert f"{q} is not a prime power" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "a prime q or a stock extension field, q = 4, 8, 9" in err
+        assert err.endswith(f"; {q} is neither\n")
 
 
 @pytest.mark.parametrize("argv,data,code", [
@@ -594,7 +666,7 @@ def test_unsupported_extension_field_names_what_to_give(tmp_path, capsys):
     # ffscan has no modulus option, so it names the fields it can scan
     assert main(["ffscan", "--q", "32", "--d", "1", "--no-cache"]) == 2
     err = capsys.readouterr().err
-    assert "GF(2^5)" in err and "q = 4, 8, 9, 16, 25, 27, 49, 121, 169" in err
+    assert "q = 4, 8, 9, 16, 25, 27, 49, 121, 169; 32 is neither" in err
     assert "modulus=" not in err
     # a matrix file names its field, so it can give the modulus itself
     g32 = {"field": "gf", "p": 2, "k": 5, "rows": [["1", "1"], ["0", "1"]]}

@@ -18,11 +18,17 @@ from orbitref import (
     matpow,
     orbref0_contains,
     power_orbit,
-    rigidity_violations,
 )
 from orbitref.fields import to_digits
 from orbitref.linalg import _berkowitz, to_ndarray
-from orbitref.oracle import _scan_cols, _space, scan_space
+from orbitref.oracle import (
+    DEFAULT_BUDGET,
+    _clashing,
+    _column_search,
+    _scan_cols,
+    _space,
+    scan_space,
+)
 from orbitref.witness import _residual_minima
 
 
@@ -256,6 +262,20 @@ def test_orbit_members_commute_noncommuting_member_certifies_inequality():
         assert commutator_is_zero(P, T)[0]
     noncommuting = [S for S in res.members if not commutator_is_zero(S, T)[0]]
     assert bool(noncommuting) == (not res.equal)
+
+
+def rigidity_violations(T):
+    """The members S of OrbRef0(T) that violate scaled-power rigidity
+    (S f = beta T^k f != 0 for some f, beta and k >= 1 must force
+    S = beta T^k), each once and in enumeration order: every nonzero member
+    outside the scaled orbit, and every scaled power that shares a nonzero
+    value with another scaled power at some vector (the criterion is proved
+    in the oracle's module docstring)."""
+    search = _column_search(T, DEFAULT_BUDGET)
+    clashing = _clashing(search.sp, search.forb)
+    # the zero matrix lies in forb, so a member outside it is nonzero
+    return [search.sp.decode(S) for S in search.members()
+            if S not in search.forb or S in clashing]
 
 
 def test_rigidity_clean_for_small_nilpotents():

@@ -1,9 +1,12 @@
 """Code that only the tests call does not belong in src/: every function,
 method and class that src/orbitref defines is referenced somewhere in
-src/orbitref, by a name, an attribute or a string constant, or is a span
-target of perfbench.  An import is no use, so a re-export from
-`__init__.py` does not count.  A method is matched by its bare name: any
-other use of that name counts for it."""
+src/orbitref, or is a span target of perfbench.  A module-level function
+or class counts as referenced only by a load of its name, or by an
+attribute of a package-module alias such as `gi.gaussian_roots`; a
+dataclass field, keyword argument or string of the same name does not
+count.  A method is matched by its bare name: any name, attribute or
+string constant of that name counts for it.  An import is no use, so a
+re-export from `__init__.py` does not count."""
 
 import ast
 from pathlib import Path
@@ -29,26 +32,43 @@ def _definitions(node, prefix=""):
             yield from _definitions(child, prefix)
 
 
-def _references(tree):
+def _references(tree, modules):
+    """(loads, names) of one module: the loads of a bare name and the
+    attributes of an alias of one of `modules`, which count for a
+    module-level definition, and every name, attribute and string
+    constant, which count for a method."""
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level and not node.module
+               for alias in node.names if alias.name in modules}
+    loads, names = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            names.add(node.id)
+            if isinstance(node.ctx, ast.Load):
+                loads.add(node.id)
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            names.add(node.attr)
+            if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                loads.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value
+            names.add(node.value)
+    return loads, names
 
 
 def test_every_src_definition_is_referenced_in_src():
     # perfbench traces these by name, so they stay in src/
-    defined, referenced = [], {name.rsplit(".", 1)[-1]
-                               for names in _targets().values() for name in names}
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined += [(f"{path.stem}: {qualified}", qualified, name)
+    traced = {name.rsplit(".", 1)[-1] for names in _targets().values() for name in names}
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    defined, loads, names = [], set(traced), set(traced)
+    for stem, tree in trees.items():
+        defined += [(f"{stem}: {qualified}", qualified, name)
                     for qualified, name in _definitions(tree)]
-        referenced.update(_references(tree))
-    unused = {qualified for _, qualified, name in defined if name not in referenced}
+        module_loads, module_names = _references(tree, trees)
+        loads |= module_loads
+        names |= module_names
+    unused = {qualified for _, qualified, name in defined
+              if name not in (names if "." in qualified else loads)}
     extra = sorted(where for where, qualified, _ in defined
                    if qualified in unused - TEST_HELPERS)
     assert unused == TEST_HELPERS, (

@@ -243,6 +243,9 @@ def test_validate_witness_every_vector_converges():
     assert report.verdict_supported
     for row in report.membership_residuals:
         assert row["checkpoints"]["2000"] < 1e-2
+        # running minima read at increasing checkpoints never increase
+        values = list(row["checkpoints"].values())
+        assert values == sorted(values, reverse=True)
 
 
 def _reference_residuals(Tf, sx, x, checkpoints):
