@@ -459,7 +459,7 @@ def cmd_ffscan(args) -> int:
 def cmd_demo(args) -> int:
     if not 2 <= args.n <= DEMO_MAX_N:
         raise ParseError(f"--n must lie between 2 and {DEMO_MAX_N}")
-    ok, witnesses = verify_no_single_power(args.n, args.n - 1)
+    ok, witnesses = verify_no_single_power(args.n)
     report = _envelope("demo-counterexample",
                        {"n": args.n, "max_power": args.n - 1})
     report["demo"] = {

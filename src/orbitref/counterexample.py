@@ -36,12 +36,8 @@ class CounterexampleVector:
 
     @classmethod
     def from_coeffs(cls, field: Field, shift, diag) -> "CounterexampleVector":
-        shift_s = [c if isinstance(c, Scalar) else field.from_int(c) for c in shift]
-        diag_s = []
-        for c in diag:
-            s = c if isinstance(c, Scalar) else field.from_int(c)
-            diag_s.append((s, 0))
-        return cls(field, _trim_shift(shift_s), _trim_diag(diag_s))
+        return cls(field, _trim_shift(map(field.coerce, shift)),
+                   _trim_diag([(field.coerce(c), 0) for c in diag]))
 
     @classmethod
     def basis_pair(cls, field: Field, k: int) -> "CounterexampleVector":
@@ -107,16 +103,15 @@ def factorial_truncation_holds(x: CounterexampleVector, n: int) -> bool:
     return apply_T_power(x, factorial(n)) == apply_S(x)
 
 
-def verify_no_single_power(max_support: int, max_k: int
-                           ) -> tuple[bool, list[dict]]:
-    """No integer N <= max_k and scalar admit alpha T^N = S: against
+def verify_no_single_power(max_support: int) -> tuple[bool, list[dict]]:
+    """No integer N < max_support and scalar admit alpha T^N = S: against
     x = e_{N+1} + e_{N+1}, T^N keeps the shift component e_1 alive while S x
     has none, so alpha must be 0, and then the diagonal half fails."""
     if max_support < 2:
         raise ValueError("max_support must be >= 2")
     witnesses = []
     ok = True
-    for N in range(0, min(max_k, max_support - 1) + 1):
+    for N in range(max_support):
         x = CounterexampleVector.basis_pair(QQ, N + 1)
         tx = apply_T_power(x, N)
         sx = apply_S(x)

@@ -15,6 +15,18 @@ immutable and hashable; equality is exact for exact kinds.  Floating
 complex scalars are never compared with ``==`` in decision paths: `linalg`
 and `spectra` judge them through the field's ``tol``.
 
+Each kind names its zero payload once, as the class constant ``_ZERO``,
+and turns an int into a payload by ``_from_int``; `Field` derives
+``zero()``, ``one()`` (``_from_int(1)``) and the zero test from these two.
+There is one way to make a scalar from a Python value, ``Field.coerce``:
+a Scalar of the field as it is, a Scalar of another field MixedFields, an
+int through ``from_int``, a str through ``parse``, a Fraction over Q only,
+and anything else, a float or a complex included, TypeError.  Every
+constructor of `linalg`, `spectra` and `counterexample` goes through it.
+Q(i) and C read their text through one a+bi reader, ``_a_plus_bi``, which
+differs between them only in how a part is read (a Fraction or a float)
+and in whether a sign after e or E belongs to an exponent.
+
 What differs by kind beyond arithmetic is told by three members of each
 field, and no caller tests ``kind`` for it:
 
@@ -226,21 +238,42 @@ class Field:
 
     kind: ClassVar[str]
     wider: ClassVar[tuple[str, ...]] = ()
+    _ZERO: ClassVar[Any]
 
     def scalar(self, payload) -> "Scalar":
         return Scalar(self, payload)
 
     def zero(self) -> "Scalar":
-        return self.scalar(self._zero())
+        return self.scalar(self._ZERO)
 
     def one(self) -> "Scalar":
-        return self.scalar(self._one())
+        return self.scalar(self._from_int(1))
+
+    def _is_zero(self, x) -> bool:
+        return x == self._ZERO
 
     def from_int(self, n: int) -> "Scalar":
         return self.scalar(self._from_int(n))
 
     def parse(self, text: str) -> "Scalar":
         return self.scalar(self._parse(_normalize_text(str(text))))
+
+    def coerce(self, v) -> "Scalar":
+        """v as a scalar of this field: a Scalar of it as it is, an int
+        through from_int, a str through parse and a Fraction over Q only.
+        A Scalar of another field raises MixedFields, anything else
+        TypeError."""
+        if isinstance(v, Scalar):
+            if v.field is not self and v.field != self:
+                raise MixedFields(f"cannot mix {self.name} and {v.field.name} scalars")
+            return v
+        if isinstance(v, int):
+            return self.from_int(v)
+        if isinstance(v, str):
+            return self.parse(v)
+        if isinstance(v, Fraction) and self.kind == KIND_RATIONALS:
+            return self.scalar(v)
+        raise TypeError(f"cannot coerce {v!r} into {self.name}")
 
     def describe(self) -> dict:
         return {"field": self.kind}
@@ -257,12 +290,7 @@ class Rationals(Field):
     kind: ClassVar[str] = KIND_RATIONALS
     name: ClassVar[str] = "Q"
     wider: ClassVar[tuple[str, ...]] = (KIND_GAUSSIAN, KIND_COMPLEX)
-
-    def _zero(self):
-        return Fraction(0)
-
-    def _one(self):
-        return Fraction(1)
+    _ZERO: ClassVar[Fraction] = Fraction(0)
 
     def _from_int(self, n):
         return Fraction(n)
@@ -272,9 +300,6 @@ class Rationals(Field):
     _mul = staticmethod(operator.mul)
     _div = staticmethod(operator.truediv)
     _neg = staticmethod(operator.neg)
-
-    def _is_zero(self, x):
-        return x == 0
 
     def _parse(self, text):
         try:
@@ -292,24 +317,25 @@ class Rationals(Field):
         return x * x
 
 
-def _split_real_imag(body: str, float_mode: bool) -> tuple[str, str]:
-    """Split "<re><+-im>" at the last sign that is not a leading sign or an
-    exponent sign.  Either part may come back empty."""
-    cut = None
-    for idx in range(1, len(body)):
-        if body[idx] in "+-" and (not float_mode or body[idx - 1] not in "eE"):
-            cut = idx
-    if cut is None:
-        return "", body
-    return body[:cut], body[cut:]
-
-
-def _frac_or_unit(text: str) -> Fraction:
-    if text in ("", "+"):
-        return Fraction(1)
-    if text == "-":
-        return Fraction(-1)
-    return _fraction(text)
+def _a_plus_bi(text: str, part, zero, exponents: bool, what: str) -> tuple:
+    """The parts (a, b) of the text "a+bi", each read by `part`: "a" alone
+    has b = zero, "bi" alone a = zero, and a bare "i", "+i" or "-i" has
+    b = +-1.  The cut is the last sign that is not leading and, when
+    `exponents`, follows no e or E.  A part that `part` refuses raises
+    ParseError("bad <what> scalar ...")."""
+    try:
+        if not text.endswith("i"):
+            return part(text), zero
+        body = text[:-1]
+        cut = max(body.rfind("+", 1), body.rfind("-", 1), 0)
+        while exponents and cut and body[cut - 1] in "eE":
+            cut = max(body.rfind("+", 1, cut), body.rfind("-", 1, cut), 0)
+        re_s, im_s = body[:cut], body[cut:]
+        if im_s in ("", "+", "-"):
+            im_s += "1"
+        return (part(re_s) if re_s else zero), part(im_s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad {what} scalar {text!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -317,12 +343,7 @@ class GaussianRationals(Field):
     kind: ClassVar[str] = KIND_GAUSSIAN
     name: ClassVar[str] = "Q(i)"
     wider: ClassVar[tuple[str, ...]] = (KIND_COMPLEX,)
-
-    def _zero(self):
-        return (Fraction(0), Fraction(0))
-
-    def _one(self):
-        return (Fraction(1), Fraction(0))
+    _ZERO: ClassVar[tuple[Fraction, Fraction]] = (Fraction(0), Fraction(0))
 
     def _from_int(self, n):
         return (Fraction(n), Fraction(0))
@@ -337,18 +358,8 @@ class GaussianRationals(Field):
         n = c * c + d * d
         return ((a * c + b * d) / n, (b * c - a * d) / n)
 
-    def _is_zero(self, x):
-        return x[0] == 0 and x[1] == 0
-
     def _parse(self, text):
-        try:
-            if text.endswith("i"):
-                re_s, im_s = _split_real_imag(text[:-1], float_mode=False)
-                real = _fraction(re_s) if re_s else Fraction(0)
-                return (real, _frac_or_unit(im_s))
-            return (_fraction(text), Fraction(0))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad Gaussian-rational scalar {text!r}") from exc
+        return _a_plus_bi(text, _fraction, self._ZERO[0], False, "Gaussian-rational")
 
     def format(self, x) -> str:
         a, b = x
@@ -409,6 +420,7 @@ class FiniteField(Field):
     modulus: Optional[tuple[int, ...]] = None
 
     kind: ClassVar[str] = KIND_FINITE
+    _ZERO: ClassVar[int] = 0
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -462,18 +474,9 @@ class FiniteField(Field):
     # k little-endian coefficients; _add, _sub, _neg, _mul, _div and _dot
     # come from _gf_ops
 
-    def _zero(self):
-        return 0
-
-    def _one(self):
-        return 1
-
     def _from_int(self, n):
         # the prime-field element n mod p has that index
         return n % self.p
-
-    def _is_zero(self, x):
-        return not x
 
     def _parse(self, text):
         if self.k == 1:
@@ -516,14 +519,12 @@ def parse_gf_modulus(p: int, text: str) -> tuple[int, ...]:
     return tuple(coeffs.get(e, 0) for e in range(deg + 1))
 
 
-_FLOAT_RE = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
-
-
 @dataclass(frozen=True)
 class ComplexFloats(Field):
     tol: float = DEFAULT_TOL
 
     kind: ClassVar[str] = KIND_COMPLEX
+    _ZERO: ClassVar[complex] = complex(0)
 
     def __post_init__(self):
         # tol scales the largest singular value into a rank cutoff, so a
@@ -538,12 +539,6 @@ class ComplexFloats(Field):
     def describe(self) -> dict:
         return {"field": self.kind, "tol": self.tol}
 
-    def _zero(self):
-        return complex(0)
-
-    def _one(self):
-        return complex(1)
-
     def _from_int(self, n):
         return complex(n)
 
@@ -553,9 +548,6 @@ class ComplexFloats(Field):
     _div = staticmethod(operator.truediv)
     _neg = staticmethod(operator.neg)
 
-    def _is_zero(self, x):
-        return x == 0
-
     def to_complex(self, x) -> complex:
         return complex(x)
 
@@ -563,21 +555,7 @@ class ComplexFloats(Field):
         return abs(x) ** 2
 
     def _parse(self, text):
-        try:
-            if text.endswith("i"):
-                body = text[:-1]
-                re_s, im_s = _split_real_imag(body, float_mode=True)
-                real = float(re_s) if re_s else 0.0
-                if im_s in ("", "+"):
-                    imag = 1.0
-                elif im_s == "-":
-                    imag = -1.0
-                else:
-                    imag = float(im_s)
-                return complex(real, imag)
-            return complex(float(text), 0.0)
-        except ValueError as exc:
-            raise ParseError(f"bad complex scalar {text!r}") from exc
+        return complex(*_a_plus_bi(text, float, 0.0, True, "complex"))
 
     def format(self, x) -> str:
         re_part = repr(float(x.real))

@@ -96,28 +96,22 @@ class Matrix:
 
     @classmethod
     def from_values(cls, field: Field, rows) -> "Matrix":
-        """Build from ints, scalar strings, Fractions or Scalars.  Each
-        distinct string is parsed once: matrix files repeat a few texts
-        ("0", "1", an eigenvalue) across most entries, and a Scalar is
-        immutable, so equal texts share one."""
+        """Build from values that `Field.coerce` takes.  Each distinct
+        string is parsed once: matrix files repeat a few texts ("0", "1", an
+        eigenvalue) across most entries, and a Scalar is immutable, so equal
+        texts share one."""
         parsed: dict[str, Scalar] = {}
         conv = []
         for r in rows:
             out = []
             for v in r:
-                if isinstance(v, Scalar):
-                    out.append(v)
-                elif isinstance(v, int):
-                    out.append(field.from_int(v))
-                elif isinstance(v, str):
+                if isinstance(v, str):
                     s = parsed.get(v)
                     if s is None:
-                        s = parsed[v] = field.parse(v)
+                        s = parsed[v] = field.coerce(v)
                     out.append(s)
-                elif isinstance(v, Fraction) and field.kind == KIND_RATIONALS:
-                    out.append(Scalar(field, v))
                 else:
-                    raise TypeError(f"cannot coerce {v!r} into {field.name}")
+                    out.append(field.coerce(v))
             conv.append(out)
         return cls(field, conv)
 
@@ -135,9 +129,7 @@ class Matrix:
     @classmethod
     def jordan_block(cls, field: Field, eigenvalue, size: int) -> "Matrix":
         """Lower-chain Jordan block: T e_k = lam e_k + e_{k+1}, T e_{m-1} = lam e_{m-1}."""
-        lam = eigenvalue if isinstance(eigenvalue, Scalar) else (
-            field.parse(eigenvalue) if isinstance(eigenvalue, str)
-            else field.from_int(eigenvalue))
+        lam = field.coerce(eigenvalue)
         one, zero = field.one(), field.zero()
         rows = [[zero] * size for _ in range(size)]
         for i in range(size):
@@ -195,9 +187,6 @@ class Matrix:
         return Matrix(self.field, [[a - b for a, b in zip(r1, r2)]
                                    for r1, r2 in zip(self.rows, other.rows)])
 
-    def __neg__(self):
-        return Matrix(self.field, [[-a for a in r] for r in self.rows])
-
     def __matmul__(self, other):
         self._check_same(other)
         n = self.n
@@ -209,7 +198,7 @@ class Matrix:
         return Matrix(self.field, out)
 
     def scale(self, c) -> "Matrix":
-        c = c if isinstance(c, Scalar) else self.field.from_int(c)
+        c = self.field.coerce(c)
         return Matrix(self.field, [[a if a.is_zero else c * a for a in r]
                                    for r in self.rows])
 

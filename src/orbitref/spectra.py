@@ -79,8 +79,7 @@ class SpectralProfile:
         """Build a profile directly from (eigenvalue, sizes) pairs."""
         entries = []
         for eig, sizes in blocks:
-            if not isinstance(eig, Scalar):
-                eig = field.parse(eig) if isinstance(eig, str) else field.from_int(eig)
+            eig = field.coerce(eig)
             sizes = tuple(sorted(sizes, reverse=True))
             if not sizes or any(s < 1 for s in sizes):
                 raise ValueError("block sizes must be positive")

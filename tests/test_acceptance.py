@@ -264,7 +264,7 @@ def test_criterion_8_truncated_counterexample():
         for k in range(1, n + 1):
             x = CounterexampleVector.basis_pair(QQ, k)
             ok &= factorial_truncation_holds(x, n)
-    no_power, witnesses = verify_no_single_power(8, 7)
+    no_power, witnesses = verify_no_single_power(8)
     ok &= no_power and len(witnesses) == 8
     ok &= all(w["vector"] == f"e_{w['power'] + 1}+e_{w['power'] + 1}"
               for w in witnesses)

@@ -51,7 +51,7 @@ def test_factorial_truncation_general_support():
 
 
 def test_no_single_power_standard():
-    ok, witnesses = verify_no_single_power(8, 7)
+    ok, witnesses = verify_no_single_power(8)
     assert ok
     assert len(witnesses) == 8  # powers 0..7
     assert [w["power"] for w in witnesses] == list(range(8))
@@ -60,20 +60,14 @@ def test_no_single_power_standard():
         assert w["shift_component_of_T_power"] != "0"
 
 
-def test_no_single_power_zero_power():
-    ok, witnesses = verify_no_single_power(2, 0)
-    assert ok and len(witnesses) == 1
-    assert witnesses[0]["power"] == 0
-
-
 def test_no_single_power_degenerate():
-    ok, witnesses = verify_no_single_power(2, 1)
+    ok, witnesses = verify_no_single_power(2)
     assert ok and len(witnesses) == 2
 
 
 def test_no_single_power_needs_support():
     with pytest.raises(ValueError):
-        verify_no_single_power(1, 0)
+        verify_no_single_power(1)
 
 
 def test_truncation_table_shape():

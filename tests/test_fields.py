@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,14 +10,17 @@ from hypothesis import given, strategies as st
 
 from orbitref import (
     ComplexFloats,
+    CounterexampleVector,
     DivisionByZero,
     FiniteField,
+    Matrix,
     MixedFields,
     NotPrime,
     ParseError,
     QI,
     QQ,
     Scalar,
+    SpectralProfile,
     WrongField,
 )
 from orbitref._gaussint import is_prime
@@ -375,6 +379,18 @@ PARSE_TABLE = [
     ("1/2+3/4i", None, (Fraction(1, 2), Fraction(3, 4)), None),
     ("-1/2-3/4i", None, (Fraction(-1, 2), Fraction(-3, 4)), None),
     ("٣/٤", Fraction(3, 4), (Fraction(3, 4), 0), None),
+    ("i", None, (0, 1), 1j),
+    ("+i", None, (0, 1), 1j),
+    ("3+i", None, (3, 1), 3 + 1j),
+    ("3-i", None, (3, -1), 3 - 1j),
+    ("1e-5i", None, None, 1e-05j),
+    ("2.5e+3+1e-2i", None, None, 2500 + 0.01j),
+    ("1/2i", None, (0, Fraction(1, 2)), None),
+    ("ii", None, None, None),
+    ("1+", None, None, None),
+    ("+", None, None, None),
+    ("i/2", None, None, None),
+    ("5i+1", None, None, None),
 ]
 
 
@@ -393,6 +409,47 @@ def test_parse_table(text, q_value, qi_value, c64_value):
             payload = field.parse(text).value
             assert payload == value
             assert {type(x) for x in (payload if field is QI else (payload,))} == {kind}
+
+
+# the five constructors that take Python values, each as the Scalar it
+# stores for the value v over a field
+CONSTRUCTORS = {
+    "from_values": lambda f, v: Matrix.from_values(f, [[v]])[0, 0],
+    "jordan_block": lambda f, v: Matrix.jordan_block(f, v, 2)[1, 1],
+    "scale": lambda f, v: Matrix.identity(f, 2).scale(v)[1, 1],
+    "from_blocks": lambda f, v: SpectralProfile.from_blocks(
+        f, [(v, [2])]).entries[0].eigenvalue,
+    "from_coeffs": lambda f, v: CounterexampleVector.from_coeffs(f, [v, 1], [v]).shift[0],
+}
+
+# per field: the values every constructor takes, and a Scalar of another field
+COERCE_TABLE = [
+    pytest.param(QQ, [QQ.parse("-2/3"), 3, -1, "5", "1/2", Fraction(7, 2)], QI.one(),
+                 id="q"),
+    pytest.param(QI, [QI.parse("1+i"), 3, -1, "5", "1/2-i"], QQ.one(), id="qi"),
+    pytest.param(FiniteField(5), [FiniteField(5).parse("4"), 3, -1, "7"],
+                 FiniteField(7).one(), id="gf5"),
+    pytest.param(FiniteField(2, 2), [FiniteField(2, 2).parse("x"), 3, -1, "x+1"],
+                 FiniteField(2).one(), id="gf4"),
+    pytest.param(ComplexFloats(), [ComplexFloats().parse("1.5-2i"), 3, -1, "2.5e-1+i"],
+                 QQ.one(), id="c64"),
+]
+
+
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+@pytest.mark.parametrize("field,values,foreign", COERCE_TABLE)
+def test_constructors_coerce_as_from_values(name, field, values, foreign):
+    build = CONSTRUCTORS[name]
+    for v in values:
+        s = build(field, v)
+        assert s.field == field
+        assert s.value == Matrix.from_values(field, [[v]])[0, 0].value
+    with pytest.raises(MixedFields):
+        build(field, foreign)
+    refused = [0.1, 1j] + ([] if field is QQ else [Fraction(1, 2), Fraction(7)])
+    for v in refused:
+        with pytest.raises(TypeError, match=f"cannot coerce .* into {re.escape(field.name)}"):
+            build(field, v)
 
 
 def test_scalar_is_flags():
