@@ -450,7 +450,8 @@ def cmd_ffscan(args) -> int:
                   "rigidity": args.rigidity, "dedup": True,
                   "limit": args.limit}
     report = _envelope("ffscan", parameters)
-    scan = result.as_dict()
+    # a table prints the number of violations, not their rows and hashes
+    scan = result.as_dict(hashed=args.format == "json")
     scan["field"] = field.describe()
     report["scan"] = scan
     return _emit(report, args)

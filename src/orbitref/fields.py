@@ -6,7 +6,7 @@ Scalar text syntax (shared by the matrix file format and every report):
     Q(i)     "-3/4+1/2i"        coefficient form: "1/2i" means (1/2)*i
     GF(p)    "3"
     GF(p^k)  "x+1"              polynomial in x, coefficients reduced mod p
-    complex  "1.25-0.5i"        IEEE doubles; all comparisons go through tol
+    complex  "1.25-0.5i"        finite IEEE doubles; all comparisons go through tol
 
 Unicode minus signs are accepted on input and normalised to ASCII.  Q and
 Q(i) payloads ride on arbitrary-precision ``Fraction``s, so the fraction
@@ -24,8 +24,8 @@ int through ``from_int``, a str through ``parse``, a Fraction over Q only,
 and anything else, a float or a complex included, TypeError.  Every
 constructor of `linalg`, `spectra` and `counterexample` goes through it.
 Q(i) and C read their text through one a+bi reader, ``_a_plus_bi``, which
-differs between them only in how a part is read (a Fraction or a float)
-and in whether a sign after e or E belongs to an exponent.
+differs between them only in how a part is read: a Fraction, or a finite
+float.  Q, Q(i) and C all read exponent text such as "1e-5" in any part.
 
 What differs by kind beyond arithmetic is told by three members of each
 field, and no caller tests ``kind`` for it:
@@ -49,6 +49,7 @@ check take their polynomial products and remainders from `_poly`.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -317,18 +318,18 @@ class Rationals(Field):
         return x * x
 
 
-def _a_plus_bi(text: str, part, zero, exponents: bool, what: str) -> tuple:
+def _a_plus_bi(text: str, part, zero, what: str) -> tuple:
     """The parts (a, b) of the text "a+bi", each read by `part`: "a" alone
     has b = zero, "bi" alone a = zero, and a bare "i", "+i" or "-i" has
-    b = +-1.  The cut is the last sign that is not leading and, when
-    `exponents`, follows no e or E.  A part that `part` refuses raises
-    ParseError("bad <what> scalar ...")."""
+    b = +-1.  The cut is the last sign that is not leading and follows no
+    e or E, so either part may carry an exponent.  A part that `part`
+    refuses raises ParseError("bad <what> scalar ...")."""
     try:
         if not text.endswith("i"):
             return part(text), zero
         body = text[:-1]
         cut = max(body.rfind("+", 1), body.rfind("-", 1), 0)
-        while exponents and cut and body[cut - 1] in "eE":
+        while cut and body[cut - 1] in "eE":
             cut = max(body.rfind("+", 1, cut), body.rfind("-", 1, cut), 0)
         re_s, im_s = body[:cut], body[cut:]
         if im_s in ("", "+", "-"):
@@ -359,7 +360,7 @@ class GaussianRationals(Field):
         return ((a * c + b * d) / n, (b * c - a * d) / n)
 
     def _parse(self, text):
-        return _a_plus_bi(text, _fraction, self._ZERO[0], False, "Gaussian-rational")
+        return _a_plus_bi(text, _fraction, self._ZERO[0], "Gaussian-rational")
 
     def format(self, x) -> str:
         a, b = x
@@ -519,6 +520,15 @@ def parse_gf_modulus(p: int, text: str) -> tuple[int, ...]:
     return tuple(coeffs.get(e, 0) for e in range(deg + 1))
 
 
+def _finite_float(text: str) -> float:
+    """float(text) for a finite value; NaN and the infinities, which no
+    eigenvalue routine takes, raise ValueError."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text!r} is not finite")
+    return x
+
+
 @dataclass(frozen=True)
 class ComplexFloats(Field):
     tol: float = DEFAULT_TOL
@@ -555,7 +565,7 @@ class ComplexFloats(Field):
         return abs(x) ** 2
 
     def _parse(self, text):
-        return complex(*_a_plus_bi(text, float, 0.0, True, "complex"))
+        return complex(*_a_plus_bi(text, _finite_float, 0.0, "complex"))
 
     def format(self, x) -> str:
         re_part = repr(float(x.real))

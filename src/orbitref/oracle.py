@@ -56,9 +56,14 @@ zero, the count tries column j at zero and at the least nonzero vector of
 each line, and counts each such subtree q - 1 times.  `enumerate_orbref0`
 walks the search for its members and its difference from the scaled
 orbit only as far as a caller reads them, and decodes Matrix objects only
-then; a slice reads only the members it returns.  The scaled orbit must
-pass the same checks as every candidate, or the module raises an
-internal error.
+then; a slice reads only the members it returns.  The search keeps the
+nonzero scaled powers as one matrix per line {lam P : lam != 0}, the
+line's least member, so |forb| is 1 + (q - 1) |lines|, and a candidate
+is looked up by scaling it to its line's least member with the space's
+table `unit`.  The scaled orbit must pass the same checks as every
+candidate, or the module raises an internal error; since lam R passes
+exactly when R does, one matrix per line is checked.  The full scaled
+orbit is expanded only when rigidity reads it.
 
 `orbref0_contains` tests one candidate.  The vector-addition table alone
 has q^(2d) entries, so it builds no table and walks x -> Tx -> T^2 x ->
@@ -111,25 +116,32 @@ against 0.50-0.66 s, and the full M3(GF(4)) (2 359 296) 1.4-1.8 against
 1.8-2.3 s.
 
 Results persist to a JSON-lines cache.  Each scan that finishes new
-matrices appends one line with one write.  The line names the field (p, k
-and the modulus) and d, and holds the list "i" of matrix indices and one
-list per row field in _COLUMNS order, all of one length.  A row keeps
-only what the scan cannot derive: q is p^k, a row's equality verdict is
-orbref0 == forb, and a matrix hash follows from q, d and the index, so a
-scan hashes just the rows its report prints, whether they come from the
-cache or were just scanned.  Lines of the earlier layout also stored q,
-"hash" and "equal"; the loader ignores those keys and serves their rows.
-Re-runs skip finished matrices, and rows of another field or modulus are
-never reused.  The cache is read in one pass with one JSON decoder.  Blank,
-malformed, torn and non-object lines are skipped, and so are lines with
-trailing text, lines of another field or dimension or naming none,
-lines whose columns are missing, are no lists or differ in length,
-lines with an index that is no integer, and lines with a value of the
-wrong type or an orbref0 below forb or a forb below 1.  A
-line of the older one-row-per-line layout holds one index, not a list,
-so its matrix is scanned again once.  A row with no rigidity verdict is a
-miss for a scan that checks rigidity.  A write that finds the file's last
-line torn starts with a newline, so only the torn line is lost.
+matrices appends one line, written one field at a time so that only one
+column's text is held at once.  The line names the field (p, k and the
+modulus) and d, and holds the list "i" of matrix indices and one list
+per row field in _COLUMNS order, all of one length.  A row keeps only
+what the scan cannot derive: q is p^k, a row's equality verdict is
+orbref0 == forb, and a matrix hash follows from q, d and the index.  So
+a scan hashes no row: a JSON report hashes the rows it prints in one
+batch, whether they come from the cache or were just scanned, and a
+table, which prints only their number, hashes none.  Lines of the
+earlier layout also stored q, "hash" and "equal"; the loader ignores
+those keys and serves their rows.  Re-runs skip finished matrices, and
+rows of another field or modulus are never reused.  The cache is read in
+one pass with one JSON decoder, into one list per row field indexed by
+matrix index, a later line's row replacing an earlier one's; a line
+whose indices run contiguously fills each list by one slice assignment.
+The new rows join the same lists, and a sweep and a re-query alike count
+and find violations by passes over whole lists.  Blank, malformed, torn
+and non-object lines are skipped, and so are lines with trailing text,
+lines of another field or dimension or naming none, lines whose columns
+are missing, are no lists or differ in length, lines with an index that
+is no integer, and lines with a value of the wrong type or an orbref0
+below forb or a forb below 1.  A line of the older one-row-per-line
+layout holds one index, not a list, so its matrix is scanned again once.
+A row with no rigidity verdict is a miss for a scan that checks
+rigidity.  A write that finds the file's last line torn starts with a
+newline, so only the torn line is lost.
 """
 
 from __future__ import annotations
@@ -141,10 +153,10 @@ import os
 from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, islice, product
+from functools import cached_property, lru_cache
+from itertools import chain, compress, count, islice, product, repeat
 from math import prod
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -201,8 +213,10 @@ class _Space:
         self.scale = [[from_digits([row[a] for a in to_digits(v, q, d)], q)
                        for row in mul] for v in range(self.n)]
         self.line = [sum(1 << w for w in set(multiples)) for multiples in self.scale]
+        # unit[v]: the scalar c != 0 with c * v least on v's line (1 at v = 0)
+        self.unit = [min(range(1, q), key=multiples.__getitem__) for multiples in self.scale]
         # least[v]: v is nonzero and the least index on its line
-        self.least = [0 < v == min(multiples[1:]) for v, multiples in enumerate(self.scale)]
+        self.least = [v > 0 and c == 1 for v, c in enumerate(self.unit)]
         # the vectors whose highest nonzero coordinate is j, as
         # (x, rest, c) with x = rest + c * e_j
         self.levels = [[(x, x % q ** j, x // q ** j) for x in range(q ** j, q ** (j + 1))]
@@ -308,10 +322,13 @@ class _ColumnSearch:
         powers = list(seen)
         self.tail = seen[power]
         self.cycle = len(powers) - self.tail
-        scale = sp.scale
-        self.forb = frozenset([(0,) * d] + [
-            tuple(scale[c][lam] for c in P)
-            for P in _positive_powers(powers, self.tail) for lam in range(1, q)])
+        self.sp = sp
+        # the nonzero scaled powers, one line {lam P : lam != 0} each, kept
+        # as the line's least member; with the zero matrix they make up
+        # the scaled orbit
+        self.lines = frozenset(self._least_multiple(P)
+                               for P in _positive_powers(powers, self.tail) if any(P))
+        self.forb_size = 1 + (q - 1) * len(self.lines)
         masks = _orbit_masks(sp, timg)
         self.col_masks = [masks[q ** j] for j in range(d)]
         self.allowed = [[v for v in range(n) if m >> v & 1] for m in self.col_masks]
@@ -334,13 +351,33 @@ class _ColumnSearch:
                       for level in sp.levels]
         self.depth = max((j + 1 for j, items in enumerate(self.items) if items),
                          default=0)
-        self.sp = sp
         # the scaled orbit sits inside OrbRef0(T); the orbit sets come from
         # walks of single vectors and the scaled orbit from the column walk
         # of the powers, so a scaled power failing the column checks is a
-        # fault of this module
-        if not all(self._passes(R) for R in self.forb):
+        # fault of this module.  Orbit sets are unions of lines, each with
+        # the zero vector, so the zero matrix passes, and lam R passes
+        # exactly when R does: one matrix per line is checked
+        if not all(self._passes(R) for R in self.lines):
             raise OrbitrefError("a scaled power of T fails the OrbRef0 column checks")
+
+    def _least_multiple(self, cols) -> tuple[int, ...]:
+        """The least lam S over lam != 0, column-coded: the multiple whose
+        first nonzero column is least on its line."""
+        scale = self.sp.scale
+        lam = self.sp.unit[next(filter(None, cols), 0)]
+        return tuple(scale[c][lam] for c in cols)
+
+    def in_forb(self, cols) -> bool:
+        """Is the column-coded S in the scaled orbit?"""
+        return not any(cols) or self._least_multiple(cols) in self.lines
+
+    @cached_property
+    def forb(self) -> frozenset:
+        """The scaled orbit, column-coded, with every multiple of each
+        line; rigidity reads it whole."""
+        scale, d, q = self.sp.scale, self.sp.d, self.sp.q
+        return frozenset([(0,) * d] + [tuple(scale[c][lam] for c in R)
+                                       for R in self.lines for lam in range(1, q)])
 
     def _fits(self, j: int, col: int, img: list[int]) -> bool:
         """Fix column j to col: fill the images of level j into img and
@@ -568,16 +605,16 @@ def enumerate_orbref0(T: Matrix, budget: int = DEFAULT_BUDGET) -> Orbref0Result:
     counting; `members` and `difference` walk the search and decode their
     matrices only as far as a caller reads them."""
     search = _column_search(T, budget)
-    size, forb = search.count(), search.forb
+    size, forb_size = search.count(), search.forb_size
     # forb lies inside OrbRef0, so size - |forb| members lie outside it
     return Orbref0Result(
         base=T,
         members=_Decoded(search.sp, size, search.members()),
         orbref0_size=size,
-        forb_size=len(forb),
-        equal=size == len(forb),
-        difference=_Decoded(search.sp, size - len(forb),
-                            (c for c in search.members() if c not in forb)),
+        forb_size=forb_size,
+        equal=size == forb_size,
+        difference=_Decoded(search.sp, size - forb_size,
+                            (c for c in search.members() if not search.in_forb(c))),
         tail=search.tail,
         cycle=search.cycle,
     )
@@ -589,17 +626,27 @@ def enumerate_orbref0(T: Matrix, budget: int = DEFAULT_BUDGET) -> Orbref0Result:
 
 @dataclass
 class ScanResult:
+    """A scan's counts, with its violations as (i, orbref0, forb) rows and
+    its rigidity violations as indices; `as_dict` hashes the rows a JSON
+    report prints."""
+
     q: int
     d: int
     total: int
     scanned: int
     from_cache: int
     counts: dict
-    violations: list[dict]
-    rigidity_violations: list[dict]
+    violations: list[tuple[int, int, int]]
+    rigidity_violations: list[int]
     cache_path: Optional[str]
 
-    def as_dict(self) -> dict:
+    def as_dict(self, hashed: bool = True) -> dict:
+        """The report's scan section, with the printed rows hashed in one
+        batch.  Without hashed each row's hash is None, for a report that
+        prints only the number of violations."""
+        indices = [i for i, _, _ in self.violations] + self.rigidity_violations
+        hashes = iter(matrix_hashes(self.q, self.d, indices) if hashed
+                      else [None] * len(indices))
         return {
             "q": self.q,
             "d": self.d,
@@ -607,15 +654,25 @@ class ScanResult:
             "scanned": self.scanned,
             "from_cache": self.from_cache,
             "counts": self.counts,
-            "violations": self.violations,
-            "rigidity_violations": self.rigidity_violations,
+            "violations": [{"i": i, "hash": next(hashes), "orbref0": osize, "forb": fsize}
+                           for i, osize, fsize in self.violations],
+            "rigidity_violations": [{"i": i, "hash": next(hashes)}
+                                    for i in self.rigidity_violations],
             "cache": self.cache_path,
         }
 
 
-def matrix_hash(q: int, d: int, digits: Iterable[int]) -> str:
-    body = f"{q}:{d}:" + ",".join(map(str, digits))
-    return hashlib.sha256(body.encode()).hexdigest()[:16]
+def matrix_hashes(q: int, d: int, indices: Sequence[int]) -> list[str]:
+    """The hash of each scan index's matrix: the first 16 hex digits of the
+    SHA-256 of "q:d:" and the matrix's row-major element indices, comma-
+    joined.  The digits come one position at a time over all the indices."""
+    digits, rest = [], indices
+    for _ in range(d * d):
+        digits.append([str(r % q) for r in rest])
+        rest = [r // q for r in rest]
+    prefix = f"{q}:{d}:"
+    return [hashlib.sha256((prefix + ",".join(row)).encode()).hexdigest()[:16]
+            for row in zip(*digits)]
 
 
 def _scan_cols(digits, q: int, d: int) -> tuple[int, ...]:
@@ -688,10 +745,10 @@ def _enumerate_one(payload) -> tuple:
     (field, d, idx, rigidity) = payload
     sp = _space(field, d)
     search = _ColumnSearch(sp, _scan_cols(to_digits(idx, sp.q, d * d), sp.q, d))
-    size, forb = search.count(), search.forb
+    size, forb_size = search.count(), search.forb_size
     # forb lies inside OrbRef0, so no member outside it means size == |forb|
-    rig_ok = size == len(forb) and not _clashing(sp, forb) if rigidity else None
-    return (size, len(forb), rig_ok)
+    rig_ok = size == forb_size and not _clashing(sp, search.forb) if rigidity else None
+    return (size, forb_size, rig_ok)
 
 
 def _scaling_class(mul, q: int, key) -> tuple:
@@ -748,23 +805,27 @@ def _field_key(field: FiniteField) -> dict:
     return {"p": field.p, "k": field.k, "modulus": modulus}
 
 
-def _load_cache(path: str, field: FiniteField, d: int,
-                need_rigidity: bool) -> dict[int, tuple]:
-    """Rows of this field and dimension, as index -> tuple in _COLUMNS
-    order, read in one pass with one decoder.  Blank, malformed and
-    non-object lines, lines of another field or with none named, lines
-    whose index or _COLUMNS lists are missing, are no lists or differ in
-    length, and lines with an index that is no integer are skipped.  So
-    is a line with a value of the wrong type: split and nilpotent must be
-    bools, orbref0 and forb ints (no bools) with orbref0 >= forb >= 1, and
-    rigidity_ok a bool or null.  A line without rigidity_ok serves unrated
-    rows, and under need_rigidity an unrated row is a miss."""
+def _load_cache(path: str, field: FiniteField, d: int, need_rigidity: bool,
+                size: int) -> list[list]:
+    """Rows of this field and dimension with an index in [0, size), read
+    in one pass with one decoder into one list per _COLUMNS field, indexed
+    by matrix index; orbref0 is None where no row is served, and a later
+    line's row replaces an earlier one's.  A line's index list that runs
+    contiguously fills each column with one slice assignment.  Blank,
+    malformed and non-object lines, lines of another field or with none
+    named, lines whose index or _COLUMNS lists are missing, are no lists or
+    differ in length, and lines with an index that is no integer are
+    skipped.  So is a line with a value of the wrong type: split and
+    nilpotent must be bools, orbref0 and forb ints (no bools) with
+    orbref0 >= forb >= 1, and rigidity_ok a bool or null.  A line without
+    rigidity_ok serves unrated rows, and under need_rigidity an unrated row
+    is a miss and replaces no row."""
     key = _field_key(field)
     want = (d, key["p"], key["k"], key["modulus"])
     decode = json.JSONDecoder().raw_decode
-    rows: dict[int, tuple] = {}
+    columns: list[list] = [[None] * size for _ in _COLUMNS]
     if not path or not os.path.exists(path):
-        return rows
+        return columns
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -779,35 +840,49 @@ def _load_cache(path: str, field: FiniteField, d: int,
             index = scan.get("i")
             if not isinstance(index, list) or not set(map(type, index)) <= {int}:
                 continue
-            columns = [scan.get(name) for name in _COLUMNS[:-1]]
-            columns.append(scan.get("rigidity_ok", [None] * len(index)))
-            if not all(isinstance(c, list) and len(c) == len(index) for c in columns):
+            values = [scan.get(name) for name in _COLUMNS[:-1]]
+            values.append(scan.get("rigidity_ok", [None] * len(index)))
+            if not all(isinstance(c, list) and len(c) == len(index) for c in values):
                 continue
-            split, nilpotent, orbref0, forb, rigidity_ok = columns
+            split, nilpotent, orbref0, forb, rigidity_ok = values
             # forb holds the zero matrix and lies inside OrbRef0
             if not ({*map(type, split), *map(type, nilpotent)} <= {bool}
                     and {*map(type, orbref0), *map(type, forb)} <= {int}
                     and min(forb, default=1) >= 1 and all(map(operator.ge, orbref0, forb))
                     and set(map(type, rigidity_ok)) <= {bool, type(None)}):
                 continue
-            served = zip(index, zip(*columns))
-            if need_rigidity:
-                served = ((i, row) for i, row in served if row[-1] is not None)
-            rows.update(served)
-    return rows
+            if index and not (need_rigidity and None in rigidity_ok) and (
+                    index == list(range(index[0], index[0] + len(index)))):
+                lo, hi = max(index[0], 0), min(index[-1] + 1, size)
+                if lo < hi:
+                    for column, served in zip(columns, values):
+                        column[lo:hi] = served[lo - index[0]:hi - index[0]]
+                continue
+            rows = [(n, i) for n, i in enumerate(index) if 0 <= i < size
+                    and not (need_rigidity and rigidity_ok[n] is None)]
+            for column, served in zip(columns, values):
+                for n, i in rows:
+                    column[i] = served[n]
+    return columns
 
 
 def _append_line(path: str, line: dict):
-    """Append one JSON line with one write.  A file whose last write was
-    torn gets a newline first, so the torn line alone is lost."""
+    """Append one JSON line, the bytes of `json.dumps` without spaces,
+    written one field at a time so that the text of one column is held at
+    once.  A file whose last line is torn gets a newline first, so the
+    torn line alone is lost."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    text = json.dumps(line, separators=(",", ":")) + "\n"
     with open(path, "ab+") as fh:
+        sep = "{"
         if fh.seek(0, os.SEEK_END):
             fh.seek(-1, os.SEEK_END)
             if fh.read(1) != b"\n":
-                text = "\n" + text
-        fh.write(text.encode("utf-8"))
+                sep = "\n{"
+        for name, value in line.items():
+            fh.write(f"{sep}{json.dumps(name)}:{json.dumps(value, separators=(',', ':'))}"
+                     .encode("utf-8"))
+            sep = ","
+        fh.write(b"}\n")
 
 
 def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
@@ -834,9 +909,11 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
                   else os.cpu_count() or 1)
     total = q ** (d * d)
     scan_total = min(total, limit) if limit else total
-    cached = _load_cache(cache_path, field, d, rigidity) if cache_path else {}
-    pending = ([i for i in range(scan_total) if i not in cached] if cached
-               else range(scan_total))
+    columns = (_load_cache(cache_path, field, d, rigidity, scan_total) if cache_path
+               else [[None] * scan_total for _ in _COLUMNS])
+    split, nilpotent, orbref0, forb, rigidity_ok = columns
+    pending = (range(scan_total) if orbref0.count(None) == scan_total else
+               list(compress(range(scan_total), map(operator.is_, orbref0, repeat(None)))))
 
     params = (field, d)
     work = len(pending) * d * d * (1 if dedup else q ** d)  # see _FORK_MIN_WORK
@@ -846,8 +923,9 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
         fan_out = pool.map if pool else lambda fn, payloads: list(map(fn, payloads))
         payloads = [params + (block[0], block[-1] + 1, nilpotent_only)
                     for block in _blocks(pending, workers if pool else 1)]
+        # a block spans the cached rows between its pending ones
         info = [item for part in fan_out(_classify_chunk, payloads)
-                for item in part if item[0] not in cached]
+                for item in part if orbref0[item[0]] is None]
 
         # enumeration targets: the first matrix of each scaling class, or
         # every matrix
@@ -865,60 +943,47 @@ def scan_space(field: FiniteField, d: int, *, nilpotent_only: bool = False,
                                [params + (idx, rigidity) for idx in targets])
     by_target = dict(zip(targets, enum_results))
 
-    # rows in _COLUMNS order, in index order like info
-    new_rows = {idx: (split, nil) + by_target[reps[key] if dedup else idx]
-                for idx, key, split, nil in info}
-    if cache_path and new_rows:
-        columns = map(list, zip(*new_rows.values()))
-        _append_line(cache_path, {**_field_key(field), "d": d,
-                                  "i": list(new_rows), **dict(zip(_COLUMNS, columns))})
+    # the new rows join the served ones in the columns, in index order
+    new = [idx for idx, *_ in info]
+    for idx, key, row_split, row_nil in info:
+        split[idx], nilpotent[idx] = row_split, row_nil
+        orbref0[idx], forb[idx], rigidity_ok[idx] = by_target[reps[key] if dedup else idx]
+    if cache_path and new:
+        _append_line(cache_path, {**_field_key(field), "d": d, "i": new,
+                                  **{name: list(map(column.__getitem__, new))
+                                     for name, column in zip(_COLUMNS, columns)}})
 
+    # the rows examined: every index, and under nilpotent_only just the
+    # nilpotent ones, as the classify pass left the others out and a
+    # cache line of an unfiltered scan serves them; counts come from
+    # whole-column passes over these rows
+    rows = range(scan_total)
+    if nilpotent_only:
+        rows = list(compress(rows, nilpotent))
+        columns = [list(compress(column, nilpotent)) for column in columns]
+    split, nilpotent, orbref0, forb, rigidity_ok = columns
+    unequal = list(map(operator.ne, orbref0, forb))
+    split_unequal = list(map(operator.and_, split, unequal))
+    n_split, n_nil = split.count(True), nilpotent.count(True)
+    split_not_equal, n_unequal = split_unequal.count(True), unequal.count(True)
+    checked = len(rows) - rigidity_ok.count(None)
+    rigidity_bad = (list(compress(rows, map(operator.is_, rigidity_ok, repeat(False))))
+                    if checked else [])
     counts = {
-        "split": 0, "split_equal": 0, "split_not_equal": 0,
-        "nonsplit": 0, "nonsplit_equal": 0, "nonsplit_not_equal": 0,
-        "nilpotent": 0, "nilpotent_equal": 0,
-        "rigidity_checked": 0, "rigidity_violating": 0,
+        "split": n_split, "split_equal": n_split - split_not_equal,
+        "split_not_equal": split_not_equal,
+        "nonsplit": len(rows) - n_split,
+        "nonsplit_equal": len(rows) - n_split - n_unequal + split_not_equal,
+        "nonsplit_not_equal": n_unequal - split_not_equal,
+        "nilpotent": n_nil,
+        "nilpotent_equal": n_nil - list(compress(unequal, nilpotent)).count(True),
+        "rigidity_checked": checked,
+        "rigidity_violating": len(rigidity_bad),
     }
-    violations: list[dict] = []
-    rigidity_bad: list[dict] = []
-
-    def printed(i: int) -> dict:
-        """A printed row's index and hash; only these rows are hashed."""
-        return {"i": i, "hash": matrix_hash(q, d, to_digits(i, q, d * d))}
-
-    used_cache = 0
-    examined = 0
-    for i in range(scan_total):
-        row = new_rows.get(i)
-        if row is None:
-            row = cached.get(i)
-            if row is None:
-                continue  # filtered out by nilpotent_only
-            if nilpotent_only and not row[1]:
-                continue  # cached rows from an unfiltered scan
-            used_cache += 1
-        split, nil, osize, fsize, rig_ok = row
-        equal = osize == fsize
-        examined += 1
-        if split:
-            counts["split"] += 1
-            counts["split_equal" if equal else "split_not_equal"] += 1
-            if not equal:
-                violations.append({**printed(i), "orbref0": osize, "forb": fsize})
-        else:
-            counts["nonsplit"] += 1
-            counts["nonsplit_equal" if equal else "nonsplit_not_equal"] += 1
-        if nil:
-            counts["nilpotent"] += 1
-            if equal:
-                counts["nilpotent_equal"] += 1
-        if rig_ok is not None:
-            counts["rigidity_checked"] += 1
-            if not rig_ok:
-                counts["rigidity_violating"] += 1
-                rigidity_bad.append(printed(i))
     return ScanResult(
-        q=q, d=d, total=scan_total, scanned=examined, from_cache=used_cache,
-        counts=counts, violations=violations, rigidity_violations=rigidity_bad,
+        q=q, d=d, total=scan_total, scanned=len(rows), from_cache=len(rows) - len(new),
+        counts=counts,
+        violations=[(rows[n], orbref0[n], forb[n]) for n in compress(count(), split_unequal)],
+        rigidity_violations=rigidity_bad,
         cache_path=cache_path,
     )

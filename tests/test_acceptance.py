@@ -126,8 +126,8 @@ def test_criterion_3_nilpotent_equality_and_rigidity():
             and part_b.counts["nilpotent_equal"] == 22
             and part_b.counts["rigidity_violating"] == 42
             and len(chains) == 42
-            and {v["i"] for v in part_b.violations} == chains
-            and {v["i"] for v in part_b.rigidity_violations} == chains)
+            and {i for i, _, _ in part_b.violations} == chains
+            and set(part_b.rigidity_violations) == chains)
     detail = (f"M2(GF(3)): 9/9 equal+rigid; M3(GF(2)): "
               f"{part_b.counts['nilpotent_equal']}/64 equal, "
               f"{part_b.counts['rigidity_violating']} rigidity violations, "

@@ -121,6 +121,16 @@ def test_bad_field_parameters_exit_2(tmp_path, capsys, params):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry", ["nan", "inf", "-Infinity", "1e999", "1+nani", "2-infi"])
+def test_c64_entry_that_is_not_finite_exits_2(tmp_path, capsys, entry):
+    # the eigenvalue routines take no NaN or infinity, so the parser
+    # refuses one in either part of an entry
+    path = _write(tmp_path, "c64.json", {"field": "c64", "rows": [[entry, "0"], ["0", "1"]]})
+    assert main(["jordan", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"orbitref: parse error: bad matrix entries: bad complex scalar {entry!r}\n"
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "1e300"])
 def test_bad_tol_exit_2(tmp_path, capsys, tol):
     path = _write(tmp_path, "diag.json", DIAG_Q)

@@ -383,14 +383,20 @@ PARSE_TABLE = [
     ("+i", None, (0, 1), 1j),
     ("3+i", None, (3, 1), 3 + 1j),
     ("3-i", None, (3, -1), 3 - 1j),
-    ("1e-5i", None, None, 1e-05j),
-    ("2.5e+3+1e-2i", None, None, 2500 + 0.01j),
+    ("1e-5i", None, (0, Fraction(1, 100000)), 1e-05j),
+    ("2.5e+3+1e-2i", None, (2500, Fraction(1, 100)), 2500 + 0.01j),
     ("1/2i", None, (0, Fraction(1, 2)), None),
     ("ii", None, None, None),
     ("1+", None, None, None),
     ("+", None, None, None),
     ("i/2", None, None, None),
     ("5i+1", None, None, None),
+    ("2+1e-5i", None, (2, Fraction(1, 100000)), 2 + 1e-05j),
+    ("-1E+2-3e2i", None, (-100, -300), -100 - 300j),
+    ("nan", None, None, None),
+    ("-inf", None, None, None),
+    ("Infinity", None, None, None),
+    ("1+nani", None, None, None),
 ]
 
 

@@ -476,6 +476,27 @@ def test_column_search_matches_product_scan_per_class(field, d):
         _assert_search_matches_product_scan(T)
 
 
+@pytest.mark.parametrize("field,d", [(FiniteField(2), 2), (FiniteField(3), 2),
+                                     (FiniteField(2, 2), 2), (FiniteField(5), 2),
+                                     (FiniteField(7), 2), (FiniteField(2), 3)])
+def test_scaled_orbit_by_lines_matches_the_full_expansion_per_class(field, d):
+    # the search keeps one matrix per line of nonzero scaled powers; its
+    # size and membership test equal those of {lam T^n : n >= 1}, expanded
+    # matrix by matrix, on every candidate of the space
+    from itertools import product
+
+    from orbitref.oracle import _ColumnSearch
+
+    sp = _space(field, d)
+    candidates = list(product(range(sp.n), repeat=d))
+    for T in _class_inputs(field, d):
+        full = {sp.encode(R) for R in power_orbit(T).scaled_matrices()}
+        search = _ColumnSearch(sp, sp.encode(T))
+        assert search.forb_size == len(full) == 1 + (field.q - 1) * len(search.lines)
+        assert search.forb == full
+        assert {S for S in candidates if search.in_forb(S)} == full, T.to_strings()
+
+
 def test_column_search_matches_product_scan_on_companions_and_chains():
     g2, g3 = FiniteField(2), FiniteField(3)
     J = Matrix.jordan_block
@@ -813,7 +834,7 @@ def test_scan_cache_rows_carry_their_field(tmp_path):
 def _parent_layout(text: str) -> str:
     """Cache lines rewritten in the earlier layout, which also stored q,
     the hash of each row's matrix and whether orbref0 equals forb."""
-    from orbitref.oracle import matrix_hash
+    from orbitref.oracle import matrix_hashes
 
     out = []
     for line in text.splitlines():
@@ -821,7 +842,7 @@ def _parent_layout(text: str) -> str:
         q, d = scan["p"] ** scan["k"], scan["d"]
         out.append(json.dumps({
             **scan, "q": q,
-            "hash": [matrix_hash(q, d, to_digits(i, q, d * d)) for i in scan["i"]],
+            "hash": matrix_hashes(q, d, scan["i"]),
             "equal": [o == f for o, f in zip(scan["orbref0"], scan["forb"])]}))
     return "\n".join(out) + "\n"
 
@@ -881,45 +902,232 @@ def test_load_cache_serves_only_valid_rows(tmp_path):
         one[:len(one) // 2],                            # a partial last write
     ]
     cache.write_text("\n".join(lines))
-    assert _load_cache(str(cache), g3, 2, False) == {
+    assert _served(_load_cache(str(cache), g3, 2, False, 81)) == {
         0: row(0, scan["rigidity_ok"][0]), 2: row(2, None), 3: row(3, None)}
-    assert _load_cache(str(cache), g3, 2, True) == {0: row(0, scan["rigidity_ok"][0])}
+    assert _served(_load_cache(str(cache), g3, 2, True, 81)) == {
+        0: row(0, scan["rigidity_ok"][0])}
     # the earlier layout also stored q, each row's hash and equal; the
     # loader ignores them and serves the same rows
     cache.write_text(_parent_layout(good))
-    assert _load_cache(str(cache), g3, 2, True) == {n: row(n, scan["rigidity_ok"][n])
-                                                    for n in range(4)}
+    assert _served(_load_cache(str(cache), g3, 2, True, 81)) == {
+        n: row(n, scan["rigidity_ok"][n]) for n in range(4)}
+
+
+def _served(columns) -> dict:
+    """The rows a columnar read serves, as index -> row in _COLUMNS order."""
+    return {i: row for i, row in enumerate(zip(*columns)) if row[2] is not None}
+
+
+def _per_row_cache(path, field, d, need_rigidity) -> dict:
+    """The per-row read that the columnar `_load_cache` replaced: index ->
+    row in _COLUMNS order, a later line's row replacing an earlier one's,
+    with the same skip rules, for every index a line names."""
+    from orbitref.oracle import _COLUMNS, _field_key
+
+    key = _field_key(field)
+    want = (d, key["p"], key["k"], key["modulus"])
+    decode = json.JSONDecoder().raw_decode
+    rows: dict = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            try:
+                scan, end = decode(line)
+            except json.JSONDecodeError:
+                continue
+            if end != len(line) or not isinstance(scan, dict):
+                continue
+            if (scan.get("d"), scan.get("p"), scan.get("k"), scan.get("modulus")) != want:
+                continue
+            index = scan.get("i")
+            if not isinstance(index, list) or any(type(i) is not int for i in index):
+                continue
+            columns = [scan.get(name) for name in _COLUMNS[:-1]]
+            columns.append(scan.get("rigidity_ok", [None] * len(index)))
+            if not all(isinstance(c, list) and len(c) == len(index) for c in columns):
+                continue
+            split, nilpotent, orbref0, forb, rigidity_ok = columns
+            if not (all(type(v) is bool for v in split + nilpotent)
+                    and all(type(v) is int for v in orbref0 + forb)
+                    and all(o >= f >= 1 for o, f in zip(orbref0, forb))
+                    and all(v is None or type(v) is bool for v in rigidity_ok)):
+                continue
+            for i, row in zip(index, zip(*columns)):
+                if row[-1] is not None or not need_rigidity:
+                    rows[i] = row
+    return rows
+
+
+def _per_row_scan(rows: dict, total: int, nilpotent_only: bool):
+    """(counts, violations, rigidity violations) of a scan served in full
+    by rows, counted one row at a time as before the columnar pass."""
+    counts = dict.fromkeys(("split", "split_equal", "split_not_equal", "nonsplit",
+                            "nonsplit_equal", "nonsplit_not_equal", "nilpotent",
+                            "nilpotent_equal", "rigidity_checked",
+                            "rigidity_violating"), 0)
+    violations, rigidity_bad = [], []
+    for i in range(total):
+        if i not in rows or (nilpotent_only and not rows[i][1]):
+            continue
+        split, nil, osize, fsize, rig_ok = rows[i]
+        equal = osize == fsize
+        kind = "split" if split else "nonsplit"
+        counts[kind] += 1
+        counts[kind + ("_equal" if equal else "_not_equal")] += 1
+        if split and not equal:
+            violations.append((i, osize, fsize))
+        if nil:
+            counts["nilpotent"] += 1
+            counts["nilpotent_equal"] += equal
+        if rig_ok is not None:
+            counts["rigidity_checked"] += 1
+            if not rig_ok:
+                counts["rigidity_violating"] += 1
+                rigidity_bad.append(i)
+    return counts, violations, rigidity_bad
+
+
+def _edited_cache(tmp_path):
+    """A cache of M2(GF(3)) whose later lines override earlier rows:
+    contiguous and scattered index lists, repeated and out-of-range
+    indices, unrated rows, a line of the earlier layout, one of the
+    per-matrix layout and a torn last line."""
+    g3 = FiniteField(3)
+    cache = tmp_path / "scan.jsonl"
+    scan_space(g3, 2, limit=30, cache_path=str(cache))              # unrated
+    scan_space(g3, 2, rigidity=True, cache_path=str(cache))          # rated, all
+    lines = cache.read_text().splitlines()
+    full = json.loads(lines[-1])
+    assert full["i"] == list(range(81))
+    base = {f: v for f, v in full.items() if f not in ("i", "split", "nilpotent",
+                                                       "orbref0", "forb", "rigidity_ok")}
+
+    def line(index, **columns):
+        n = len(index)
+        row = {"split": [True] * n, "nilpotent": [False] * n, "orbref0": [7] * n,
+               "forb": [7] * n, "rigidity_ok": [False] * n}
+        return json.dumps({**base, "i": index, **row, **columns})
+
+    lines += [
+        line(list(range(10, 25)), orbref0=[9] * 15),                    # contiguous
+        line([-3, -2, -1, 0, 1], nilpotent=[True] * 5, forb=[2] * 5),   # from below 0
+        line(list(range(75, 90)), split=[False] * 15),                  # past the space
+        line([40, 5, 40, 6], orbref0=[5, 5, 8, 8], forb=[5, 4, 8, 3]),  # repeats
+        line(list(range(50, 60)), rigidity_ok=[None, True] * 5),        # half unrated
+        line([61, 62, 63], rigidity_ok=[None] * 3, nilpotent=[True] * 3),
+        line(list(range(100, 110))),                                    # past the space
+        line([]),
+    ]
+    cache.write_text("\n".join(lines) + "\n"
+                     + _parent_layout(line([2, 3, 4], orbref0=[11] * 3, forb=[1] * 3))
+                     + json.dumps({**base, "i": 8, "split": False, "nilpotent": True,
+                                   "orbref0": 3, "forb": 1, "rigidity_ok": True}) + "\n"
+                     + line([7, 8, 9])[:40])
+    return g3, cache
+
+
+def test_columnar_read_matches_the_per_row_reference(tmp_path):
+    from orbitref.oracle import _load_cache
+
+    g3, cache = _edited_cache(tmp_path)
+    for need_rigidity in (False, True):
+        rows = _per_row_cache(str(cache), g3, 2, need_rigidity)
+        for size in (1, 12, 30, 81):
+            assert _served(_load_cache(str(cache), g3, 2, need_rigidity, size)) == {
+                i: row for i, row in rows.items() if 0 <= i < size}, (need_rigidity, size)
+
+
+@pytest.mark.parametrize("nilpotent_only", [False, True])
+@pytest.mark.parametrize("rigidity", [False, True])
+@pytest.mark.parametrize("limit", [None, 20])
+def test_columnar_counts_match_the_per_row_reference(tmp_path, nilpotent_only,
+                                                     rigidity, limit):
+    # a re-query served in full by the edited cache counts, and lists
+    # violations, as the per-row pass over the per-row read does; a
+    # --nilpotent-only re-query reads the unfiltered cache
+    g3, cache = _edited_cache(tmp_path)
+    text = cache.read_text()
+    total = limit or 81
+    rows = _per_row_cache(str(cache), g3, 2, rigidity)
+    assert all(i in rows for i in range(total))
+    res = scan_space(g3, 2, nilpotent_only=nilpotent_only, rigidity=rigidity,
+                     limit=limit, cache_path=str(cache))
+    assert cache.read_text() == text  # nothing pending, nothing written
+    counts, violations, rigidity_bad = _per_row_scan(rows, total, nilpotent_only)
+    assert res.scanned == res.from_cache == sum(counts[k] for k in ("split", "nonsplit"))
+    assert (res.counts, res.violations, res.rigidity_violations) == (
+        counts, violations, rigidity_bad)
+    assert violations and (rigidity_bad or not rigidity)
 
 
 def test_cache_line_holds_only_underived_fields_and_scan_hashes_printed_rows(
         tmp_path, monkeypatch):
     # a row's hash, its equal flag and the line's q follow from other
-    # fields, so the line leaves them out, and only the rows the report
-    # prints are hashed: on a cold scan with or without a cache line, and
-    # on a re-query
-    import sys
-
+    # fields, so the line leaves them out; a scan hashes nothing, and its
+    # report hashes the rows it prints in one batch: on a cold scan with or
+    # without a cache line, and on a re-query
     from orbitref import oracle
 
-    callers = []
-    matrix_hash = oracle.matrix_hash
-
-    def spy(*args):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return matrix_hash(*args)
-
-    monkeypatch.setattr(oracle, "matrix_hash", spy)
+    batches = []
+    matrix_hashes = oracle.matrix_hashes
+    monkeypatch.setattr(oracle, "matrix_hashes",
+                        lambda q, d, indices: batches.append(len(indices))
+                        or matrix_hashes(q, d, indices))
     cache = tmp_path / "scan.jsonl"
     g7 = FiniteField(7)
     for path, from_cache in ((None, 0), (str(cache), 0), (str(cache), 2401)):
-        callers.clear()
         res = scan_space(g7, 2, cache_path=path)
         assert res.from_cache == from_cache
-        assert len(res.violations) + len(res.rigidity_violations) == len(callers) == 288
-        assert "_classify_chunk" not in callers
+        assert batches == []
+        assert len(res.violations) + len(res.rigidity_violations) == 288
+        assert len(res.as_dict(hashed=False)["violations"]) == 288
+        assert batches == []
+        report = res.as_dict()
+        assert batches == [288]
+        assert [v["hash"] for v in report["violations"]] == [
+            oracle.matrix_hashes(7, 2, [i])[0] for i, _, _ in res.violations]
+        batches.clear()
     [line] = cache.read_text().splitlines()
     assert set(json.loads(line)) == {"p", "k", "modulus", "d", "i", "split", "nilpotent",
                                      "orbref0", "forb", "rigidity_ok"}
+
+
+def test_matrix_hashes_match_the_per_row_digest():
+    # each hash is the digest of "q:d:" and the matrix's row-major element
+    # indices, whatever the size of the index
+    import hashlib
+
+    from orbitref.oracle import matrix_hashes
+
+    for q, d, indices in ((7, 2, [0, 1, 6, 7, 2400]), (4, 3, [262143, 5]),
+                          (1009, 3, [0, 10 ** 20 + 7]), (3, 1, [])):
+        assert matrix_hashes(q, d, indices) == [
+            hashlib.sha256(f"{q}:{d}:{','.join(map(str, to_digits(i, q, d * d)))}"
+                           .encode()).hexdigest()[:16] for i in indices]
+
+
+@pytest.mark.parametrize("fmt,batches", [("table", []), ("json", [288])])
+def test_ffscan_requery_hashes_only_for_a_json_report(tmp_path, monkeypatch, fmt, batches):
+    # a table prints the number of violations and hashes none of them
+    import contextlib
+    import io
+
+    from orbitref import cli, oracle
+
+    cache = str(tmp_path / "scan.jsonl")
+    argv = ["ffscan", "--q", "7", "--d", "2", "--cache", cache]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    seen = []
+    matrix_hashes = oracle.matrix_hashes
+    monkeypatch.setattr(oracle, "matrix_hashes",
+                        lambda q, d, indices: seen.append(len(indices))
+                        or matrix_hashes(q, d, indices))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv + ["--format", fmt]) == 0
+    assert seen == batches
+    assert ("split-but-unequal: 288" in out.getvalue()) == (fmt == "table")
 
 
 @pytest.mark.parametrize("rigidity", [False, True])
